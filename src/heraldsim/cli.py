@@ -24,7 +24,13 @@ import numpy as np
 
 from . import __version__
 from ._accel import BACKEND
-from .config import ConfigError, load_run_config, resolved_config_doc
+from .config import (
+    ConfigError,
+    check_seed,
+    check_shots,
+    load_run_config,
+    resolved_config_doc,
+)
 from .lindblad import CascadedSystemParams, IntegrationError, cascaded_simulate, pulse_sweep
 from .protocol import (
     SWEEPABLE_AXES,
@@ -92,6 +98,12 @@ def _pauli_doc(pauli) -> dict:
 
 
 def cmd_protocol(args) -> int:
+    if args.shots is not None:
+        check_shots(args.shots, "--shots")
+    elif args.shots_out:
+        raise ConfigError("--shots-out needs --shots")
+    if args.seed is not None:
+        check_seed(args.seed, "--seed")
     run = load_run_config(_resolve_config_path(args.config))
     cfg = run.protocol
     table = run_two_rounds(cfg)
@@ -133,10 +145,10 @@ def cmd_protocol(args) -> int:
     if args.shots is not None:
         seed = run.sampling.seed if args.seed is None else args.seed
         settings = TomographySettings(shots_per_setting=1)
-        records = sample_shots(
+        shots = sample_shots(
             cfg, settings, args.shots, seed, assignment=run.assignment, table=table
         )
-        summary, pauli = aggregate(records, assignment=run.assignment)
+        summary, pauli = aggregate(shots, assignment=run.assignment)
         mc = {
             "shots": summary.shots,
             "seed": seed,
@@ -158,7 +170,7 @@ def cmd_protocol(args) -> int:
             mc["reconstruction_physical"] = res.physical
         doc["monte_carlo"] = mc
         if args.shots_out:
-            write_shots_csv(records, args.shots_out)
+            write_shots_csv(shots, args.shots_out)
 
     if args.control:
         ctrl = run_control(cfg)

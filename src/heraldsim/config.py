@@ -41,6 +41,22 @@ class ConfigError(ValueError):
     """The run configuration is malformed (exit code 2 territory)."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_shots(shots, name: str) -> None:
+    """Shot counts are positive integers, in a config file or on the CLI."""
+    if not _is_int(shots) or shots < 1:
+        raise ConfigError(f"{name} must be a positive integer")
+
+
+def check_seed(seed, name: str) -> None:
+    """Seeds are non-negative integers, in a config file or on the CLI."""
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer")
+
+
 @dataclass(frozen=True)
 class SamplingSettings:
     shots: int = 200_000
@@ -143,10 +159,8 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     _check_keys("sampling", sampling_doc, {"shots", "seed"})
     shots = sampling_doc.get("shots", SamplingSettings.shots)
     seed = sampling_doc.get("seed", SamplingSettings.seed)
-    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
-        raise ConfigError("sampling.shots must be a positive integer")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("sampling.seed must be a non-negative integer")
+    check_shots(shots, "sampling.shots")
+    check_seed(seed, "sampling.seed")
 
     tomo = doc.get("tomography", {})
     _check_keys("tomography", tomo, {"assignment", "assignment_path"})

@@ -12,12 +12,16 @@ of a real dataset.
 Randomness is counter-based: one Philox stream keyed by the seed supplies
 a fixed block of three uniforms per shot, so shot i's randomness is a
 pure function of (seed, i) and identical runs are bit-identical.
+
+Shots are stored column-wise (`Shots`): one numpy array per recorded
+quantity, shot i in row i, so sampling, aggregation and the CSV writer
+never build per-shot Python objects.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,28 +29,61 @@ from .protocol import OutcomeTable, ProtocolConfig, run_two_rounds
 from .qmath import PauliVector, ValidationError
 from .tomography import (
     AssignmentMatrix,
+    CountsTable,
     TomographySettings,
     outcome_probabilities,
+    reconstruct_pauli,
 )
 
 BRANCH_ORDER = ((True, True), (True, False), (False, True), (False, False))
 OUTCOME_LABELS = ("GG", "GE", "EG", "EE")
 
+# (click1, click2) of each branch index
+_BRANCH_CLICKS = np.array(BRANCH_ORDER)
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """One protocol repetition.
 
-    tomo_setting and outcome are -1 when initialization failed (no
-    tomography result is recorded for those shots).
+@dataclass(frozen=True, eq=False)
+class Shots:
+    """n protocol repetitions as read-only columns; shot i is row i.
+
+    init_ok, click1 and click2 are boolean (the clicks are False when
+    initialization failed).  tomo_setting (0-8) and outcome (0-3, in
+    OUTCOME_LABELS order) are -1 when initialization failed: no
+    tomography result is recorded for those shots.  Compare two Shots
+    column by column; `==` is identity.
     """
 
-    index: int
-    init_ok: bool
-    click1: bool
-    click2: bool
-    tomo_setting: int
-    outcome: int
+    init_ok: np.ndarray
+    click1: np.ndarray
+    click2: np.ndarray
+    tomo_setting: np.ndarray
+    outcome: np.ndarray
+
+    def __post_init__(self):
+        n = np.shape(self.init_ok)[0] if np.ndim(self.init_ok) == 1 else -1
+        for f, dtype in zip(fields(self), (bool, bool, bool, np.int64, np.int64)):
+            col = np.array(getattr(self, f.name), dtype=dtype)
+            if col.shape != (n,):
+                raise ValidationError("shot columns must be 1-D and of equal length")
+            col.setflags(write=False)
+            object.__setattr__(self, f.name, col)
+        if n and (
+            self.tomo_setting.min() < -1 or self.tomo_setting.max() > 8
+            or self.outcome.min() < -1 or self.outcome.max() > 3
+        ):
+            raise ValidationError("tomo_setting must lie in -1..8 and outcome in -1..3")
+        ok = self.init_ok
+        if (
+            np.any((self.tomo_setting >= 0) != ok) or np.any((self.outcome >= 0) != ok)
+            or np.any((self.click1 | self.click2) & ~ok)
+        ):
+            raise ValidationError(
+                "uninitialized shots record no click, setting or outcome; "
+                "initialized shots record a setting and an outcome"
+            )
+
+    def __len__(self) -> int:
+        return self.init_ok.size
 
 
 @dataclass(frozen=True)
@@ -87,7 +124,7 @@ def sample_shots(
     seed: int,
     assignment: AssignmentMatrix | None = None,
     table: OutcomeTable | None = None,
-) -> list[ShotRecord]:
+) -> Shots:
     """Draw n protocol shots; deterministic given (config, settings, n, seed).
 
     The OutcomeTable may be passed in to avoid recomputing it across
@@ -123,36 +160,23 @@ def sample_shots(
     branch_idx = np.minimum(branch_idx, 3)
 
     # round-robin settings over initialized shots
-    setting_idx = np.full(n, -1, dtype=int)
+    setting_idx = np.full(n, -1, dtype=np.int64)
     which = np.flatnonzero(init_ok)
     setting_idx[which] = np.arange(which.size) % 9
 
-    outcome_idx = np.full(n, -1, dtype=int)
+    outcome_idx = np.full(n, -1, dtype=np.int64)
     if which.size:
         cums = outcome_cum[branch_idx[which], setting_idx[which]]
         outcome_idx[which] = np.minimum(
             (u[which, 2, None] >= cums).sum(axis=1), 3
         )
 
-    records = []
-    for i in range(n):
-        ok = bool(init_ok[i])
-        c1, c2 = BRANCH_ORDER[branch_idx[i]] if ok else (False, False)
-        records.append(
-            ShotRecord(
-                index=i,
-                init_ok=ok,
-                click1=c1 if ok else False,
-                click2=c2 if ok else False,
-                tomo_setting=int(setting_idx[i]),
-                outcome=int(outcome_idx[i]),
-            )
-        )
-    return records
+    clicks = _BRANCH_CLICKS[branch_idx] & init_ok[:, None]
+    return Shots(init_ok, clicks[:, 0], clicks[:, 1], setting_idx, outcome_idx)
 
 
 def aggregate(
-    records: list[ShotRecord],
+    shots: Shots,
     assignment: AssignmentMatrix | None = None,
     branch: tuple[bool, bool] = (True, True),
 ) -> tuple[RunSummary, PauliVector | None]:
@@ -163,75 +187,59 @@ def aggregate(
     summary and the corrected Pauli vector (None if too few shots to fill
     every setting).
     """
-    n = len(records)
-    init = [r for r in records if r.init_ok]
-    click1 = [r for r in init if r.click1]
-    click12 = [r for r in click1 if r.click2]
-    selected = [r for r in init if (r.click1, r.click2) == branch]
+    n = len(shots)
+    init, click1, click2 = shots.init_ok, shots.click1, shots.click2
+    selected = init & (click1 == branch[0]) & (click2 == branch[1])
 
-    counts = np.zeros((9, 4))
-    for r in selected:
-        counts[r.tomo_setting, r.outcome] += 1.0
+    keys = shots.tomo_setting[selected] * 4 + shots.outcome[selected]
+    counts = np.bincount(keys, minlength=36).reshape(9, 4).astype(float)
 
     pauli = None
-    if counts.sum(axis=1).min() > 0:
-        pauli = _reconstruct_unequal(counts, assignment)
+    totals = counts.sum(axis=1)
+    if totals.min() > 0:
+        pauli = reconstruct_pauli(CountsTable(counts, totals), assignment)
+    # clicks are recorded only for initialized shots (checked by Shots)
+    n_init, n_click1, n_click12 = (int(m.sum()) for m in (init, click1, click1 & click2))
     summary = RunSummary(
         shots=n,
-        p_init_hat=_binomial(len(init), n),
-        p_click1_hat=_binomial(len(click1), len(init)),
-        p_click2_hat=_binomial(len(click12), len(click1)),
-        post_selected=len(selected),
+        p_init_hat=_binomial(n_init, n),
+        p_click1_hat=_binomial(n_click1, n_init),
+        p_click2_hat=_binomial(n_click12, n_click1),
+        post_selected=int(keys.size),
         post_selected_counts=counts,
     )
     return summary, pauli
 
 
-def _reconstruct_unequal(counts: np.ndarray, assignment) -> PauliVector:
-    """Reconstruction when settings carry unequal shot numbers."""
-    from .tomography import _LABEL_TO_SETTINGS, _component_signs
-    from .qmath import PAULI_LABELS
-
-    inv = assignment.inverse() if assignment is not None else np.eye(4)
-    n_k = counts.sum(axis=1)
-    freqs = counts / n_k[:, None]
-    corrected = freqs @ inv.T
-    covs = []
-    for k in range(9):
-        q = freqs[k]
-        cov_q = (np.diag(q) - np.outer(q, q)) / n_k[k]
-        covs.append(inv @ cov_q @ inv.T)
-
-    comps = np.zeros(16)
-    sigma = np.zeros(16)
-    for idx, label in enumerate(PAULI_LABELS):
-        if label == "II":
-            comps[idx] = 1.0
-            continue
-        signs = _component_signs(label)
-        ks = _LABEL_TO_SETTINGS[label]
-        comps[idx] = float(np.mean([signs @ corrected[k] for k in ks]))
-        var = sum(max(float(signs @ covs[k] @ signs), 0.0) for k in ks)
-        sigma[idx] = float(np.sqrt(var)) / len(ks)
-    return PauliVector(comps, sigma)
-
-
 CSV_FIELDS = ("index", "init_ok", "click1", "click2", "tomo_setting", "outcome")
 
+# Every row after its index, in csv.writer's format (\r\n line ends, empty
+# fields for an unrecorded setting or outcome), indexed by _row_codes.
+_ROW_SUFFIXES = np.array(
+    [
+        f"{int(ok)},{int(c1)},{int(c2)},{'' if k < 0 else k},"
+        f"{'' if j < 0 else OUTCOME_LABELS[j]}\r\n"
+        for ok, c1, c2, k, j in itertools.product(
+            (False, True), (False, True), (False, True), range(-1, 9), range(-1, 4)
+        )
+    ],
+    dtype=object,
+)
+_CSV_CHUNK = 1 << 16
 
-def write_shots_csv(records: list[ShotRecord], path) -> None:
+
+def _row_codes(shots: Shots, lo: int, hi: int) -> np.ndarray:
+    rows = slice(lo, hi)
+    flags = shots.init_ok[rows] * 4 + shots.click1[rows] * 2 + shots.click2[rows]
+    return flags * 50 + (shots.tomo_setting[rows] + 1) * 5 + (shots.outcome[rows] + 1)
+
+
+def write_shots_csv(shots: Shots, path) -> None:
     """One row per shot; outcome written as GG/GE/EG/EE or empty."""
+    n = len(shots)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.index,
-                    int(r.init_ok),
-                    int(r.click1),
-                    int(r.click2),
-                    r.tomo_setting if r.tomo_setting >= 0 else "",
-                    OUTCOME_LABELS[r.outcome] if r.outcome >= 0 else "",
-                ]
-            )
+        fh.write(",".join(CSV_FIELDS) + "\r\n")
+        for lo in range(0, n, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, n)
+            suffixes = _ROW_SUFFIXES[_row_codes(shots, lo, hi)].tolist()
+            fh.write("".join([f"{i},{s}" for i, s in zip(range(lo, hi), suffixes)]))

@@ -123,13 +123,15 @@ class CountsTable:
     """Outcome counts (or exact probabilities) for the nine settings.
 
     counts has shape (9, 4) in SETTING_AXES x BASIS_ORDER layout.  For
-    sampled data rows hold integers summing to shots_per_setting; for the
+    sampled data rows hold integers summing to shots_per_setting: one
+    shot budget shared by all settings, or nine per-setting totals (as
+    post-selected data has, since heralding is random).  For the
     infinite-shot mode (shots_per_setting None) rows hold probabilities
     summing to one.
     """
 
     counts: np.ndarray
-    shots_per_setting: int | None
+    shots_per_setting: int | np.ndarray | None
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=float)
@@ -137,17 +139,36 @@ class CountsTable:
             raise ValidationError("counts must be 9 settings x 4 outcomes")
         if np.any(c < 0):
             raise ValidationError("counts must be non-negative")
-        target = 1.0 if self.shots_per_setting is None else float(self.shots_per_setting)
-        if np.max(np.abs(c.sum(axis=1) - target)) > 1e-6 * max(target, 1.0):
+        if self.shots_per_setting is not None and np.ndim(self.shots_per_setting) != 0:
+            totals = np.array(self.shots_per_setting, dtype=float)
+            if totals.shape != (9,):
+                raise ValidationError("per-setting totals must have nine entries")
+            totals.setflags(write=False)
+            object.__setattr__(self, "shots_per_setting", totals)
+        target = self.setting_totals()
+        if target is None:
+            target = np.ones(9)
+        elif np.any(target <= 0):
+            raise ValidationError("shot totals must be positive")
+        if np.any(np.abs(c.sum(axis=1) - target) > 1e-6 * np.maximum(target, 1.0)):
             raise ValidationError("each setting's counts must sum to the shot budget")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
-    def frequencies(self) -> np.ndarray:
+    def setting_totals(self) -> np.ndarray | None:
+        """Shots of each setting (length 9), or None for probabilities."""
         if self.shots_per_setting is None:
+            return None
+        if isinstance(self.shots_per_setting, np.ndarray):
+            return self.shots_per_setting
+        return np.full(9, float(self.shots_per_setting))
+
+    def frequencies(self) -> np.ndarray:
+        totals = self.setting_totals()
+        if totals is None:
             return self.counts.copy()
-        return self.counts / float(self.shots_per_setting)
+        return self.counts / totals[:, None]
 
 
 def imperfect_projectors(a: AssignmentMatrix) -> list[np.ndarray]:
@@ -246,20 +267,20 @@ def reconstruct_pauli(
     Correlators come from the matching setting's parity sum; single-qubit
     components average the three settings sharing that qubit's axis.
     Statistical errors propagate the multinomial covariance of each
-    setting through the inversion (sigma is None in the infinite-shot
-    mode).
+    setting, with that setting's own shot total, through the inversion
+    (sigma is None in the infinite-shot mode).
     """
     freqs = counts.frequencies()
-    n = counts.shots_per_setting
+    n_k = counts.setting_totals()
     inv = a.inverse() if a is not None else np.eye(4)
 
     corrected = freqs @ inv.T
     covs = None
-    if n is not None:
+    if n_k is not None:
         covs = []
         for k in range(9):
             q = freqs[k]
-            cov_q = (np.diag(q) - np.outer(q, q)) / float(n)
+            cov_q = (np.diag(q) - np.outer(q, q)) / n_k[k]
             covs.append(inv @ cov_q @ inv.T)
 
     comps = np.zeros(16)
@@ -347,12 +368,12 @@ def bootstrap_errors(
     v = np.asarray(target_ket, dtype=complex).ravel()
     v = v / np.linalg.norm(v)
     freqs = counts.frequencies()
-    n = counts.shots_per_setting
+    n_k = counts.setting_totals().astype(np.int64)
     fids, concs = [], []
     for i in range(n_resamples):
         rng = np.random.default_rng([int(seed), 7919, i])
-        resampled = np.stack([rng.multinomial(n, freqs[k]) for k in range(9)])
-        pauli = reconstruct_pauli(CountsTable(resampled, n), a)
+        resampled = np.stack([rng.multinomial(n_k[k], freqs[k]) for k in range(9)])
+        pauli = reconstruct_pauli(CountsTable(resampled, counts.shots_per_setting), a)
         mat = pauli_reconstruct(pauli)
         fids.append(float(np.real(v.conj() @ mat @ v)))
         concs.append(concurrence_matrix(mat))
@@ -369,7 +390,11 @@ def counts_to_json(counts: CountsTable) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "basis": list(BASIS_ORDER),
-        "shots_per_setting": counts.shots_per_setting,
+        "shots_per_setting": (
+            counts.shots_per_setting.tolist()
+            if isinstance(counts.shots_per_setting, np.ndarray)
+            else counts.shots_per_setting
+        ),
         "settings": [
             {
                 "axes": list(SETTING_AXES[k]),

@@ -224,10 +224,10 @@ def test_c09_ideal_success_probability():
     exact_ok = abs(p_analytic - 0.125) < 1e-12
 
     n = 100_000
-    records = sample_shots(
+    shots = sample_shots(
         replace(cfg, p_init=1.0), TomographySettings(1), n, seed=2024, table=table
     )
-    p_hat = sum(r.click1 and r.click2 for r in records) / n
+    p_hat = np.count_nonzero(shots.click1 & shots.click2) / n
     sigma = np.sqrt(0.125 * 0.875 / n)
     mc_ok = abs(p_hat - 0.125) <= 5.0 * sigma
     ok = exact_ok and mc_ok

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -61,6 +62,36 @@ class TestProtocolCommand:
         doc = json.loads(out1.read_text())
         assert doc["monte_carlo"]["shots"] == 200000
         assert doc["monte_carlo"]["post_selected"] > 0
+
+    def test_monte_carlo_output_digest(self, tmp_path):
+        # SHA-256 of both outputs as the per-shot-record sampler wrote them
+        # (numpy 2.4.6): pins the Monte Carlo bytes across implementations
+        out, shots = tmp_path / "mc.json", tmp_path / "shots.csv"
+        args = ["protocol", "--shots", "20000", "--seed", "3"]
+        assert main(args + ["--out", str(out), "--shots-out", str(shots)]) == 0
+        assert len(shots.read_bytes()) == 323308
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "1467b5f0e64fa3ab0ac6ee7840fdb706480e8c9827473b691b230e9862b986a7"
+        )
+        assert hashlib.sha256(shots.read_bytes()).hexdigest() == (
+            "c49673facaf58f4ca65b0d661fdeb0d62c0d0c71321ffbbdc56942859c26f047"
+        )
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["protocol", "--seed", "-1", "--shots", "10"]) == 2
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shots", ["-5", "0"])
+    def test_non_positive_shots_exit_2(self, shots, capsys):
+        assert main(["protocol", "--shots", shots]) == 2
+        assert "--shots must be a positive integer" in capsys.readouterr().err
+
+    def test_shots_out_without_shots_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "x.csv"
+        out = tmp_path / "out.json"
+        assert main(["protocol", "--shots-out", str(csv_path), "--out", str(out)]) == 2
+        assert "--shots-out needs --shots" in capsys.readouterr().err
+        assert not csv_path.exists() and not out.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"preparation": {"theta_q": 1.0}})

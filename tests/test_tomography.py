@@ -193,6 +193,69 @@ class TestReconstructPauli:
             assert abs(got.components[i] - expected.components[i]) < 5.0 * got.sigma[i]
 
 
+class TestPerSettingTotals:
+    """Post-selected data: each setting carries its own shot total."""
+
+    def unequal_counts(self, seed=3):
+        rho = random_two_qubit_state(seed)
+        probs = simulate_counts(rho, reference_assignment(), None).counts
+        totals = np.array([400, 900, 250, 1200, 610, 333, 808, 150, 1000])
+        rng = np.random.default_rng(seed)
+        counts = np.stack([rng.multinomial(n, probs[k]) for k, n in enumerate(totals)])
+        return counts, totals
+
+    def test_equal_totals_bit_identical_to_shared_budget(self):
+        counts = simulate_counts(
+            random_two_qubit_state(5), reference_assignment(),
+            TomographySettings(5000), seed=2,
+        )
+        shared = reconstruct_pauli(counts, reference_assignment())
+        per_setting = reconstruct_pauli(
+            CountsTable(counts.counts, [5000] * 9), reference_assignment()
+        )
+        assert np.array_equal(shared.components, per_setting.components)
+        assert np.array_equal(shared.sigma, per_setting.sigma)
+
+    def test_sigma_uses_each_settings_total(self):
+        counts, totals = self.unequal_counts()
+        table = CountsTable(counts, totals)
+        pauli = reconstruct_pauli(table)
+        # identity readout: a correlator's variance is (1 - m^2) / n_k
+        for k, (ax_a, ax_b) in enumerate(SETTING_AXES):
+            label = ax_a + ax_b
+            m = pauli.component(label)
+            expected = np.sqrt((1.0 - m * m) / totals[k])
+            assert pauli.error(label) == pytest.approx(expected, rel=1e-12)
+        assert np.allclose(table.frequencies().sum(axis=1), 1.0)
+
+    def test_totals_validated(self):
+        counts, totals = self.unequal_counts()
+        with pytest.raises(ValidationError):
+            CountsTable(counts, totals + 1)
+        with pytest.raises(ValidationError):
+            CountsTable(counts, totals[:8])
+        with pytest.raises(ValidationError):
+            CountsTable(counts, [totals])
+        with pytest.raises(ValidationError):
+            CountsTable(np.zeros((9, 4)), np.zeros(9))
+
+    def test_json_round_trip(self):
+        counts, totals = self.unequal_counts()
+        table = CountsTable(counts, totals)
+        back = counts_from_json(counts_to_json(table))
+        assert np.array_equal(back.setting_totals(), totals)
+        assert np.array_equal(back.counts, table.counts)
+
+    def test_bootstrap_accepts_unequal_totals(self):
+        from heraldsim.tomography import bootstrap_errors
+
+        counts, totals = self.unequal_counts()
+        boot_f, boot_c = bootstrap_errors(
+            CountsTable(counts, totals), None, bell_odd_plus(), n_resamples=20, seed=1
+        )
+        assert 0.0 < boot_f < 0.2 and 0.0 <= boot_c < 0.5
+
+
 class TestFidelityWithErrors:
     def test_zero_sigma_gives_zero_error(self):
         pauli = pauli_decompose(DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2)))
