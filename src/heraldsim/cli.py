@@ -6,8 +6,10 @@ produce byte-identical output files.  Exit codes: 0 success, 2 for
 configuration or usage errors, 3 for numerical failures.
 
 Environment: HERALDSIM_CONFIG_DIR supplies the directory for bare
---config file names; HERALDSIM_BACKEND selects the integrator backend
-(see `_accel`).
+--config file names.
+
+`sweep --threads N` spreads preparation-sweep points over N threads;
+`detector-sim` runs its sweep points as one batched integration.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._accel import BACKEND
 from .config import (
     ConfigError,
     check_seed,
@@ -102,6 +104,8 @@ def cmd_protocol(args) -> int:
         check_shots(args.shots, "--shots")
     elif args.shots_out:
         raise ConfigError("--shots-out needs --shots")
+    elif args.seed is not None:
+        raise ConfigError("--seed needs --shots")
     if args.seed is not None:
         check_seed(args.seed, "--seed")
     run = load_run_config(_resolve_config_path(args.config))
@@ -223,29 +227,32 @@ def _detector_params(args) -> CascadedSystemParams:
     return params
 
 
+def _check_t_total(t_total: float, pulse_end: float) -> None:
+    # p_click is the excited population after the pulse, so the window must
+    # hold the whole pulse
+    if not (isfinite(t_total) and t_total > 0.0):
+        raise ConfigError(f"--t-total must be a positive number of ns, got {t_total!r}")
+    if t_total < pulse_end:
+        raise ConfigError(
+            f"--t-total {t_total!r} ns ends before the pulse does ({pulse_end!r} ns)"
+        )
+
+
 def cmd_detector_sim(args) -> int:
     params = _detector_params(args)
+    pulse_end = params.pulse.start_time + params.pulse.total_length
 
     if args.sweep is not None:
         if args.points < 2:
             raise ConfigError("--points must be at least 2 for a sweep")
         values = np.linspace(args.start, args.stop, args.points)
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                p_clicks = list(
-                    pool.map(
-                        lambda v: pulse_sweep(
-                            params, args.sweep, [v], initial_fock=args.fock,
-                            t_total=args.t_total,
-                        )[0],
-                        values,
-                    )
-                )
-        else:
-            p_clicks = pulse_sweep(
-                params, args.sweep, values, initial_fock=args.fock,
-                t_total=args.t_total,
-            )
+        if args.sweep == "delay":
+            pulse_end = float(values.max()) + params.pulse.total_length
+        _check_t_total(args.t_total, pulse_end)
+        p_clicks = pulse_sweep(
+            params, args.sweep, values, initial_fock=args.fock,
+            t_total=args.t_total,
+        )
         lines = [f"{args.sweep},p_click"]
         for v, p in zip(values, p_clicks):
             lines.append(f"{float(v)!r},{float(p)!r}")
@@ -256,11 +263,12 @@ def cmd_detector_sim(args) -> int:
             Path(args.out).write_text(text)
         return EXIT_OK
 
+    _check_t_total(args.t_total, pulse_end)
     traces = cascaded_simulate(args.fock, params, t_total=args.t_total)
     dark = cascaded_simulate(0, params, t_total=args.t_total)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "backend": BACKEND,
+        "backend": "numpy",  # schema version 1 field; one integrator remains
         "initial_fock": args.fock,
         "p_click": traces.p_click,
         "dark_count": dark.p_click,
@@ -347,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=0)
     p.add_argument("--pulse-start", type=float, help="override pulse start time (ns)")
     p.add_argument("--t-total", type=float, default=1500.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--traces-out", help="write the time-trace CSV here")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_detector_sim)

@@ -21,17 +21,19 @@ envelope times exp(-i Delta t).  Frequencies are quoted as f = omega/2pi
 in MHz, times in ns.
 
 Integration is fixed-step classical RK4 (default 1 ns), deterministic by
-construction; the hot loop lives in `_accel` with numba and numpy builds.
+construction.  One numpy kernel, `_propagate`, steps a stack of
+independent systems at once: `pulse_sweep` and `parameter_robustness`
+integrate all their points in one batch, and every member's trajectory is
+bit-identical to integrating it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import atan, pi, sqrt
+from math import atan, isfinite, pi, sqrt
 
 import numpy as np
 
-from ._accel import propagate
 from .qmath import ValidationError, basis_ket
 from .photonics import annihilation
 
@@ -40,6 +42,11 @@ MHZ_TO_RAD_NS = 2.0e-3 * np.pi  # omega [rad/ns] = 2 pi f[MHz] 1e-3
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
 GUARD_TOL = 1e-3
+
+# Systems per kernel call; bounds the stacked states and traces of long
+# sweeps.  Timed at 4, 8, 16 and 32 systems (1500 ns, 2 cores): 8 was the
+# fastest per system, 0.21 s against 0.23-0.29 s.
+_BATCH = 8
 
 
 class IntegrationError(RuntimeError):
@@ -179,12 +186,13 @@ class _CascadeOperators:
         self.c_dag = self.c_op.conj().T
         self.cdc = self.c_dag @ self.c_op
 
-        self.n_a_op = a.conj().T @ a
-        self.n_d_op = d.conj().T @ d
-        self.p_e_op = pe
         guard = np.zeros(params.detector_cavity_dim)
         guard[-1] = 1.0
-        self.guard_op = _embed(np.diag(guard).astype(complex), dims, 2)
+        guard_op = _embed(np.diag(guard).astype(complex), dims, 2)
+        # n_A, n_D, p_e and the guard level, all diagonal: rows of diagonals
+        self.obs = np.stack(
+            [np.diagonal(op).real for op in (a.conj().T @ a, d.conj().T @ d, pe, guard_op)]
+        )
 
     def initial_state(self, emitter_fock: int) -> np.ndarray:
         ket = np.kron(
@@ -194,37 +202,161 @@ class _CascadeOperators:
         return np.outer(ket, ket.conj())
 
 
-def _integrate(ops: _CascadeOperators, rho0, params, times, dt):
-    """One kernel call over a time window; returns traces and final state."""
-    n_steps = len(times) - 1
-    half_grid = times[0] + 0.5 * dt * np.arange(2 * n_steps + 1)
+def _propagate(rho0, h0, hp, hm, c_op, c_dag, cdc, coeffs, dt, obs):
+    """Classical RK4 over a stack of B independent systems.
+
+    rho0, h0, hp, hm, c_op, c_dag and cdc are (B, n, n); coeffs is
+    (B, 2*n_steps + 1), each system's drive coefficient c on the half-step
+    grid, with H = h0 + c hp + c* hm.  obs holds the diagonals (n_obs, n)
+    of diagonal observables.  Returns the (B, n_obs, n_steps + 1) real
+    expectation traces and the (B, n, n) final states.  Each slice gets the
+    same arithmetic in the same order as a stack of one.
+    """
+    n_steps = (coeffs.shape[1] - 1) // 2
+    c = coeffs.T[:, :, None, None]
+    c_conj = np.conj(c)
+
+    def hamiltonian(j):
+        return h0 + c[j] * hp + c_conj[j] * hm
+
+    def rhs(rho, h):
+        # drho = -i[H, rho] + C rho C^dag - (1/2){C^dag C, rho}
+        comm = h @ rho - rho @ h
+        return (
+            -1j * comm
+            + c_op @ rho @ c_dag
+            - 0.5 * (cdc @ rho + rho @ cdc)
+        )
+
+    def expect(rho):
+        return (obs * np.diagonal(rho, axis1=1, axis2=2)[:, None, :]).sum(-1).real
+
+    out = np.empty((n_steps + 1, rho0.shape[0], obs.shape[0]))
+    rho = rho0.copy()
+    out[0] = expect(rho)
+    h_start = hamiltonian(0)
+    for i in range(n_steps):
+        h_half = hamiltonian(2 * i + 1)
+        h_end = hamiltonian(2 * i + 2)
+        k1 = rhs(rho, h_start)
+        k2 = rhs(rho + (0.5 * dt) * k1, h_half)
+        k3 = rhs(rho + (0.5 * dt) * k2, h_half)
+        k4 = rhs(rho + dt * k3, h_end)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = expect(rho)
+        h_start = h_end
+    return out.transpose(1, 2, 0), rho
+
+
+def _drive_coefficients(params: CascadedSystemParams, times, dt) -> np.ndarray:
+    """0.5 x envelope x exp(-i Delta t) on the half-step grid of a window."""
+    half_grid = times[0] + 0.5 * dt * np.arange(2 * len(times) - 1)
     envelope = params.pulse.rate_rad_ns(half_grid)
-    coeffs = 0.5 * envelope * np.exp(
+    return 0.5 * envelope * np.exp(
         -1j * params.detuning * MHZ_TO_RAD_NS * half_grid
     )
-    obs = np.stack([ops.n_a_op, ops.n_d_op, ops.p_e_op, ops.guard_op])
-    out, rho_final = propagate(
-        np.ascontiguousarray(rho0, dtype=complex),
-        ops.h0,
-        ops.hp,
-        ops.hm,
-        ops.c_op,
-        ops.c_dag,
-        ops.cdc,
-        coeffs,
+
+
+def _integrate(members, times, dt):
+    """One kernel call over a shared window for (ops, params, rho0) members."""
+    def stack(name):
+        return np.stack([getattr(ops, name) for ops, _, _ in members])
+
+    return _propagate(
+        np.stack([rho0 for _, _, rho0 in members]),
+        stack("h0"),
+        stack("hp"),
+        stack("hm"),
+        stack("c_op"),
+        stack("c_dag"),
+        stack("cdc"),
+        np.stack([_drive_coefficients(params, times, dt) for _, params, _ in members]),
         float(dt),
-        n_steps,
-        obs,
+        members[0][0].obs,
     )
-    trace_error = abs(float(np.trace(rho_final).real) - 1.0)
-    herm_error = float(np.max(np.abs(rho_final - rho_final.conj().T)))
-    if trace_error > TRACE_TOL or herm_error > HERMITICITY_TOL:
+
+
+def _check_budget(rho: np.ndarray) -> float:
+    """Trace error of a final state; raises when trace or hermiticity drift."""
+    trace_error = abs(float(np.trace(rho).real) - 1.0)
+    herm_error = float(np.max(np.abs(rho - rho.conj().T)))
+    # written so that a NaN state fails too
+    if not (trace_error <= TRACE_TOL and herm_error <= HERMITICITY_TOL):
         raise IntegrationError(
             f"integrator left tolerance: trace error {trace_error:.2e} "
             f"(budget {TRACE_TOL:.0e}), hermiticity {herm_error:.2e} "
             f"(budget {HERMITICITY_TOL:.0e}); reduce dt"
         )
-    return out, rho_final, trace_error
+    return trace_error
+
+
+def _simulate(systems, t_total: float, dt: float) -> list[TimeTraces]:
+    """Integrate (params, initial_fock) systems, _BATCH per kernel call.
+
+    Results, and the first budget failure raised, are those of integrating
+    the systems one by one in input order.
+    """
+    for name, value in (("t_total", t_total), ("dt", dt)):
+        if not (isfinite(value) and value > 0.0):
+            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    for params, fock in systems:
+        if fock not in range(params.emitter_dim):
+            raise ValidationError(f"initial_fock {fock} outside emitter dimension")
+    n_steps = max(1, int(round(t_total / dt)))
+    times_main = dt * np.arange(n_steps + 1)
+    results = []
+    for lo in range(0, len(systems), _BATCH):
+        members, prerolls, failure = [], [], None
+        for params, fock in systems[lo:lo + _BATCH]:
+            ops = _CascadeOperators(params)
+            t_min = min(0.0, params.pulse.start_time)
+            if t_min < 0.0:
+                n_pre = max(1, int(round(-t_min / dt)))
+                times_pre = t_min + dt * np.arange(n_pre + 1)
+                out_pre, rho_mid = _integrate(
+                    [(ops, params, ops.initial_state(0))], times_pre, dt
+                )
+                try:
+                    _check_budget(rho_mid[0])
+                except IntegrationError as exc:
+                    # members before this one still report their own failures first
+                    failure = exc
+                    break
+                # swap in the freshly released Fock state; the emitter factor is
+                # untouched vacuum up to here, so this is a tensor replacement
+                rho_start = _replace_emitter(rho_mid[0], ops.dims, fock)
+                prerolls.append((times_pre[:-1], out_pre[0][:, :-1]))
+            else:
+                rho_start = ops.initial_state(fock)
+                prerolls.append((np.empty(0), np.empty((len(ops.obs), 0))))
+            members.append((ops, params, rho_start))
+
+        if members:
+            out_main, rho_final = _integrate(members, times_main, dt)
+        for b, ((_, params, _), (times_pre, out_pre)) in enumerate(zip(members, prerolls)):
+            trace_error = _check_budget(rho_final[b])
+            times = np.concatenate([times_pre, times_main])
+            out = np.concatenate([out_pre, out_main[b]], axis=1)
+            guard_max = float(out[3].max())
+            if not guard_max <= GUARD_TOL:
+                raise IntegrationError(
+                    f"detector-cavity guard level reached {guard_max:.2e} "
+                    f"(budget {GUARD_TOL:.0e}); raise detector_cavity_dim"
+                )
+            results.append(
+                TimeTraces(
+                    times=times,
+                    n_a=out[0],
+                    n_d=out[1],
+                    p_e=out[2],
+                    pulse=params.pulse.rate_rad_ns(times),
+                    guard_max=guard_max,
+                    trace_error=trace_error,
+                )
+            )
+        if failure is not None:
+            raise failure
+    return results
 
 
 def cascaded_simulate(
@@ -238,54 +370,11 @@ def cascaded_simulate(
     The emitter releases its photon(s) from t = 0.  A pulse with negative
     start_time is honored by pre-rolling the drive on the empty system and
     injecting the Fock state at t = 0 (exact: nothing entangles with the
-    emitter before its photon exists).  Raises IntegrationError when the
+    emitter before its photon exists).  Raises ValidationError for a
+    non-positive or non-finite t_total or dt, and IntegrationError when the
     trace or guard-level budget is exceeded.
     """
-    if initial_fock not in range(params.emitter_dim):
-        raise ValidationError(
-            f"initial_fock {initial_fock} outside emitter dimension"
-        )
-    ops = _CascadeOperators(params)
-    t_min = min(0.0, params.pulse.start_time)
-    pieces = []
-    trace_error = 0.0
-
-    if t_min < 0.0:
-        n_pre = max(1, int(round(-t_min / dt)))
-        times_pre = t_min + dt * np.arange(n_pre + 1)
-        out_pre, rho_mid, _ = _integrate(
-            ops, ops.initial_state(0), params, times_pre, dt
-        )
-        # swap in the freshly released Fock state; the emitter factor is
-        # untouched vacuum up to here, so this is a tensor replacement
-        rho_start = _replace_emitter(rho_mid, ops.dims, initial_fock)
-        pieces.append((times_pre[:-1], out_pre[:, :-1]))
-    else:
-        rho_start = ops.initial_state(initial_fock)
-
-    n_steps = max(1, int(round(t_total / dt)))
-    times_main = dt * np.arange(n_steps + 1)
-    out_main, _, trace_error = _integrate(ops, rho_start, params, times_main, dt)
-    pieces.append((times_main, out_main))
-
-    times = np.concatenate([p[0] for p in pieces])
-    out = np.concatenate([p[1] for p in pieces], axis=1)
-    guard_max = float(out[3].max())
-    if guard_max > GUARD_TOL:
-        raise IntegrationError(
-            f"detector-cavity guard level reached {guard_max:.2e} "
-            f"(budget {GUARD_TOL:.0e}); raise detector_cavity_dim"
-        )
-    envelope = params.pulse.rate_rad_ns(times)
-    return TimeTraces(
-        times=times,
-        n_a=out[0],
-        n_d=out[1],
-        p_e=out[2],
-        pulse=envelope,
-        guard_max=guard_max,
-        trace_error=trace_error,
-    )
+    return _simulate([(params, initial_fock)], t_total, dt)[0]
 
 
 def _replace_emitter(rho: np.ndarray, dims, fock: int) -> np.ndarray:
@@ -323,7 +412,6 @@ def parameter_robustness(
     base_pulse = replace(params.pulse, amplitude=None)
     frozen_amp = base_pulse.peak_rate_rad_ns() / MHZ_TO_RAD_NS
     baseline_params = replace(params, pulse=replace(base_pulse, amplitude=frozen_amp))
-    baseline = cascaded_simulate(1, baseline_params, t_total, dt).p_click
 
     cases = []
     for sign in (+1.0, -1.0):
@@ -356,10 +444,14 @@ def parameter_robustness(
             )
         )
 
+    traces = _simulate(
+        [(baseline_params, 1)] + [(varied, 1) for _, varied in cases], t_total, dt
+    )
+    baseline = traces[0].p_click
     results = []
     worst = 0.0
-    for name, varied in cases:
-        eta = cascaded_simulate(1, varied, t_total, dt).p_click
+    for (name, varied), tr in zip(cases, traces[1:]):
+        eta = tr.p_click
         rel = abs(eta - baseline) / baseline if baseline > 0 else 0.0
         worst = max(worst, rel)
         results.append((name, varied.kappa_d, eta, rel))
@@ -381,14 +473,14 @@ def pulse_sweep(
     """
     if axis not in ("detuning", "delay"):
         raise ValidationError("axis must be 'detuning' or 'delay'")
-    p_clicks = np.empty(len(values))
-    for i, v in enumerate(values):
-        if axis == "detuning":
-            varied = replace(params, detuning=float(v))
-        else:
-            varied = replace(params, pulse=replace(params.pulse, start_time=float(v)))
-        p_clicks[i] = cascaded_simulate(initial_fock, varied, t_total, dt).p_click
-    return p_clicks
+    if axis == "detuning":
+        systems = [(replace(params, detuning=float(v)), initial_fock) for v in values]
+    else:
+        systems = [
+            (replace(params, pulse=replace(params.pulse, start_time=float(v))), initial_fock)
+            for v in values
+        ]
+    return np.array([tr.p_click for tr in _simulate(systems, t_total, dt)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -435,22 +527,16 @@ def sideband_rabi(
     sub = max(1, int(np.ceil(spacing[0] / 0.5)))
     dt = spacing[0] / sub
     n_steps = (times.size - 1) * sub
-    coeffs = np.zeros(2 * n_steps + 1, dtype=complex)
-    zeros = np.zeros((3, 3), dtype=complex)
-    obs = np.stack(
-        [
-            np.diag([1.0, 0.0, 0.0]).astype(complex),
-            np.diag([0.0, 1.0, 0.0]).astype(complex),
-            np.diag([0.0, 0.0, 1.0]).astype(complex),
-        ]
+    coeffs = np.zeros((1, 2 * n_steps + 1), dtype=complex)
+    zeros = np.zeros((1, 3, 3), dtype=complex)
+    rho0 = np.zeros((1, 3, 3), dtype=complex)
+    rho0[0, 0, 0] = 1.0
+    c_dag = c_op.conj().T
+    out, _ = _propagate(
+        rho0, h0[None], zeros, zeros, c_op[None], c_dag[None],
+        (c_dag @ c_op)[None], coeffs, dt, np.eye(3),
     )
-    rho0 = np.zeros((3, 3), dtype=complex)
-    rho0[0, 0] = 1.0
-    out, _ = propagate(
-        rho0, h0, zeros, zeros, c_op, c_op.conj().T,
-        c_op.conj().T @ c_op, coeffs, dt, n_steps, obs,
-    )
-    p_f0, p_e1, p_e0 = out[0][::sub], out[1][::sub], out[2][::sub]
+    p_f0, p_e1, p_e0 = out[0, 0, ::sub], out[0, 1, ::sub], out[0, 2, ::sub]
     return SidebandTraces(
         times=times,
         p_f0=p_f0,

@@ -93,6 +93,12 @@ class TestProtocolCommand:
         assert "--shots-out needs --shots" in capsys.readouterr().err
         assert not csv_path.exists() and not out.exists()
 
+    def test_seed_without_shots_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["protocol", "--seed", "5", "--out", str(out)]) == 2
+        assert "--seed needs --shots" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"preparation": {"theta_q": 1.0}})
         assert main(["protocol", "--config", cfg]) == 2
@@ -230,6 +236,52 @@ class TestDetectorSimCommand:
         by_det = dict(rows)
         assert by_det[-3.0] > by_det[-6.0]
         assert by_det[-3.0] > by_det[-4.5]
+
+    def test_output_digest(self, tmp_path):
+        # SHA-256 of the JSON and traces CSV as the one-system-per-call
+        # integrator wrote them (numpy 2.4.6): pins the detector bytes across
+        # integrator implementations
+        out, traces = tmp_path / "det.json", tmp_path / "traces.csv"
+        args = ["detector-sim", "--fock", "1", "--out", str(out), "--traces-out", str(traces)]
+        assert main(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e289b7276d8c8386405850a49c10a12b744443b45968c2b662aaf7d0105fd1ec"
+        )
+        assert hashlib.sha256(traces.read_bytes()).hexdigest() == (
+            "a48b5835ba158e212289389c212507dc1af5270580b5202e0d375c00276a0fce"
+        )
+
+    def test_delay_sweep_digest(self, tmp_path):
+        # delays -100, 0, 100, 200 ns: a pre-rolled point, then on-grid starts
+        out = tmp_path / "sweep.csv"
+        args = [
+            "detector-sim", "--fock", "1", "--sweep", "delay",
+            "--from", "-100", "--to", "200", "--points", "4", "--out", str(out),
+        ]
+        assert main(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a303dd21292e725e59df89b9641d112f413f72e2b1bb7feb9a3931264e65758b"
+        )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--t-total", "-5"],
+            ["--t-total", "0"],
+            ["--t-total", "nan"],
+            ["--t-total", "inf"],
+            # the default pulse ends at 595 ns
+            ["--t-total", "500"],
+            # the latest delay's pulse ends at 680 ns
+            ["--sweep", "delay", "--from", "0", "--to", "200", "--points", "2",
+             "--t-total", "600"],
+        ],
+    )
+    def test_bad_t_total_exits_2(self, extra, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["detector-sim", "--out", str(out)] + extra) == 2
+        assert "--t-total" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_without_range_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:

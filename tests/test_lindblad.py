@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heraldsim._accel import available_backends
+from heraldsim import lindblad
 from heraldsim.lindblad import (
     MHZ_TO_RAD_NS,
     CascadedSystemParams,
     GaussianPulse,
+    IntegrationError,
     calibrate_sideband_drive,
     cascaded_simulate,
     parameter_robustness,
@@ -84,26 +85,129 @@ class TestCascade:
         assert header == "time_ns,n_A,n_D,p_e,pulse"
 
 
-class TestBackends:
-    def test_numpy_and_numba_agree(self):
-        backends = available_backends()
-        if len(backends) < 2:
-            pytest.skip("only one backend available")
-        params = CascadedSystemParams()
-        results = {}
-        from heraldsim import lindblad, _accel
-
-        saved = _accel.propagate
+def _first_failure(params_list, initial_fock, t_total, dt):
+    """The IntegrationError text of integrating the systems one by one."""
+    for params in params_list:
         try:
-            for name, kernel in backends.items():
-                _accel.propagate = kernel
-                lindblad.propagate = kernel
-                results[name] = cascaded_simulate(1, params, t_total=600.0).p_e
-        finally:
-            _accel.propagate = saved
-            lindblad.propagate = saved
-        names = list(results)
-        assert np.max(np.abs(results[names[0]] - results[names[1]])) < 1e-10
+            cascaded_simulate(initial_fock, params, t_total=t_total, dt=dt)
+        except IntegrationError as exc:
+            return str(exc)
+    return None
+
+
+def _with_start(params, start):
+    return replace(params, pulse=replace(params.pulse, start_time=float(start)))
+
+
+class TestBatchedIntegration:
+    """Batched sweeps and robustness equal one-by-one integration exactly."""
+
+    def test_delay_sweep_equals_single_runs(self):
+        # negative delays pre-roll per system; more points than one batch
+        params = CascadedSystemParams()
+        delays = np.linspace(-150.0, 300.0, lindblad._BATCH + 2)
+        batched = pulse_sweep(params, "delay", delays, initial_fock=1, t_total=800.0, dt=2.0)
+        single = [
+            cascaded_simulate(1, _with_start(params, d), t_total=800.0, dt=2.0).p_click
+            for d in delays
+        ]
+        assert batched.tolist() == single
+
+    def test_detuning_sweep_equals_single_runs(self):
+        params = _with_start(CascadedSystemParams(), -40.0)
+        detunings = np.array([-6.0, -3.0, 0.0, 2.5])
+        for fock in (0, 2):
+            batched = pulse_sweep(
+                params, "detuning", detunings, initial_fock=fock, t_total=700.0, dt=2.0
+            )
+            single = [
+                cascaded_simulate(
+                    fock, replace(params, detuning=float(v)), t_total=700.0, dt=2.0
+                ).p_click
+                for v in detunings
+            ]
+            assert batched.tolist() == single
+
+    def test_robustness_equals_single_runs(self):
+        params = CascadedSystemParams()
+        report = parameter_robustness(params, 0.2, t_total=800.0, dt=2.0)
+        # the baseline and six variants, as the docstring defines them
+        amp = params.pulse.peak_rate_rad_ns() / MHZ_TO_RAD_NS
+        base = replace(params, pulse=replace(params.pulse, amplitude=amp))
+        variants = []
+        for sign in (+1.0, -1.0):
+            f = 1.0 + sign * 0.2
+            variants.append(replace(base, kappa_d=params.kappa_d * f))
+            variants.append(
+                replace(
+                    base,
+                    pulse=replace(
+                        base.pulse,
+                        sigma=params.pulse.sigma * f,
+                        total_length=params.pulse.total_length * f,
+                    ),
+                )
+            )
+            variants.append(
+                _with_start(
+                    base, params.pulse.start_time + sign * 0.2 * params.pulse.total_length
+                )
+            )
+        etas = [cascaded_simulate(1, v, t_total=800.0, dt=2.0).p_click for v in variants]
+        baseline = cascaded_simulate(1, base, t_total=800.0, dt=2.0).p_click
+        assert report.baseline_efficiency == baseline
+        assert [v[2] for v in report.variations] == etas
+        assert [v[1] for v in report.variations] == [v.kappa_d for v in variants]
+
+    @pytest.mark.parametrize(
+        "starts",
+        [
+            (150.0, 50.0, -30.0),    # main-window failure before a pre-roll failure
+            (150.0, -30.0, 50.0),    # pre-roll failure first
+        ],
+    )
+    def test_failing_member_raises_first_error(self, starts):
+        # an 800 MHz pulse drives RK4 at dt = 1 ns out of its stability region;
+        # the pulse starting at 150 ns lies after the window and stays clean
+        params = replace(
+            CascadedSystemParams(),
+            pulse=GaussianPulse(sigma=10.0, amplitude=800.0, start_time=0.0),
+        )
+        expected = _first_failure(
+            [_with_start(params, s) for s in starts], 1, t_total=120.0, dt=1.0
+        )
+        assert expected is not None
+        with pytest.raises(IntegrationError) as exc:
+            pulse_sweep(params, "delay", starts, initial_fock=1, t_total=120.0)
+        assert str(exc.value) == expected
+
+    def test_nan_state_fails_budget(self):
+        # an overflowing integration ends in NaN, which no budget admits
+        params = replace(
+            CascadedSystemParams(),
+            pulse=GaussianPulse(sigma=10.0, amplitude=1e7, start_time=50.0),
+        )
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="nan"):
+            cascaded_simulate(1, params, t_total=200.0)
+
+
+class TestWindowValidation:
+    @pytest.mark.parametrize("t_total", [0.0, -5.0, float("nan"), float("inf")])
+    def test_bad_t_total_rejected(self, t_total):
+        with pytest.raises(ValidationError, match="t_total"):
+            cascaded_simulate(1, CascadedSystemParams(), t_total=t_total)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_dt_rejected(self, dt):
+        with pytest.raises(ValidationError, match="dt"):
+            cascaded_simulate(1, CascadedSystemParams(), t_total=100.0, dt=dt)
+
+    def test_sweep_and_robustness_validate_window(self):
+        params = CascadedSystemParams()
+        with pytest.raises(ValidationError):
+            pulse_sweep(params, "delay", [0.0], t_total=-1.0)
+        with pytest.raises(ValidationError):
+            parameter_robustness(params, 0.1, dt=0.0)
 
 
 class TestRobustness:
