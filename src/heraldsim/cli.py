@@ -8,7 +8,9 @@ configuration or usage errors, 3 for numerical failures.
 Environment: HERALDSIM_CONFIG_DIR supplies the directory for bare
 --config file names.
 
-`sweep --threads N` spreads preparation-sweep points over N threads;
+Every value a command will use is checked before any computation: a
+config value or sweep point that `ProtocolConfig` rejects, or a
+non-finite detector pulse start or sweep bound, is a usage error (2).
 `detector-sim` runs its sweep points as one batched integration.
 """
 
@@ -18,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from math import isfinite
 from pathlib import Path
@@ -36,6 +37,7 @@ from .config import (
 from .lindblad import CascadedSystemParams, IntegrationError, cascaded_simulate, pulse_sweep
 from .protocol import (
     SWEEPABLE_AXES,
+    click_probabilities,
     run_control,
     run_two_rounds,
     success_rate,
@@ -52,7 +54,6 @@ from .qmath import (
 )
 from .sampler import aggregate, sample_shots, write_shots_csv
 from .tomography import (
-    TomographySettings,
     assignment_from_json,
     counts_from_json,
     fidelity_with_errors,
@@ -138,7 +139,7 @@ def cmd_protocol(args) -> int:
         doc["fidelity_theory"] = state_fidelity(heralded, odd_plus)
         doc["concurrence_theory"] = concurrence(heralded)
 
-    rate = success_rate(cfg)
+    rate = success_rate(cfg, *click_probabilities(table))
     doc["success"] = {
         "p_click1": rate.p_click1,
         "p_click2_given_click1": rate.p_click2_given_click1,
@@ -148,10 +149,7 @@ def cmd_protocol(args) -> int:
 
     if args.shots is not None:
         seed = run.sampling.seed if args.seed is None else args.seed
-        settings = TomographySettings(shots_per_setting=1)
-        shots = sample_shots(
-            cfg, settings, args.shots, seed, assignment=run.assignment, table=table
-        )
+        shots = sample_shots(cfg, args.shots, seed, assignment=run.assignment, table=table)
         summary, pauli = aggregate(shots, assignment=run.assignment)
         mc = {
             "shots": summary.shots,
@@ -187,22 +185,25 @@ def cmd_protocol(args) -> int:
     return EXIT_OK
 
 
+def _sweep_values(start: float, stop: float, points: int) -> np.ndarray:
+    if not (isfinite(start) and isfinite(stop) and isfinite(stop - start)):
+        raise ConfigError(f"--from {start!r} and --to {stop!r} must be finite")
+    return np.linspace(start, stop, points)
+
+
 def cmd_sweep(args) -> int:
     run = load_run_config(_resolve_config_path(args.config))
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
     if args.axis not in SWEEPABLE_AXES:
         raise ConfigError(f"--axis must be one of {', '.join(SWEEPABLE_AXES)}")
-    values = np.linspace(args.start, args.stop, args.points)
-
-    if args.threads > 1:
-        def one(v):
-            return sweep_preparation(run.protocol, args.axis, [v])[0]
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            points = list(pool.map(one, values))
-    else:
-        points = sweep_preparation(run.protocol, args.axis, values)
+    values = _sweep_values(args.start, args.stop, args.points)
+    for v in values:
+        try:
+            replace(run.protocol, **{args.axis: float(v)})
+        except ValueError as exc:
+            raise ConfigError(f"sweep point {args.axis}={float(v)!r}: {exc}") from exc
+    points = sweep_preparation(run.protocol, args.axis, values)
 
     lines = [args.axis + "," + ",".join(PAULI_LABELS) + ",probability"]
     for pt in points:
@@ -223,6 +224,8 @@ def cmd_sweep(args) -> int:
 def _detector_params(args) -> CascadedSystemParams:
     params = CascadedSystemParams()
     if args.pulse_start is not None:
+        if not isfinite(args.pulse_start):
+            raise ConfigError(f"--pulse-start must be finite, got {args.pulse_start!r}")
         params = replace(params, pulse=replace(params.pulse, start_time=args.pulse_start))
     return params
 
@@ -245,7 +248,7 @@ def cmd_detector_sim(args) -> int:
     if args.sweep is not None:
         if args.points < 2:
             raise ConfigError("--points must be at least 2 for a sweep")
-        values = np.linspace(args.start, args.stop, args.points)
+        values = _sweep_values(args.start, args.stop, args.points)
         if args.sweep == "delay":
             pulse_end = float(values.max()) + params.pulse.total_length
         _check_t_total(args.t_total, pulse_end)
@@ -343,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 

@@ -23,12 +23,12 @@ Schema (all angles in radians, times in microseconds):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .detector import DetectorRoundParams
 from .protocol import ProtocolConfig
 from .tomography import (
     AssignmentMatrix,
@@ -62,6 +62,10 @@ class SamplingSettings:
     shots: int = 200_000
     seed: int = 1
 
+    def __post_init__(self):
+        check_shots(self.shots, "sampling.shots")
+        check_seed(self.seed, "sampling.seed")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -70,20 +74,69 @@ class RunConfig:
     assignment: AssignmentMatrix
 
 
-def _check_keys(section: str, doc: dict, allowed: set[str]) -> None:
+# Config-file path -> ProtocolConfig field; a dotted field names an attribute
+# of a nested value (the per-round click models).
+PROTOCOL_FIELDS = {
+    "preparation.theta_a": "theta_a",
+    "preparation.phi_a": "phi_a",
+    "preparation.theta_b": "theta_b",
+    "preparation.phi_b": "phi_b",
+    "preparation.phi_off": "phi_off",
+    "decoherence.t2e_a": "t2e_a",
+    "decoherence.t2e_b": "t2e_b",
+    "decoherence.t_seq": "t_seq",
+    **{
+        f"detector.{rnd}.{key}": f"{rnd}.{key}"
+        for rnd in ("round1", "round2")
+        for key in ("p_dark", "p_real")
+    },
+    "loss.eta": "eta_loss",
+    "timing.t_rep": "t_rep",
+    "timing.p_init": "p_init",
+}
+_SAMPLING_KEYS = tuple(f"sampling.{f.name}" for f in fields(SamplingSettings))
+_ASSIGNMENT, _ASSIGNMENT_PATH = "tomography.assignment", "tomography.assignment_path"
+_ALLOWED = (*PROTOCOL_FIELDS, *_SAMPLING_KEYS, _ASSIGNMENT, _ASSIGNMENT_PATH)
+
+
+def _leaves(doc, prefix: str = "") -> dict:
+    """Flatten a config document to {dotted path: value}, rejecting unknown keys."""
+    section = prefix.rstrip(".") or "top level"
+    if not isinstance(doc, dict):
+        what = "config document" if not prefix else f"section {section!r}"
+        raise ConfigError(f"{what} must be a JSON object")
+    allowed = {path[len(prefix):].split(".")[0] for path in _ALLOWED if path.startswith(prefix)}
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} in section {section!r}; "
             f"allowed: {sorted(allowed)}"
         )
+    flat = {}
+    for key, value in doc.items():
+        path = prefix + key
+        if path in _ALLOWED:
+            flat[path] = value
+        else:
+            flat.update(_leaves(value, path + "."))
+    return flat
 
 
-def _number(section: str, doc: dict, key: str, default: float) -> float:
-    v = doc.get(key, default)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{section}.{key} must be a number")
-    return float(v)
+def _replace_fields(obj, values: dict):
+    """dataclasses.replace that follows dotted field names into nested values."""
+    nested, direct = {}, {}
+    for name, value in values.items():
+        head, _, rest = name.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            direct[head] = value
+    for head, sub in nested.items():
+        try:
+            direct[head] = _replace_fields(getattr(obj, head), sub)
+        except ValueError as exc:
+            raise ConfigError(f"{head}: {exc}") from exc
+    return replace(obj, **direct)
 
 
 def load_run_config(path: str | Path | None) -> RunConfig:
@@ -96,107 +149,58 @@ def load_run_config(path: str | Path | None) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    _check_keys(
-        "top level",
-        doc,
-        {
-            "preparation",
-            "decoherence",
-            "detector",
-            "loss",
-            "timing",
-            "sampling",
-            "tomography",
-        },
-    )
-    base = ProtocolConfig()
+    flat = _leaves(doc)
 
-    prep = doc.get("preparation", {})
-    _check_keys("preparation", prep, {"theta_a", "phi_a", "theta_b", "phi_b", "phi_off"})
-    deco = doc.get("decoherence", {})
-    _check_keys("decoherence", deco, {"t2e_a", "t2e_b", "t_seq"})
-    det = doc.get("detector", {})
-    _check_keys("detector", det, {"round1", "round2"})
-    rounds = {}
-    for name, default in (("round1", base.round1), ("round2", base.round2)):
-        sub = det.get(name, {})
-        _check_keys(f"detector.{name}", sub, {"p_dark", "p_real"})
-        try:
-            rounds[name] = DetectorRoundParams(
-                p_dark=_number(name, sub, "p_dark", default.p_dark),
-                p_real=_number(name, sub, "p_real", default.p_real),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"detector.{name}: {exc}") from exc
-    loss = doc.get("loss", {})
-    _check_keys("loss", loss, {"eta"})
-    timing = doc.get("timing", {})
-    _check_keys("timing", timing, {"t_rep", "p_init"})
-
+    values = {}
+    for key, name in PROTOCOL_FIELDS.items():
+        if key in flat:
+            v = flat[key]
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ConfigError(f"{key} must be a number")
+            try:
+                values[name] = float(v)
+            except OverflowError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
     try:
-        protocol_config = replace(
-            base,
-            theta_a=_number("preparation", prep, "theta_a", base.theta_a),
-            phi_a=_number("preparation", prep, "phi_a", base.phi_a),
-            theta_b=_number("preparation", prep, "theta_b", base.theta_b),
-            phi_b=_number("preparation", prep, "phi_b", base.phi_b),
-            phi_off=_number("preparation", prep, "phi_off", base.phi_off),
-            t2e_a=_number("decoherence", deco, "t2e_a", base.t2e_a),
-            t2e_b=_number("decoherence", deco, "t2e_b", base.t2e_b),
-            t_seq=_number("decoherence", deco, "t_seq", base.t_seq),
-            round1=rounds["round1"],
-            round2=rounds["round2"],
-            eta_loss=_number("loss", loss, "eta", base.eta_loss),
-            t_rep=_number("timing", timing, "t_rep", base.t_rep),
-            p_init=_number("timing", timing, "p_init", base.p_init),
-        )
+        protocol_config = _replace_fields(ProtocolConfig(), values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    sampling_doc = doc.get("sampling", {})
-    _check_keys("sampling", sampling_doc, {"shots", "seed"})
-    shots = sampling_doc.get("shots", SamplingSettings.shots)
-    seed = sampling_doc.get("seed", SamplingSettings.seed)
-    check_shots(shots, "sampling.shots")
-    check_seed(seed, "sampling.seed")
+    sampling = SamplingSettings(
+        **{key.split(".")[1]: flat[key] for key in _SAMPLING_KEYS if key in flat}
+    )
 
-    tomo = doc.get("tomography", {})
-    _check_keys("tomography", tomo, {"assignment", "assignment_path"})
-    if "assignment" in tomo and "assignment_path" in tomo:
-        raise ConfigError("give either tomography.assignment or assignment_path")
+    if _ASSIGNMENT in flat and _ASSIGNMENT_PATH in flat:
+        raise ConfigError(f"give either {_ASSIGNMENT} or {_ASSIGNMENT_PATH}")
     try:
-        if "assignment" in tomo:
-            assignment = AssignmentMatrix(np.asarray(tomo["assignment"], dtype=float))
-        elif "assignment_path" in tomo:
-            assignment = assignment_from_json(Path(tomo["assignment_path"]).read_text())
+        if _ASSIGNMENT in flat:
+            assignment = AssignmentMatrix(np.asarray(flat[_ASSIGNMENT], dtype=float))
+        elif _ASSIGNMENT_PATH in flat:
+            assignment = assignment_from_json(Path(flat[_ASSIGNMENT_PATH]).read_text())
         else:
             assignment = reference_assignment()
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"tomography assignment: {exc}") from exc
+    except (ValueError, TypeError, OSError) as exc:
+        key = _ASSIGNMENT_PATH if _ASSIGNMENT_PATH in flat else _ASSIGNMENT
+        raise ConfigError(f"{key}: {exc}") from exc
 
-    return RunConfig(protocol_config, SamplingSettings(shots, seed), assignment)
+    return RunConfig(protocol_config, sampling, assignment)
+
+
+def _nest(flat: dict) -> dict:
+    """{dotted path: value} -> nested sections."""
+    doc = {}
+    for path, value in flat.items():
+        *sections, key = path.split(".")
+        node = doc
+        for s in sections:
+            node = node.setdefault(s, {})
+        node[key] = value
+    return doc
 
 
 def resolved_config_doc(run: RunConfig) -> dict:
     """Fully materialized configuration (defaults included) for provenance."""
-    p = run.protocol
-    return {
-        "preparation": {
-            "theta_a": p.theta_a,
-            "phi_a": p.phi_a,
-            "theta_b": p.theta_b,
-            "phi_b": p.phi_b,
-            "phi_off": p.phi_off,
-        },
-        "decoherence": {"t2e_a": p.t2e_a, "t2e_b": p.t2e_b, "t_seq": p.t_seq},
-        "detector": {
-            "round1": {"p_dark": p.round1.p_dark, "p_real": p.round1.p_real},
-            "round2": {"p_dark": p.round2.p_dark, "p_real": p.round2.p_real},
-        },
-        "loss": {"eta": p.eta_loss},
-        "timing": {"t_rep": p.t_rep, "p_init": p.p_init},
-        "sampling": {"shots": run.sampling.shots, "seed": run.sampling.seed},
-        "tomography": {"assignment": [list(row) for row in run.assignment.a]},
-    }
+    flat = {key: attrgetter(name)(run.protocol) for key, name in PROTOCOL_FIELDS.items()}
+    flat.update({key: getattr(run.sampling, key.split(".")[1]) for key in _SAMPLING_KEYS})
+    flat[_ASSIGNMENT] = [list(row) for row in run.assignment.a]
+    return _nest(flat)

@@ -60,14 +60,24 @@ def measurement_operators(rail_dim: int) -> list[np.ndarray]:
     return ops
 
 
-def _branch_matrix(rho: DensityMatrix, rail: int, weights) -> np.ndarray:
-    ops = measurement_operators(rho.dims[rail])
-    out = np.zeros_like(rho.matrix)
-    for w, m in zip(weights, ops):
-        if w == 0.0:
-            continue
-        out += w * apply_kraus_matrix(rho.matrix, [m], rho.dims, (rail,))
-    return out
+def branch_matrices(
+    mat: np.ndarray, dims, rail: int, params: DetectorRoundParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized (click, no_click) branches of a bare joint matrix.
+
+    Each branch is sum_k w_k M_k rho M_k^dag on `rail` with the click
+    weights (p_dark, p_real, p_real, ...) or their complements.
+    """
+    ops = measurement_operators(dims[rail])
+    w_click = [params.p_dark] + [params.p_real] * (len(ops) - 1)
+    branches = []
+    for weights in (w_click, [1.0 - w for w in w_click]):
+        out = np.zeros_like(mat)
+        for w, m in zip(weights, ops):
+            if w != 0.0:
+                out += w * apply_kraus_matrix(mat, [m], dims, (rail,))
+        branches.append(out)
+    return branches[0], branches[1]
 
 
 def detector_measure(
@@ -80,15 +90,11 @@ def detector_measure(
     """
     if rail < 0 or rail >= len(rho.dims):
         raise ValidationError(f"rail index {rail} out of range for {rho.dims}")
-    d = rho.dims[rail]
-    if d < 3:
+    if rho.dims[rail] < 3:
         raise ValidationError("detector rail must have dimension >= 3")
-    w_click = [params.p_dark] + [params.p_real] * (d - 1)
-    w_nc = [1.0 - w for w in w_click]
-
+    branches = branch_matrices(rho.matrix, rho.dims, rail, params)
     outcomes = []
-    for label, weights in (("click", w_click), ("no_click", w_nc)):
-        mat = _branch_matrix(rho, rail, weights)
+    for label, mat in zip(("click", "no_click"), branches):
         p = float(np.trace(mat).real)
         state = DensityMatrix(rho.dims, mat / p) if p > 1e-14 else None
         outcomes.append(MeasurementOutcome(label, max(p, 0.0), state))

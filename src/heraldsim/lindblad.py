@@ -34,7 +34,7 @@ from math import atan, isfinite, pi, sqrt
 
 import numpy as np
 
-from .qmath import ValidationError, basis_ket
+from .qmath import ValidationError, basis_ket, embed_operator
 from .photonics import annihilation
 
 MHZ_TO_RAD_NS = 2.0e-3 * np.pi  # omega [rad/ns] = 2 pi f[MHz] 1e-3
@@ -154,24 +154,16 @@ class TimeTraces:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def _embed(op: np.ndarray, dims: tuple[int, ...], which: int) -> np.ndarray:
-    full = np.array([[1.0 + 0.0j]])
-    for i, d in enumerate(dims):
-        factor = op if i == which else np.eye(d, dtype=complex)
-        full = np.kron(full, factor)
-    return full
-
-
 class _CascadeOperators:
     """Hilbert space (emitter cavity, detector qubit, detector cavity)."""
 
     def __init__(self, params: CascadedSystemParams):
         dims = (params.emitter_dim, 2, params.detector_cavity_dim)
         self.dims = dims
-        a = _embed(annihilation(params.emitter_dim), dims, 0)
-        d = _embed(annihilation(params.detector_cavity_dim), dims, 2)
-        sp = _embed(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex), dims, 1)
-        pe = _embed(np.diag([0.0, 1.0]).astype(complex), dims, 1)
+        a = embed_operator(annihilation(params.emitter_dim), dims, (0,))
+        d = embed_operator(annihilation(params.detector_cavity_dim), dims, (2,))
+        sp = embed_operator(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex), dims, (1,))
+        pe = embed_operator(np.diag([0.0, 1.0]).astype(complex), dims, (1,))
 
         ka = params.kappa_a * MHZ_TO_RAD_NS
         kd = params.kappa_d * MHZ_TO_RAD_NS
@@ -188,7 +180,7 @@ class _CascadeOperators:
 
         guard = np.zeros(params.detector_cavity_dim)
         guard[-1] = 1.0
-        guard_op = _embed(np.diag(guard).astype(complex), dims, 2)
+        guard_op = embed_operator(np.diag(guard).astype(complex), dims, (2,))
         # n_A, n_D, p_e and the guard level, all diagonal: rows of diagonals
         self.obs = np.stack(
             [np.diagonal(op).real for op in (a.conj().T @ a, d.conj().T @ d, pe, guard_op)]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import qmath
-from .detector import DetectorRoundParams, measurement_operators
+from .detector import DetectorRoundParams, branch_matrices
 from .photonics import (
     FockSpaceSpec,
     beam_splitter_unitary,
@@ -93,7 +93,7 @@ class ProtocolConfig:
 
     def __post_init__(self):
         for name in ("t2e_a", "t2e_b", "t_seq", "t_rep"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be positive")
         for name in ("theta_a", "phi_a", "theta_b", "phi_b", "phi_off"):
             if not np.isfinite(getattr(self, name)):
@@ -166,7 +166,6 @@ class _Engine:
         self.u_pi = embed_operator(np.kron(RY_PI, RY_PI), self.dims, (QUBIT_A, QUBIT_B))
 
         self.loss = loss_kraus(spec, config.eta_loss)
-        self.meas = measurement_operators(d)
 
     def initial_matrix(self) -> np.ndarray:
         cfg = self.config
@@ -182,28 +181,19 @@ class _Engine:
     def _conjugate(self, u: np.ndarray, mat: np.ndarray) -> np.ndarray:
         return u @ mat @ u.conj().T
 
-    def entangle_and_interfere(self, mat: np.ndarray, first_round: bool) -> np.ndarray:
+    def emit_and_detect(self, mat: np.ndarray, first_round: bool):
+        """One round: emit, interfere, lose, detect.
+
+        Returns the unnormalized (click, no_click) branch matrices.
+        """
         mat = self._conjugate(self.u_emit, mat)
         if first_round:
             mat = self._conjugate(self.u_offset, mat)
         mat = self._conjugate(self.u_bs, mat)
         if self.config.eta_loss < 1.0:
             mat = apply_kraus_matrix(mat, self.loss, self.dims, (RAIL_DET,))
-        return mat
-
-    def detect(self, mat: np.ndarray, params: DetectorRoundParams):
-        """Unnormalized (click, no_click) branch matrices on the detector rail."""
-        branches = []
-        for weights in (
-            [params.p_dark] + [params.p_real] * (len(self.meas) - 1),
-            [1.0 - params.p_dark] + [1.0 - params.p_real] * (len(self.meas) - 1),
-        ):
-            out = np.zeros_like(mat)
-            for w, m in zip(weights, self.meas):
-                if w != 0.0:
-                    out += w * apply_kraus_matrix(mat, [m], self.dims, (RAIL_DET,))
-            branches.append(out)
-        return branches[0], branches[1]
+        params = self.config.round1 if first_round else self.config.round2
+        return branch_matrices(mat, self.dims, RAIL_DET, params)
 
     def pi_pulses(self, mat: np.ndarray) -> np.ndarray:
         return self._conjugate(self.u_pi, mat)
@@ -215,6 +205,15 @@ def _phase_damping_kraus(duration: float, t2e: float) -> list[np.ndarray]:
         np.sqrt(alpha) * np.eye(2, dtype=complex),
         np.sqrt(1.0 - alpha) * np.diag([1.0, -1.0]).astype(complex),
     ]
+
+
+def _phase_damping_matrix(
+    mat: np.ndarray, dims, duration: float, t2e_a: float, t2e_b: float
+) -> np.ndarray:
+    """Phase damping of qubits A and B on a bare (unnormalized) matrix."""
+    for qubit, t2e in ((QUBIT_A, t2e_a), (QUBIT_B, t2e_b)):
+        mat = apply_kraus_matrix(mat, _phase_damping_kraus(duration, t2e), dims, (qubit,))
+    return mat
 
 
 def apply_phase_damping(
@@ -230,20 +229,9 @@ def apply_phase_damping(
         raise ValidationError("duration must be non-negative")
     if len(rho.dims) < 2 or rho.dims[0] != 2 or rho.dims[1] != 2:
         raise ValidationError("state must start with two qubit subsystems")
-    mat = rho.matrix
-    for qubit, t2e in ((QUBIT_A, t2e_a), (QUBIT_B, t2e_b)):
-        mat = apply_kraus_matrix(
-            mat, _phase_damping_kraus(duration, t2e), rho.dims, (qubit,)
-        )
-    return DensityMatrix(rho.dims, mat)
-
-
-def _damping_matrix(mat, dims, config: ProtocolConfig):
-    for qubit, t2e in ((QUBIT_A, config.t2e_a), (QUBIT_B, config.t2e_b)):
-        mat = apply_kraus_matrix(
-            mat, _phase_damping_kraus(config.t_seq, t2e), dims, (qubit,)
-        )
-    return mat
+    return DensityMatrix(
+        rho.dims, _phase_damping_matrix(rho.matrix, rho.dims, duration, t2e_a, t2e_b)
+    )
 
 
 def ideal_entangled_state(n_max: int = 2) -> DensityMatrix:
@@ -276,22 +264,19 @@ def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
     with the rails traced out; branch probabilities are exact.
     """
     eng = _Engine(config)
-    mat = eng.initial_matrix()
-
-    mat = eng.entangle_and_interfere(mat, first_round=True)
-    click1, noclick1 = eng.detect(mat, config.round1)
+    click1, noclick1 = eng.emit_and_detect(eng.initial_matrix(), first_round=True)
 
     branches: dict[tuple[bool, bool], Branch] = {}
     for c1, mat1 in ((True, click1), (False, noclick1)):
-        mat1 = eng.pi_pulses(mat1)
-        mat1 = eng.entangle_and_interfere(mat1, first_round=False)
-        click2, noclick2 = eng.detect(mat1, config.round2)
+        click2, noclick2 = eng.emit_and_detect(eng.pi_pulses(mat1), first_round=False)
         for c2, mat2 in ((True, click2), (False, noclick2)):
             p = float(np.trace(mat2).real)
             if p <= 1e-14:
                 branches[(c1, c2)] = Branch(max(p, 0.0), None)
                 continue
-            mat2 = _damping_matrix(mat2, config.dims, config)
+            mat2 = _phase_damping_matrix(
+                mat2, config.dims, config.t_seq, config.t2e_a, config.t2e_b
+            )
             reduced = qmath.partial_trace_matrix(
                 mat2, config.dims, (QUBIT_A, QUBIT_B)
             )
@@ -310,9 +295,7 @@ def round_one_click_weights(config: ProtocolConfig) -> dict[str, float]:
     ('odd_plus', 'ee', 'gg', 'odd_minus').
     """
     eng = _Engine(config)
-    mat = eng.initial_matrix()
-    mat = eng.entangle_and_interfere(mat, first_round=True)
-    click, _ = eng.detect(mat, config.round1)
+    click, _ = eng.emit_and_detect(eng.initial_matrix(), first_round=True)
     p = float(np.trace(click).real)
     if p <= 1e-14:
         raise ValidationError("round-1 click probability vanishes")
@@ -352,6 +335,13 @@ class SuccessRate:
     rate_per_s: float
 
 
+def click_probabilities(table: OutcomeTable) -> tuple[float, float]:
+    """Model p_click1 and p_click2|click1 read off the four branches."""
+    p_click1 = table.probability(True, True) + table.probability(True, False)
+    p_click2 = table.probability(True, True) / p_click1 if p_click1 > 0.0 else 0.0
+    return p_click1, p_click2
+
+
 def success_rate(
     config: ProtocolConfig,
     p_click1: float | None = None,
@@ -359,19 +349,14 @@ def success_rate(
 ) -> SuccessRate:
     """Initialization x click1 x click2|click1 bookkeeping and the rate.
 
-    Click probabilities default to the propagated model's values; pass
-    measured ones to reproduce quoted numbers.  The rate is
-    p_success / t_rep in events per second.
+    Click probabilities default to the propagated model's values
+    (`click_probabilities`); pass measured ones to reproduce quoted
+    numbers.  The rate is p_success / t_rep in events per second.
     """
     if p_click1 is None or p_click2 is None:
-        table = run_two_rounds(config)
-        model_p1 = table.probability(True, True) + table.probability(True, False)
-        if p_click1 is None:
-            p_click1 = model_p1
-        if p_click2 is None:
-            p_click2 = (
-                table.probability(True, True) / model_p1 if model_p1 > 0.0 else 0.0
-            )
+        model_p1, model_p2 = click_probabilities(run_two_rounds(config))
+        p_click1 = model_p1 if p_click1 is None else p_click1
+        p_click2 = model_p2 if p_click2 is None else p_click2
     p_success = config.p_init * p_click1 * p_click2
     rate = p_success / (config.t_rep * 1e-6)
     return SuccessRate(p_click1, p_click2, p_success, rate)

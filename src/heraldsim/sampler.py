@@ -30,7 +30,6 @@ from .qmath import PauliVector, ValidationError
 from .tomography import (
     AssignmentMatrix,
     CountsTable,
-    TomographySettings,
     outcome_probabilities,
     reconstruct_pauli,
 )
@@ -119,13 +118,12 @@ def _binomial(k: int, n: int) -> BinomialEstimate:
 
 def sample_shots(
     config: ProtocolConfig,
-    settings: TomographySettings,
     n: int,
     seed: int,
     assignment: AssignmentMatrix | None = None,
     table: OutcomeTable | None = None,
 ) -> Shots:
-    """Draw n protocol shots; deterministic given (config, settings, n, seed).
+    """Draw n protocol shots; deterministic given (config, n, seed).
 
     The OutcomeTable may be passed in to avoid recomputing it across
     calls; it must belong to the same config.

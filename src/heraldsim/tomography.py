@@ -19,7 +19,7 @@ from parity sums of the (corrected) outcome probabilities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,14 +106,11 @@ def reference_assignment() -> AssignmentMatrix:
 
 @dataclass(frozen=True)
 class TomographySettings:
-    """The nine pre-rotation pairs and the shot budget per setting."""
+    """Shot budget per setting for the nine SETTING_AXES pre-rotations."""
 
     shots_per_setting: int = 200_000
-    axes: tuple = field(default=SETTING_AXES)
 
     def __post_init__(self):
-        if tuple(self.axes) != SETTING_AXES:
-            raise ValidationError("settings must be the nine (Z,X,Y)^2 pairs")
         if self.shots_per_setting < 1:
             raise ValidationError("shots_per_setting must be positive")
 

@@ -225,7 +225,7 @@ def test_c09_ideal_success_probability():
 
     n = 100_000
     shots = sample_shots(
-        replace(cfg, p_init=1.0), TomographySettings(1), n, seed=2024, table=table
+        replace(cfg, p_init=1.0), n, seed=2024, table=table
     )
     p_hat = np.count_nonzero(shots.click1 & shots.click2) / n
     sigma = np.sqrt(0.125 * 0.875 / n)

@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heraldsim.cli import main
+from heraldsim.protocol import SWEEPABLE_AXES
 from heraldsim.qmath import DensityMatrix, PAULI_LABELS, bell_odd_plus, pauli_decompose
 from heraldsim.tomography import (
     AssignmentMatrix,
@@ -185,14 +188,24 @@ class TestSweepCommand:
             == 2
         )
 
-    def test_threads_match_sequential(self, tmp_path):
-        args = [
-            "sweep", "--axis", "phi_b", "--from", "0", "--to", "3.0", "--points", "4",
-        ]
-        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--threads", "3", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    @pytest.mark.parametrize(
+        "axis, start, stop, message",
+        [
+            ("t_seq", "0", "2", "sweep point t_seq=0.0"),
+            ("t_seq", "1", "-2", "sweep point t_seq=-0.5"),  # the first bad point
+            ("eta_loss", "0.5", "1.5", "sweep point eta_loss=1.5"),
+            ("t_seq", "1", "nan", "must be finite"),
+            ("t_seq", "inf", "1", "must be finite"),
+            ("phi_b", "nan", "1", "must be finite"),
+            ("phi_b", "-1e308", "1e308", "must be finite"),  # the span overflows
+        ],
+    )
+    def test_bad_sweep_range_exits_2(self, axis, start, stop, message, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        args = ["sweep", "--axis", axis, f"--from={start}", f"--to={stop}", "--points", "3"]
+        assert main(args + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDetectorSimCommand:
@@ -283,6 +296,23 @@ class TestDetectorSimCommand:
         assert "--t-total" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--pulse-start", "nan"],
+            ["--pulse-start=-inf"],
+            ["--sweep", "delay", "--from", "nan", "--to", "100", "--points", "2"],
+            ["--sweep", "detuning", "--from", "-1", "--to", "nan", "--points", "2"],
+            ["--sweep", "detuning", "--from=-1e308", "--to", "1e308", "--points", "3"],
+        ],
+    )
+    def test_non_finite_pulse_exits_2(self, extra, tmp_path, capsys):
+        # a usage error, caught before any integration
+        out = tmp_path / "out"
+        assert main(["detector-sim", "--out", str(out)] + extra) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_without_range_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["detector-sim", "--sweep", "detuning"])
@@ -367,3 +397,80 @@ class TestConfigDir:
         assert main(["protocol", "--config", "run.json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert abs(doc["fidelity_theory"] - 1.0) < 1e-9
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+# numbers each sweep axis rejects
+BAD_AXIS_VALUE = {
+    **{axis: NON_FINITE for axis in ("theta_a", "phi_a", "theta_b", "phi_b", "phi_off")},
+    "eta_loss": st.one_of(
+        NON_FINITE, st.floats(max_value=-1e-9).map(repr), st.floats(min_value=1.000001).map(repr)
+    ),
+    "t_seq": st.one_of(NON_FINITE, st.floats(max_value=0.0).map(repr)),
+}
+FINITE = st.floats(-10.0, 10.0).map(repr)
+
+
+@st.composite
+def bad_sweep_args(draw):
+    axis = draw(st.sampled_from(SWEEPABLE_AXES))
+    start, stop = draw(FINITE), draw(FINITE)
+    points = str(draw(st.integers(1, 3)))
+    fault = draw(st.sampled_from(["axis", "points", "start", "stop", "text"]))
+    if fault == "axis":
+        axis = draw(st.text(min_size=1, max_size=8).filter(lambda a: a not in SWEEPABLE_AXES))
+    elif fault == "points":
+        points = str(draw(st.integers(max_value=0)))
+    elif fault == "start":
+        start = draw(BAD_AXIS_VALUE[axis])
+    elif fault == "stop":
+        stop = draw(BAD_AXIS_VALUE[axis])
+    else:
+        points = draw(st.sampled_from(["x", "1.5", ""]))
+    return ["sweep", "--axis", axis, f"--from={start}", f"--to={stop}", f"--points={points}"]
+
+
+@st.composite
+def bad_detector_args(draw):
+    fault = draw(st.sampled_from(["pulse", "t_total", "range", "points", "fock"]))
+    if fault == "pulse":
+        return ["detector-sim", f"--pulse-start={draw(NON_FINITE)}"]
+    if fault == "t_total":
+        # the default pulse ends at 595 ns
+        t_total = draw(st.one_of(NON_FINITE, st.floats(max_value=594.0).map(repr)))
+        return ["detector-sim", f"--t-total={t_total}"]
+    if fault == "fock":
+        return ["detector-sim", f"--fock={draw(st.integers(3, 100))}"]
+    sweep = ["detector-sim", "--sweep", draw(st.sampled_from(["delay", "detuning"]))]
+    if fault == "points":
+        return sweep + ["--from", "0", "--to", "1", f"--points={draw(st.integers(max_value=1))}"]
+    ends = [draw(NON_FINITE), draw(st.floats(-5.0, 5.0).map(repr))]
+    if draw(st.booleans()):
+        ends.reverse()
+    return sweep + [f"--from={ends[0]}", f"--to={ends[1]}", "--points", "2"]
+
+
+@st.composite
+def bad_protocol_args(draw):
+    fault = draw(st.sampled_from(["shots", "seed", "needs_shots", "config"]))
+    if fault == "shots":
+        return ["protocol", f"--shots={draw(st.integers(max_value=0))}"]
+    if fault == "seed":
+        return ["protocol", "--shots=1", f"--seed={draw(st.integers(max_value=-1))}"]
+    if fault == "needs_shots":
+        return ["protocol", draw(st.sampled_from(["--seed=1", "--shots-out=never.csv"]))]
+    return ["protocol", "--config", draw(st.sampled_from(["missing.json", "/", ""]))]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.one_of(bad_protocol_args(), bad_sweep_args(), bad_detector_args()))
+def test_invalid_arguments_exit_2(argv):
+    # every input is rejected before any integration: exit 2, never a traceback
+    assert exit_code(argv) == 2

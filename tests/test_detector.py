@@ -6,12 +6,13 @@ import pytest
 from heraldsim.detector import (
     DEFAULT_SEPARATION,
     DetectorRoundParams,
+    branch_matrices,
     dark_count_fidelity,
     detector_measure,
     fit_separation,
     readout_threshold_model,
 )
-from heraldsim.qmath import DensityMatrix, ValidationError, basis_ket
+from heraldsim.qmath import DensityMatrix, ValidationError, basis_ket, partial_trace_matrix
 
 
 def rail_state(pops):
@@ -51,6 +52,21 @@ class TestDetectorMeasure:
             params = DetectorRoundParams(*rng.uniform(0.0, 1.0, size=2))
             click, no_click = detector_measure(rail_state(pops), 0, params)
             assert np.isclose(click.probability + no_click.probability, 1.0, atol=1e-10)
+
+    def test_branches_of_a_joint_matrix(self):
+        # the bare-matrix kernel the protocol engine uses, on a qubit x rail state
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=6) + 1j * rng.normal(size=6)
+        rho = DensityMatrix.from_ket(v, dims=(2, 3))
+        params = DetectorRoundParams(0.02, 0.4)
+        mats = branch_matrices(rho.matrix, rho.dims, 1, params)
+        for outcome, mat in zip(detector_measure(rho, 1, params), mats):
+            assert outcome.probability == float(np.trace(mat).real)
+            assert np.array_equal(outcome.post_state.matrix, mat / outcome.probability)
+        # together the branches empty the rail: tr_rail(rho) x |0><0|
+        vacuum = np.diag([1.0, 0.0, 0.0])
+        expected = np.kron(partial_trace_matrix(rho.matrix, rho.dims, (0,)), vacuum)
+        assert np.allclose(mats[0] + mats[1], expected, atol=1e-12)
 
     def test_not_number_resolving(self):
         params = DetectorRoundParams(0.01, 0.37)

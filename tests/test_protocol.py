@@ -13,6 +13,7 @@ from heraldsim.protocol import (
     RY_PI,
     apply_beam_splitter_step,
     apply_phase_damping,
+    click_probabilities,
     ideal_entangled_state,
     prepared_qubit_ket,
     round_one_click_weights,
@@ -277,8 +278,7 @@ class TestRunTwoRounds:
 
         cfg = ideal_config()
         eng = _Engine(cfg)
-        mat = eng.entangle_and_interfere(eng.initial_matrix(), first_round=True)
-        _, noclick = eng.detect(mat, cfg.round1)
+        _, noclick = eng.emit_and_detect(eng.initial_matrix(), first_round=True)
         p = np.trace(noclick).real
         reduced = qm.partial_trace_matrix(noclick / p, cfg.dims, (0, 1))
         overlap = np.real(bell_odd_plus().conj() @ reduced @ bell_odd_plus())
@@ -424,6 +424,23 @@ class TestSuccessRate:
         assert abs(rate.p_click1 - 0.08) < 0.01
         assert abs(rate.p_click2_given_click1 - 0.09) < 0.01
         assert abs(rate.rate_per_s - 200.0) < 20.0
+
+    def test_defaults_read_off_the_table(self):
+        cfg = ProtocolConfig(p_init=0.8)
+        table = run_two_rounds(cfg)
+        p1, p2 = click_probabilities(table)
+        assert p1 == table.probability(True, True) + table.probability(True, False)
+        assert p2 == table.probability(True, True) / p1
+        assert success_rate(cfg) == success_rate(cfg, p1, p2)
+        # one measured value overrides only its own factor
+        assert success_rate(cfg, p_click1=0.1).p_click2_given_click1 == p2
+        assert success_rate(cfg, p_click2=0.1).p_click1 == p1
+
+    def test_no_round_one_click(self):
+        cfg = ProtocolConfig(
+            round1=DetectorRoundParams(0.0, 0.0), round2=DetectorRoundParams(0.0, 1.0)
+        )
+        assert click_probabilities(run_two_rounds(cfg)) == (0.0, 0.0)
 
 
 class TestSweep:

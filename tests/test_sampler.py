@@ -21,12 +21,9 @@ from heraldsim.sampler import (
 from heraldsim.tomography import (
     AssignmentMatrix,
     CountsTable,
-    TomographySettings,
     reconstruct_pauli,
     reference_assignment,
 )
-
-SETTINGS = TomographySettings(shots_per_setting=1)
 
 
 def ideal_config(**overrides):
@@ -53,7 +50,7 @@ def same_shots(a, b):
 
 class TestSampleShots:
     def test_no_initialization_no_tomography(self):
-        shots = sample_shots(ideal_config(p_init=0.0), SETTINGS, 500, seed=1)
+        shots = sample_shots(ideal_config(p_init=0.0), 500, seed=1)
         assert len(shots) == 500
         assert not shots.init_ok.any()
         assert np.all(shots.outcome == -1)
@@ -67,7 +64,7 @@ class TestSampleShots:
         assert pauli is None
 
     def test_zero_shots(self, tmp_path):
-        shots = sample_shots(ProtocolConfig(), SETTINGS, 0, seed=1)
+        shots = sample_shots(ProtocolConfig(), 0, seed=1)
         assert len(shots) == 0
         assert all(col.shape == (0,) for col in columns(shots))
         summary, pauli = aggregate(shots)
@@ -80,28 +77,28 @@ class TestSampleShots:
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):
-            sample_shots(ProtocolConfig(), SETTINGS, -1, seed=1)
+            sample_shots(ProtocolConfig(), -1, seed=1)
 
     def test_columns_read_only(self):
-        shots = sample_shots(ProtocolConfig(), SETTINGS, 50, seed=1)
+        shots = sample_shots(ProtocolConfig(), 50, seed=1)
         for col in columns(shots):
             assert not col.flags.writeable
 
     def test_reproducible_bit_identical(self):
         cfg = ProtocolConfig()
-        a = sample_shots(cfg, SETTINGS, 2000, seed=42)
-        b = sample_shots(cfg, SETTINGS, 2000, seed=42)
+        a = sample_shots(cfg, 2000, seed=42)
+        b = sample_shots(cfg, 2000, seed=42)
         assert same_shots(a, b)
 
     def test_different_seeds_differ(self):
         cfg = ProtocolConfig()
-        a = sample_shots(cfg, SETTINGS, 2000, seed=1)
-        b = sample_shots(cfg, SETTINGS, 2000, seed=2)
+        a = sample_shots(cfg, 2000, seed=1)
+        b = sample_shots(cfg, 2000, seed=2)
         assert not same_shots(a, b)
 
     def test_ideal_success_fraction(self):
         n = 100_000
-        shots = sample_shots(ideal_config(), SETTINGS, n, seed=5)
+        shots = sample_shots(ideal_config(), n, seed=5)
         p_hat = np.count_nonzero(shots.click1 & shots.click2) / n
         sigma = np.sqrt(0.125 * 0.875 / n)
         assert abs(p_hat - 0.125) < 5.0 * sigma
@@ -111,7 +108,7 @@ class TestSampleShots:
         table = run_two_rounds(cfg)
         p_cc = cfg.p_init * table.probability(True, True)
         n = 200_000
-        shots = sample_shots(cfg, SETTINGS, n, seed=8, table=table)
+        shots = sample_shots(cfg, n, seed=8, table=table)
         k = np.count_nonzero(shots.init_ok & shots.click1 & shots.click2)
         sigma = np.sqrt(p_cc * (1.0 - p_cc) / n)
         assert abs(k / n - p_cc) < 5.0 * sigma
@@ -119,7 +116,7 @@ class TestSampleShots:
         assert 0.003 < k / n < 0.006
 
     def test_settings_cycle_round_robin(self):
-        shots = sample_shots(ideal_config(), SETTINGS, 90, seed=3)
+        shots = sample_shots(ideal_config(), 90, seed=3)
         initialized = shots.tomo_setting[shots.init_ok]
         assert initialized.tolist() == [i % 9 for i in range(initialized.size)]
 
@@ -127,7 +124,7 @@ class TestSampleShots:
         cfg = ProtocolConfig(p_init=1.0)
         table = run_two_rounds(cfg)
         n = 100_000
-        shots = sample_shots(cfg, SETTINGS, n, seed=12, table=table)
+        shots = sample_shots(cfg, n, seed=12, table=table)
         observed = np.array(
             [
                 np.count_nonzero((shots.click1 == c1) & (shots.click2 == c2))
@@ -143,7 +140,7 @@ class TestSampleShots:
 
 class TestAggregate:
     def test_pure_branch_zz_estimate(self):
-        shots = sample_shots(ideal_config(), SETTINGS, 120_000, seed=21)
+        shots = sample_shots(ideal_config(), 120_000, seed=21)
         summary, pauli = aggregate(shots, AssignmentMatrix.identity())
         assert summary.post_selected > 10_000
         zz = pauli.component("ZZ")
@@ -154,7 +151,7 @@ class TestAggregate:
         table = run_two_rounds(cfg)
         # heavy shot count so every component is pinned to ~1e-2
         shots = sample_shots(
-            cfg, SETTINGS, 300_000, seed=31, assignment=reference_assignment(),
+            cfg, 300_000, seed=31, assignment=reference_assignment(),
             table=table,
         )
         summary, pauli = aggregate(shots, assignment=reference_assignment())
@@ -168,7 +165,7 @@ class TestAggregate:
     def test_post_selection_unbiased_across_branches(self):
         cfg = ProtocolConfig(p_init=1.0)
         table = run_two_rounds(cfg)
-        shots = sample_shots(cfg, SETTINGS, 150_000, seed=41, table=table)
+        shots = sample_shots(cfg, 150_000, seed=41, table=table)
         for branch in BRANCH_ORDER:
             state = table.state(*branch)
             summary, pauli = aggregate(shots, branch=branch)
@@ -185,10 +182,10 @@ class TestAggregate:
         cfg = ideal_config()
         table = run_two_rounds(cfg)
         _, pauli_small = aggregate(
-            sample_shots(cfg, SETTINGS, 40_000, seed=51, table=table)
+            sample_shots(cfg, 40_000, seed=51, table=table)
         )
         _, pauli_large = aggregate(
-            sample_shots(cfg, SETTINGS, 160_000, seed=51, table=table)
+            sample_shots(cfg, 160_000, seed=51, table=table)
         )
         # quadrupling the shots should halve the errors within 20%
         nonzero = pauli_small.sigma[1:] > 0
@@ -198,7 +195,7 @@ class TestAggregate:
     def test_counts_match_row_loop(self):
         # the per-shot loop the columnar aggregation replaced, as reference
         a = reference_assignment()
-        shots = sample_shots(ProtocolConfig(p_init=0.8), SETTINGS, 30_000, seed=71,
+        shots = sample_shots(ProtocolConfig(p_init=0.8), 30_000, seed=71,
                              assignment=a)
         rows = list(zip(*(col.tolist() for col in columns(shots))))
         for branch in BRANCH_ORDER:
@@ -227,7 +224,7 @@ class TestAggregate:
 
     def test_summary_frequencies(self):
         cfg = ProtocolConfig()
-        shots = sample_shots(cfg, SETTINGS, 150_000, seed=61)
+        shots = sample_shots(cfg, 150_000, seed=61)
         summary, _ = aggregate(shots)
         assert abs(summary.p_init_hat.value - 0.57) < 5 * summary.p_init_hat.sigma
         assert abs(summary.p_click1_hat.value - 0.0825) < 5 * summary.p_click1_hat.sigma
@@ -236,7 +233,7 @@ class TestAggregate:
 
 class TestShotsCsv:
     def test_round_trip_row_count(self, tmp_path):
-        shots = sample_shots(ProtocolConfig(), SETTINGS, 100, seed=0)
+        shots = sample_shots(ProtocolConfig(), 100, seed=0)
         path = tmp_path / "shots.csv"
         write_shots_csv(shots, path)
         lines = path.read_text().strip().split("\n")
@@ -247,7 +244,7 @@ class TestShotsCsv:
         # uninitialized shots and all four branches, across more than one
         # write chunk, against csv.writer row by row
         shots = sample_shots(
-            ProtocolConfig(p_init=0.6), SETTINGS, 70_000, seed=4,
+            ProtocolConfig(p_init=0.6), 70_000, seed=4,
             assignment=reference_assignment(),
         )
         assert not shots.init_ok.all()
