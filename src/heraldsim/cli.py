@@ -9,8 +9,9 @@ Environment: HERALDSIM_CONFIG_DIR supplies the directory for bare
 --config file names.
 
 Every value a command will use is checked before any computation: a
-config value or sweep point that `ProtocolConfig` rejects, or a
-non-finite detector pulse start or sweep bound, is a usage error (2).
+config value or sweep point that `ProtocolConfig` rejects, a non-finite
+detector pulse start or sweep bound, or a pulse that ends by the photon
+release at t = 0, is a usage error (2).
 `detector-sim` runs its sweep points as one batched integration.
 """
 
@@ -85,12 +86,15 @@ def _resolve_config_path(name: str | None) -> str | None:
     return str(p)
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _emit(doc: dict, out: str | None) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
 def _pauli_doc(pauli) -> dict:
@@ -198,7 +202,7 @@ def cmd_sweep(args) -> int:
     if args.axis not in SWEEPABLE_AXES:
         raise ConfigError(f"--axis must be one of {', '.join(SWEEPABLE_AXES)}")
     values = _sweep_values(args.start, args.stop, args.points)
-    for v in values:
+    for v in (*values, args.stop):
         try:
             replace(run.protocol, **{args.axis: float(v)})
         except ValueError as exc:
@@ -213,12 +217,14 @@ def cmd_sweep(args) -> int:
             else [repr(float(c)) for c in pt.pauli.components]
         )
         lines.append(",".join([repr(pt.value)] + comps + [repr(pt.probability)]))
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
+
+
+def _check_pulse_start(start: float, length: float, name: str) -> None:
+    # such a pulse measures nothing, after one pre-roll RK4 step per ns
+    if not start + length > 0.0:
+        raise ConfigError(f"{name} {start!r} ns: pulse ends before the photon release at t = 0")
 
 
 def _detector_params(args) -> CascadedSystemParams:
@@ -226,6 +232,7 @@ def _detector_params(args) -> CascadedSystemParams:
     if args.pulse_start is not None:
         if not isfinite(args.pulse_start):
             raise ConfigError(f"--pulse-start must be finite, got {args.pulse_start!r}")
+        _check_pulse_start(args.pulse_start, params.pulse.total_length, "--pulse-start")
         params = replace(params, pulse=replace(params.pulse, start_time=args.pulse_start))
     return params
 
@@ -250,6 +257,7 @@ def cmd_detector_sim(args) -> int:
             raise ConfigError("--points must be at least 2 for a sweep")
         values = _sweep_values(args.start, args.stop, args.points)
         if args.sweep == "delay":
+            _check_pulse_start(float(values.min()), params.pulse.total_length, "--sweep delay")
             pulse_end = float(values.max()) + params.pulse.total_length
         _check_t_total(args.t_total, pulse_end)
         p_clicks = pulse_sweep(
@@ -259,11 +267,7 @@ def cmd_detector_sim(args) -> int:
         lines = [f"{args.sweep},p_click"]
         for v, p in zip(values, p_clicks):
             lines.append(f"{float(v)!r},{float(p)!r}")
-        text = "\n".join(lines) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            Path(args.out).write_text(text)
+        _write("\n".join(lines) + "\n", args.out)
         return EXIT_OK
 
     _check_t_total(args.t_total, pulse_end)

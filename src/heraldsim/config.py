@@ -4,7 +4,8 @@ A run configuration is one JSON document with optional sections; every
 omitted value falls back to the measured operating point baked into
 `ProtocolConfig` and `reference_assignment`, so an empty document (or no
 --config at all) reproduces the headline analytic numbers.  Unknown
-sections or keys are rejected rather than ignored.
+sections or keys, and non-finite numbers, are rejected.  `sampling.shots`
+is validated and echoed but inert: `protocol` samples only with --shots.
 
 Schema (all angles in radians, times in microseconds):
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
+from math import isfinite
 from operator import attrgetter
 from pathlib import Path
 
@@ -161,6 +163,8 @@ def load_run_config(path: str | Path | None) -> RunConfig:
                 values[name] = float(v)
             except OverflowError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
+            if not isfinite(values[name]):
+                raise ConfigError(f"{key} must be finite, got {v!r}")
     try:
         protocol_config = _replace_fields(ProtocolConfig(), values)
     except ValueError as exc:

@@ -21,7 +21,7 @@ from math import erf, sqrt
 
 import numpy as np
 
-from .qmath import DensityMatrix, ValidationError, apply_kraus_matrix
+from .qmath import DensityMatrix, ValidationError
 
 
 @dataclass(frozen=True)
@@ -50,33 +50,28 @@ class MeasurementOutcome:
     post_state: DensityMatrix | None
 
 
-def measurement_operators(rail_dim: int) -> list[np.ndarray]:
-    """M_k = |0><k| for k = 0..rail_dim-1 (click emptying the rail)."""
-    ops = []
-    for k in range(rail_dim):
-        m = np.zeros((rail_dim, rail_dim), dtype=complex)
-        m[0, k] = 1.0
-        ops.append(m)
-    return ops
-
-
 def branch_matrices(
     mat: np.ndarray, dims, rail: int, params: DetectorRoundParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized (click, no_click) branches of a bare joint matrix.
 
     Each branch is sum_k w_k M_k rho M_k^dag on `rail` with the click
-    weights (p_dark, p_real, p_real, ...) or their complements.
+    weights (p_dark, p_real, p_real, ...) or their complements.  M_k = |0><k|
+    moves the rail's (k, k) block onto (0, 0), so the sum is taken by
+    indexing the reshaped matrix rather than by embedded matrix products.
     """
-    ops = measurement_operators(dims[rail])
-    w_click = [params.p_dark] + [params.p_real] * (len(ops) - 1)
+    d = dims[rail]
+    outer = int(np.prod(dims[:rail]))
+    shape = (outer, d, mat.shape[0] // (outer * d))
+    blocks = mat.reshape(shape + shape)
+    w_click = [params.p_dark] + [params.p_real] * (d - 1)
     branches = []
     for weights in (w_click, [1.0 - w for w in w_click]):
-        out = np.zeros_like(mat)
-        for w, m in zip(weights, ops):
+        out = np.zeros_like(blocks)
+        for k, w in enumerate(weights):
             if w != 0.0:
-                out += w * apply_kraus_matrix(mat, [m], dims, (rail,))
-        branches.append(out)
+                out[:, 0, :, :, 0, :] += w * blocks[:, k, :, :, k, :]
+        branches.append(out.reshape(mat.shape))
     return branches[0], branches[1]
 
 

@@ -27,14 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .qmath import (
-    DensityMatrix,
-    ValidationError,
-    apply_channel,
-    basis_ket,
-    matrix_exponential,
-    tensor,
-)
+from .qmath import DensityMatrix, ValidationError, apply_channel, matrix_exponential
 
 
 @dataclass(frozen=True)
@@ -42,13 +35,10 @@ class FockSpaceSpec:
     """Truncation of the two flying-photon rails."""
 
     n_max: int = 2
-    rails: int = 2
 
     def __post_init__(self):
         if self.n_max < 2:
             raise ValidationError("n_max must be >= 2")
-        if self.rails != 2:
-            raise ValidationError("exactly two rails are modeled")
 
     @property
     def rail_dim(self) -> int:
@@ -61,10 +51,6 @@ def annihilation(dim: int) -> np.ndarray:
     for n in range(1, dim):
         a[n - 1, n] = np.sqrt(n)
     return a
-
-
-def number_operator(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=complex))
 
 
 def beam_splitter_unitary(spec: FockSpaceSpec) -> np.ndarray:
@@ -101,36 +87,6 @@ def emission_unitary(spec: FockSpaceSpec) -> np.ndarray:
     u[:d, :d] = np.eye(d)
     u[d:, d:] = swap01
     return u
-
-
-def entangle_qubit_with_photon(
-    state: DensityMatrix, spec: FockSpaceSpec, rail: int = 0
-) -> DensityMatrix:
-    """Map alpha|g> + beta|e> onto alpha|g0> + beta|e1> (rail starts in vacuum).
-
-    Accepts either a bare qubit (a fresh vacuum rail is appended) or an
-    existing qubit x rail state, which is rejected unless the rail is in
-    vacuum: the underlying physical operation is only defined from |0>.
-    `rail` is a bookkeeping label (0 = first channel, 1 = second) carried
-    by callers that track multiple rails.
-    """
-    if rail not in (0, 1):
-        raise ValidationError("rail must be 0 or 1")
-    d = spec.rail_dim
-    if state.dims == (2,):
-        vacuum = DensityMatrix((d,), np.outer(basis_ket(d, 0), basis_ket(d, 0)))
-        joint = tensor(state, vacuum)
-    elif state.dims == (2, d):
-        pops = np.einsum("qnqm->nm", state.matrix.reshape(2, d, 2, d)).real
-        if np.abs(pops[1:, 1:]).max() > 1e-12:
-            raise ValidationError("photon rail is not in vacuum")
-        joint = state
-    else:
-        raise ValidationError(
-            f"expected a qubit or qubit x rail state, got dims {state.dims}"
-        )
-    u = emission_unitary(spec)
-    return DensityMatrix(joint.dims, u @ joint.matrix @ u.conj().T)
 
 
 def loss_kraus(spec: FockSpaceSpec, eta: float) -> list[np.ndarray]:

@@ -95,9 +95,14 @@ class ProtocolConfig:
         for name in ("t2e_a", "t2e_b", "t_seq", "t_rep"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be positive")
+        period = float(self.t_rep) * 1e-6  # s; success_rate divides p_success <= 1 by it
+        if not (period > 0.0 and np.isfinite(1.0 / period)):
+            raise ValidationError(f"t_rep={self.t_rep!r} us gives no finite success rate")
         for name in ("theta_a", "phi_a", "theta_b", "phi_b", "phi_off"):
             if not np.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
+        if not np.isfinite(self.phi_off * self.n_max):
+            raise ValidationError("phi_off * n_max must be finite")
         for name in ("eta_loss", "p_init"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"{name} outside [0, 1]")
@@ -232,29 +237,6 @@ def apply_phase_damping(
     return DensityMatrix(
         rho.dims, _phase_damping_matrix(rho.matrix, rho.dims, duration, t2e_a, t2e_b)
     )
-
-
-def ideal_entangled_state(n_max: int = 2) -> DensityMatrix:
-    """Joint pure state after both equatorial qubits emit, before the splitter."""
-    cfg = ProtocolConfig(
-        phi_b=0.0,
-        phi_off=0.0,
-        n_max=n_max,
-        round1=DetectorRoundParams(0.0, 1.0),
-        round2=DetectorRoundParams(0.0, 1.0),
-    )
-    eng = _Engine(cfg)
-    mat = eng._conjugate(eng.u_emit, eng.initial_matrix())
-    return DensityMatrix(cfg.dims, mat)
-
-
-def apply_beam_splitter_step(rho: DensityMatrix) -> DensityMatrix:
-    """Interfere the two rails of a (2, 2, d, d) joint state on the splitter."""
-    if len(rho.dims) != 4 or rho.dims[0] != 2 or rho.dims[1] != 2:
-        raise ValidationError("expected a (2, 2, d, d) joint state")
-    spec = FockSpaceSpec(n_max=rho.dims[2] - 1)
-    u = embed_operator(beam_splitter_unitary(spec), rho.dims, (RAIL_DET, RAIL_LOAD))
-    return DensityMatrix(rho.dims, u @ rho.matrix @ u.conj().T)
 
 
 def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:

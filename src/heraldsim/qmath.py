@@ -24,7 +24,6 @@ from scipy.linalg import expm
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
-UNITARITY_TOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -183,18 +182,12 @@ def bell_odd_minus() -> np.ndarray:
 # ---------------------------------------------------------------------------
 # core operations
 
-def tensor(a, b):
-    """Kronecker product of two matrices or two DensityMatrix values.
-
-    For DensityMatrix operands the subsystem dims are concatenated.
-    """
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.dims + b.dims, np.kron(a.matrix, b.matrix))
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
-    """Partial trace on a bare matrix; no state validation (plumbing)."""
+    """Reduced matrix over the kept subsystems (indices in `keep`).
+
+    Subsystem order is preserved; no state validation, so it also reduces
+    unnormalized branch matrices.
+    """
     n = len(dims)
     keep = sorted(keep)
     traced = [i for i in range(n) if i not in keep]
@@ -204,28 +197,6 @@ def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
         reshaped = np.trace(reshaped, axis1=idx, axis2=idx + ndim_half)
     kept_dim = int(np.prod([dims[i] for i in keep])) if keep else 1
     return reshaped.reshape(kept_dim, kept_dim)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state over the kept subsystems (indices in `keep`).
-
-    Subsystem order is preserved; the trace is preserved exactly up to
-    floating point.
-    """
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValidationError("keep must name at least one subsystem")
-    if keep[0] < 0 or keep[-1] >= len(rho.dims):
-        raise ValidationError(f"keep indices {keep} out of range for {rho.dims}")
-    reduced = partial_trace_matrix(rho.matrix, rho.dims, keep)
-    return DensityMatrix(tuple(rho.dims[i] for i in keep), reduced)
-
-
-def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
 
 
 def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
@@ -262,28 +233,11 @@ def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
     return np.ascontiguousarray(full.reshape(d, d))
 
 
-def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets=None) -> DensityMatrix:
-    """U rho U^dag with U acting on the given subsystems.
-
-    U must be unitary within 1e-10 on its subspace; trace and spectrum are
-    preserved by construction.
-    """
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u):
-        raise ValidationError("operator is not unitary within 1e-10")
-    if targets is None:
-        full = u
-        if full.shape != (rho.dim, rho.dim):
-            raise ValidationError("unitary dimension does not match state")
-    else:
-        full = embed_operator(u, rho.dims, targets)
-    return DensityMatrix(rho.dims, full @ rho.matrix @ full.conj().T)
-
-
 def apply_kraus_matrix(mat: np.ndarray, kraus, dims, targets) -> np.ndarray:
     """Raw sum_k K rho K^dag on a bare matrix; no normalization or checks.
 
-    The workhorse for channels and unnormalized measurement branches.
+    Serves the photon-loss and qubit-dephasing channels; detector clicks
+    are applied by indexing in `detector.branch_matrices`.
     """
     out = np.zeros_like(mat)
     for k in kraus:

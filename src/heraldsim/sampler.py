@@ -28,6 +28,7 @@ import numpy as np
 from .protocol import OutcomeTable, ProtocolConfig, run_two_rounds
 from .qmath import PauliVector, ValidationError
 from .tomography import (
+    BASIS_ORDER,
     AssignmentMatrix,
     CountsTable,
     outcome_probabilities,
@@ -35,7 +36,6 @@ from .tomography import (
 )
 
 BRANCH_ORDER = ((True, True), (True, False), (False, True), (False, False))
-OUTCOME_LABELS = ("GG", "GE", "EG", "EE")
 
 # (click1, click2) of each branch index
 _BRANCH_CLICKS = np.array(BRANCH_ORDER)
@@ -47,7 +47,7 @@ class Shots:
 
     init_ok, click1 and click2 are boolean (the clicks are False when
     initialization failed).  tomo_setting (0-8) and outcome (0-3, in
-    OUTCOME_LABELS order) are -1 when initialization failed: no
+    `tomography.BASIS_ORDER`) are -1 when initialization failed: no
     tomography result is recorded for those shots.  Compare two Shots
     column by column; `==` is identity.
     """
@@ -216,7 +216,7 @@ CSV_FIELDS = ("index", "init_ok", "click1", "click2", "tomo_setting", "outcome")
 _ROW_SUFFIXES = np.array(
     [
         f"{int(ok)},{int(c1)},{int(c2)},{'' if k < 0 else k},"
-        f"{'' if j < 0 else OUTCOME_LABELS[j]}\r\n"
+        f"{'' if j < 0 else BASIS_ORDER[j]}\r\n"
         for ok, c1, c2, k, j in itertools.product(
             (False, True), (False, True), (False, True), range(-1, 9), range(-1, 4)
         )

@@ -71,7 +71,7 @@ class AssignmentMatrix:
         a = np.asarray(self.a, dtype=float)
         if a.shape != (4, 4):
             raise ValidationError("assignment matrix must be 4x4")
-        if np.any(a < -1e-12) or np.any(a > 1.0 + 1e-12):
+        if not np.all((a >= -1e-12) & (a <= 1.0 + 1e-12)):
             raise ValidationError("assignment entries must lie in [0, 1]")
         if np.max(np.abs(a.sum(axis=0) - 1.0)) > 1e-6:
             raise ValidationError("assignment columns must sum to 1 within 1e-6")
@@ -215,18 +215,6 @@ def simulate_counts(
         rng = np.random.default_rng([int(seed), k])
         counts[k] = rng.multinomial(settings.shots_per_setting, probs[k])
     return CountsTable(counts, settings.shots_per_setting)
-
-
-def correct_counts(b: np.ndarray, a: AssignmentMatrix) -> np.ndarray:
-    """Linear-inversion readout correction p = A^-1 b of one 4-vector.
-
-    Preserves the vector sum; the result may have small negative entries
-    at finite statistics.
-    """
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape != (4,):
-        raise ValidationError("expected a 4-vector of outcome frequencies")
-    return a.inverse() @ b
 
 
 _LABEL_TO_SETTINGS: dict[str, list[int]] = {}

@@ -1,7 +1,11 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,14 @@ class TestProtocolCommand:
         cfg = write_config(tmp_path, {"timing": {"p_init": 2.0}})
         assert main(["protocol", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("t_rep", ["5e-324", "1e-310"])
+    def test_overflowing_rate_exits_2(self, t_rep, tmp_path, capsys):
+        # p_success / t_rep has no finite value: no traceback, no Infinity
+        cfg = tmp_path / "config.json"
+        cfg.write_text(f'{{"timing": {{"t_rep": {t_rep}}}}}')
+        assert main(["protocol", "--config", str(cfg)]) == 2
+        assert "no finite success rate" in capsys.readouterr().err
+
     def test_control_block(self, tmp_path):
         out = tmp_path / "out.json"
         assert main(["protocol", "--analytic", "--control", "--out", str(out)]) == 0
@@ -198,6 +210,7 @@ class TestSweepCommand:
             ("t_seq", "inf", "1", "must be finite"),
             ("phi_b", "nan", "1", "must be finite"),
             ("phi_b", "-1e308", "1e308", "must be finite"),  # the span overflows
+            ("phi_off", "1e308", "1e308", "sweep point phi_off=1e+308"),  # 2 phi_off overflows
         ],
     )
     def test_bad_sweep_range_exits_2(self, axis, start, stop, message, tmp_path, capsys):
@@ -206,6 +219,12 @@ class TestSweepCommand:
         assert main(args + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_stop_of_one_point_sweep_exits_2(self, capsys):
+        # the one point is --from, but --to is still checked
+        args = ["sweep", "--axis", "t_seq", "--from", "8.76", "--to=-2.2e-308", "--points", "1"]
+        assert main(args) == 2
+        assert "t_seq=-2.2e-308" in capsys.readouterr().err
 
 
 class TestDetectorSimCommand:
@@ -311,6 +330,27 @@ class TestDetectorSimCommand:
         out = tmp_path / "out"
         assert main(["detector-sim", "--out", str(out)] + extra) == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            # the default 480-ns pulse ends at start + 480 ns
+            ["--pulse-start=-480"],
+            ["--pulse-start=-2000"],
+            ["--pulse-start=-1e7"],
+            ["--sweep", "delay", "--from=-1e7", "--to", "0", "--points", "3"],
+        ],
+    )
+    def test_pulse_over_before_release_exits_2(self, extra, tmp_path, capsys, monkeypatch):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated a rejected pulse")
+
+        monkeypatch.setattr("heraldsim.cli.cascaded_simulate", integrate)
+        monkeypatch.setattr("heraldsim.cli.pulse_sweep", integrate)
+        out = tmp_path / "out"
+        assert main(["detector-sim", "--out", str(out)] + extra) == 2
+        assert "pulse ends before the photon release" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_without_range_errors(self, capsys):
@@ -439,9 +479,15 @@ def bad_sweep_args(draw):
 
 @st.composite
 def bad_detector_args(draw):
-    fault = draw(st.sampled_from(["pulse", "t_total", "range", "points", "fock"]))
+    fault = draw(st.sampled_from(["pulse", "early", "t_total", "range", "points", "fock"]))
     if fault == "pulse":
         return ["detector-sim", f"--pulse-start={draw(NON_FINITE)}"]
+    if fault == "early":
+        # the default 480-ns pulse ends by the photon release at t = 0
+        start = repr(draw(st.floats(max_value=-480.0, allow_infinity=False)))
+        if draw(st.booleans()):
+            return ["detector-sim", f"--pulse-start={start}"]
+        return ["detector-sim", "--sweep", "delay", f"--from={start}", "--to=0", "--points=2"]
     if fault == "t_total":
         # the default pulse ends at 595 ns
         t_total = draw(st.one_of(NON_FINITE, st.floats(max_value=594.0).map(repr)))
@@ -474,3 +520,85 @@ def bad_protocol_args(draw):
 def test_invalid_arguments_exit_2(argv):
     # every input is rejected before any integration: exit 2, never a traceback
     assert exit_code(argv) == 2
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+ANGLE = st.floats(allow_nan=False, allow_infinity=False)
+# below about 5.6e-303 us the success rate overflows (exit 2, tested above)
+TIME = st.floats(min_value=1e-300, allow_infinity=False)
+PROBABILITY = st.floats(0.0, 1.0)
+VALID_VALUE = {
+    "angle": ANGLE,
+    # phi_off * n_max (2 by default) must be finite too
+    "offset": st.floats(-8.9e307, 8.9e307),
+    "time": TIME,
+    "probability": PROBABILITY,
+}
+VALID_PATHS = {
+    **{f"preparation.{k}": "angle" for k in ("theta_a", "phi_a", "theta_b", "phi_b")},
+    "preparation.phi_off": "offset",
+    **{f"decoherence.{k}": "time" for k in ("t2e_a", "t2e_b", "t_seq")},
+    **{f"detector.{r}.{k}": "probability" for r in ("round1", "round2")
+       for k in ("p_dark", "p_real")},
+    "loss.eta": "probability",
+    "timing.t_rep": "time",
+    "timing.p_init": "probability",
+}
+
+
+def stdout_of(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+@st.composite
+def valid_protocol_args(draw):
+    doc = {}
+    for path in draw(st.lists(st.sampled_from(sorted(VALID_PATHS)), unique=True)):
+        *sections, key = path.split(".")
+        node = doc
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = draw(VALID_VALUE[VALID_PATHS[path]])
+    argv = ["protocol"]
+    if draw(st.booleans()):
+        argv += [f"--shots={draw(st.integers(1, 2000))}", f"--seed={draw(st.integers(0, 99))}"]
+    if draw(st.booleans()):
+        argv.append("--control")
+    return doc, argv
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(valid_protocol_args())
+def test_valid_protocol_runs_give_strict_json(case):
+    doc, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(doc))
+        rc, text = stdout_of(argv + ["--config", str(cfg)])
+    assert rc == 0
+    json.loads(text, parse_constant=reject_constant)
+
+
+# bounds whose span --to - --from stays finite
+SWEEP_RANGE = {
+    **{axis: st.floats(-1e300, 1e300) for axis in ("theta_a", "phi_a", "theta_b", "phi_b", "phi_off")},
+    "eta_loss": PROBABILITY,
+    "t_seq": st.floats(1e-300, 1e300),
+}
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.sampled_from(SWEEPABLE_AXES).flatmap(
+    lambda axis: st.tuples(st.just(axis), SWEEP_RANGE[axis], SWEEP_RANGE[axis], st.integers(1, 3))
+))
+def test_valid_sweeps_exit_0(case):
+    axis, start, stop, points = case
+    argv = ["sweep", "--axis", axis, f"--from={start!r}", f"--to={stop!r}", f"--points={points}"]
+    rc, text = stdout_of(argv)
+    assert rc == 0
+    assert len(text.splitlines()) == points + 1

@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from heraldsim.cli import main
 from heraldsim.config import ConfigError, load_run_config, resolved_config_doc
+from heraldsim.protocol import ProtocolConfig, run_control, run_two_rounds
 
 # Every numeric config key and the kind of value it takes, written out here
 # independently of the parser so a dropped or renamed key shows up.
@@ -36,6 +38,7 @@ SCHEMA = {
 }
 SECTIONS = sorted({path.rsplit(".", 1)[0] for path in SCHEMA} | {"detector", "tomography"})
 FLOAT_KEYS = sorted(path for path, kind in SCHEMA.items() if kind not in ("shots", "seed"))
+TIME_KEYS = sorted(path for path, kind in SCHEMA.items() if kind == "time")
 
 
 def nest(flat):
@@ -173,11 +176,32 @@ class TestRejectedValues:
         assert run_protocol(tmp_path, nest({path: 10**400})) == (2, None)
         assert path in capsys.readouterr().err
 
-    @pytest.mark.parametrize("path", ["decoherence.t2e_a", "decoherence.t2e_b"])
-    def test_infinite_coherence_time_is_legal(self, path, tmp_path):
-        rc, doc = run_protocol(tmp_path, nest({path: float("inf")}))
-        assert rc == 0
-        assert math.isfinite(doc["fidelity_theory"])
+    @pytest.mark.parametrize("text", ["1e999", "Infinity"])
+    @pytest.mark.parametrize("path", TIME_KEYS)
+    def test_infinite_time_exits_2(self, path, text, tmp_path, capsys):
+        # the echo would print Infinity, which strict JSON parsers reject
+        cfg, out = tmp_path / "config.json", tmp_path / "out.json"
+        section, key = path.split(".")
+        cfg.write_text(f'{{"{section}": {{"{key}": {text}}}}}')
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{path} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_1e300_coherence_time_is_no_dephasing(self):
+        # the finite spelling of "no dephasing" gives the infinite-T2E numbers
+        for name in ("t2e_a", "t2e_b"):
+            inf, big = (replace(ProtocolConfig(), **{name: t}) for t in (math.inf, 1e300))
+            for a, b in zip(run_two_rounds(inf).branches.values(),
+                            run_two_rounds(big).branches.values()):
+                assert a.probability == b.probability
+                assert np.array_equal(a.state.matrix, b.state.matrix)
+            assert np.array_equal(run_control(inf).matrix, run_control(big).matrix)
+
+    @pytest.mark.parametrize("phi_off", [1e308, -9e307])
+    def test_overflowing_offset_phase_exits_2(self, phi_off, tmp_path, capsys):
+        # the two-photon level picks up 2 phi_off, which is not finite
+        assert run_protocol(tmp_path, nest({"preparation.phi_off": phi_off})) == (2, None)
+        assert "phi_off * n_max" in capsys.readouterr().err
 
     def test_round_range_error_names_the_round(self, tmp_path, capsys):
         rc, _ = run_protocol(tmp_path, nest({"detector.round2.p_real": 1.5}))
@@ -196,7 +220,9 @@ BAD_NUMBER = {
     "angle": st.one_of(
         st.sampled_from([float("nan"), float("inf"), -float("inf")]), BEYOND_FLOAT
     ),
-    "time": st.one_of(st.just(float("nan")), st.floats(max_value=0.0), BEYOND_FLOAT),
+    "time": st.one_of(
+        st.sampled_from([float("nan"), float("inf")]), st.floats(max_value=0.0), BEYOND_FLOAT
+    ),
     "probability": st.one_of(
         st.just(float("nan")),
         BEYOND_FLOAT,

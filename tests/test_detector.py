@@ -12,7 +12,13 @@ from heraldsim.detector import (
     fit_separation,
     readout_threshold_model,
 )
-from heraldsim.qmath import DensityMatrix, ValidationError, basis_ket, partial_trace_matrix
+from heraldsim.qmath import (
+    DensityMatrix,
+    ValidationError,
+    basis_ket,
+    embed_operator,
+    partial_trace_matrix,
+)
 
 
 def rail_state(pops):
@@ -94,6 +100,48 @@ class TestDetectorMeasure:
             DetectorRoundParams(-0.1, 0.5)
         with pytest.raises(ValidationError):
             DetectorRoundParams(0.1, 1.5)
+
+
+def kraus_sum_branches(mat, dims, rail, params):
+    """Reference: sum_k w_k E_k rho E_k^dag with E_k = |0><k| embedded on `rail`."""
+    d = dims[rail]
+    w_click = [params.p_dark] + [params.p_real] * (d - 1)
+    branches = []
+    for weights in (w_click, [1.0 - w for w in w_click]):
+        out = np.zeros_like(mat)
+        for k, w in enumerate(weights):
+            if w != 0.0:
+                m = np.zeros((d, d), dtype=complex)
+                m[0, k] = 1.0
+                e = embed_operator(m, dims, (rail,))
+                out += w * (e @ mat @ e.conj().T)
+        branches.append(out)
+    return branches
+
+
+def states_with_zeros(dims, seed):
+    """A pure and a mixed state whose masked amplitudes are exactly zero."""
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    mask = rng.random(d) < 0.3
+    kets = (rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))) * ~mask
+    mixed = sum(w * np.outer(v, v.conj()) for w, v in zip((0.5, 0.3, 0.2), kets))
+    return np.outer(kets[0], kets[0].conj()), mixed
+
+
+class TestBranchKernel:
+    @pytest.mark.parametrize("dims", [(2, 2, 3, 3), (2, 2, 4, 4), (3, 2, 4)])
+    @pytest.mark.parametrize("params", [(0.006, 0.21), (0.0, 1.0), (1.0, 0.0)])
+    def test_matches_kraus_sum_bit_for_bit(self, dims, params):
+        params = DetectorRoundParams(*params)
+        for mat in states_with_zeros(dims, seed=sum(dims)):
+            assert np.any(mat == 0.0)
+            for rail in range(len(dims)):
+                got = branch_matrices(mat, dims, rail, params)
+                for g, ref in zip(got, kraus_sum_branches(mat, dims, rail, params)):
+                    assert np.array_equal(g, ref)
+                    for part in (np.real, np.imag):
+                        assert np.array_equal(np.signbit(part(g)), np.signbit(part(ref)))
 
 
 class TestDarkCountFidelity:

@@ -8,26 +8,44 @@ from heraldsim.photonics import (
     annihilation,
     beam_splitter_unitary,
     emission_unitary,
-    entangle_qubit_with_photon,
     loss_channel,
     loss_kraus,
-    number_operator,
 )
-from heraldsim.qmath import (
-    DensityMatrix,
-    ValidationError,
-    basis_ket,
-    tensor,
-)
+from heraldsim.protocol import ProtocolConfig, _Engine
+from heraldsim.qmath import DensityMatrix, ValidationError, basis_ket
 
 
 def rail_ket(n, m, dim=3):
     return np.kron(basis_ket(dim, n), basis_ket(dim, m))
 
 
+def number_op(dim):
+    return np.diag(np.arange(dim, dtype=complex))
+
+
 @pytest.fixture
 def spec():
     return FockSpaceSpec()
+
+
+@pytest.fixture
+def u_emit():
+    # the engine's emission on (qubit A, qubit B, detector rail, load rail);
+    # qubit B emits into the detector rail
+    return _Engine(ProtocolConfig()).u_emit
+
+
+def emitted(u_emit, qubit_b):
+    """Joint matrix after emission from vacuum rails, qubit A in |g>."""
+    mat = np.kron(
+        np.kron(np.diag([1.0, 0.0]), qubit_b), np.outer(rail_ket(0, 0), rail_ket(0, 0))
+    )
+    return u_emit @ mat @ u_emit.conj().T
+
+
+def b_ket(q, n):
+    """|g>_A |q>_B |n>_det |0>_load."""
+    return np.kron(np.kron(basis_ket(2, 0), basis_ket(2, q)), rail_ket(n, 0))
 
 
 class TestBeamSplitter:
@@ -58,9 +76,7 @@ class TestBeamSplitter:
         d = spec.rail_dim
         eye = np.eye(d * d)
         assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-10
-        n_total = np.kron(number_operator(d), np.eye(d)) + np.kron(
-            np.eye(d), number_operator(d)
-        )
+        n_total = np.kron(number_op(d), np.eye(d)) + np.kron(np.eye(d), number_op(d))
         assert np.max(np.abs(u @ n_total - n_total @ u)) < 1e-10
 
     def test_truncation_too_small_rejected(self):
@@ -69,53 +85,34 @@ class TestBeamSplitter:
 
 
 class TestEmission:
-    def test_ground_state_stays(self, spec):
-        qubit = DensityMatrix((2,), np.diag([1.0, 0.0]).astype(complex))
-        joint = entangle_qubit_with_photon(qubit, spec)
-        expected = np.kron(basis_ket(2, 0), basis_ket(3, 0))
-        assert np.isclose(
-            np.real(expected.conj() @ joint.matrix @ expected), 1.0, atol=1e-12
-        )
+    def test_ground_state_stays(self, u_emit):
+        joint = emitted(u_emit, np.diag([1.0, 0.0]))
+        expected = b_ket(0, 0)
+        assert np.isclose(np.real(expected.conj() @ joint @ expected), 1.0, atol=1e-12)
 
-    def test_plus_state_maps_to_g0_plus_e1(self, spec):
+    def test_plus_state_maps_to_g0_plus_e1(self, u_emit):
         ket = np.array([1.0, 1.0]) / np.sqrt(2)
-        joint = entangle_qubit_with_photon(DensityMatrix.from_ket(ket), spec)
-        expected = (
-            np.kron(basis_ket(2, 0), basis_ket(3, 0))
-            + np.kron(basis_ket(2, 1), basis_ket(3, 1))
-        ) / np.sqrt(2)
-        assert np.isclose(
-            np.real(expected.conj() @ joint.matrix @ expected), 1.0, atol=1e-12
-        )
+        joint = emitted(u_emit, np.outer(ket, ket.conj()))
+        expected = (b_ket(0, 0) + b_ket(1, 1)) / np.sqrt(2)
+        assert np.isclose(np.real(expected.conj() @ joint @ expected), 1.0, atol=1e-12)
 
-    def test_phase_lands_on_coherence(self, spec):
+    def test_phase_lands_on_coherence(self, u_emit):
         # oracle: direct matrix construction of |psi><psi| for the mapped ket
         phi = np.pi / 3
         ket = np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2)
-        joint = entangle_qubit_with_photon(DensityMatrix.from_ket(ket), spec)
-        g0 = np.kron(basis_ket(2, 0), basis_ket(3, 0))
-        e1 = np.kron(basis_ket(2, 1), basis_ket(3, 1))
-        got = g0.conj() @ joint.matrix @ e1
+        joint = emitted(u_emit, np.outer(ket, ket.conj()))
+        got = b_ket(0, 0).conj() @ joint @ b_ket(1, 1)
         assert np.isclose(got, np.exp(-1j * phi) / 2, atol=1e-12)
 
-    def test_purity_preserved(self, spec):
+    def test_purity_preserved(self, u_emit):
         ket = np.array([0.6, 0.8j])
-        joint = entangle_qubit_with_photon(DensityMatrix.from_ket(ket), spec)
-        assert np.isclose(joint.purity(), 1.0, atol=1e-12)
+        joint = emitted(u_emit, np.outer(ket, ket.conj()))
+        assert np.isclose(np.trace(joint @ joint).real, 1.0, atol=1e-12)
 
-    def test_occupied_rail_rejected(self, spec):
-        qubit = DensityMatrix((2,), np.diag([0.5, 0.5]).astype(complex))
-        rail = DensityMatrix((3,), np.diag([0.0, 1.0, 0.0]).astype(complex))
-        with pytest.raises(ValidationError):
-            entangle_qubit_with_photon(tensor(qubit, rail), spec)
-
-    def test_vacuum_joint_input_accepted(self, spec):
-        qubit = DensityMatrix((2,), np.diag([0.5, 0.5]).astype(complex))
-        rail = DensityMatrix((3,), np.diag([1.0, 0.0, 0.0]).astype(complex))
-        joint = entangle_qubit_with_photon(tensor(qubit, rail), spec)
-        assert np.isclose(
-            joint.matrix.reshape(2, 3, 2, 3)[1, 1, 1, 1].real, 0.5, atol=1e-12
-        )
+    def test_vacuum_joint_input_accepted(self, u_emit):
+        # a mixed qubit emits its excited population into the empty rail
+        joint = emitted(u_emit, np.diag([0.5, 0.5]))
+        assert np.isclose(np.real(b_ket(1, 1) @ joint @ b_ket(1, 1)), 0.5, atol=1e-12)
 
     def test_emission_unitary_is_unitary(self, spec):
         u = emission_unitary(spec)
@@ -150,7 +147,7 @@ class TestLossChannel:
 
     def test_mean_photon_number_scales_by_eta(self):
         rho = self.make_rail_state([0.1, 0.3, 0.6])
-        n_op = number_operator(3)
+        n_op = number_op(3)
         for eta in (0.25, 0.5, 0.9):
             out = loss_channel(rho, rail=0, eta=eta)
             assert np.isclose(
@@ -160,7 +157,7 @@ class TestLossChannel:
     def test_embedded_on_second_rail(self):
         a = self.make_rail_state([0.0, 1.0, 0.0])
         b = self.make_rail_state([0.0, 0.0, 1.0])
-        joint = tensor(a, b)
+        joint = DensityMatrix((3, 3), np.kron(a.matrix, b.matrix))
         out = loss_channel(joint, rail=1, eta=0.5)
         # rail 0 untouched, rail 1 binomially degraded
         reduced0 = np.einsum("abcb->ac", out.matrix.reshape(3, 3, 3, 3))

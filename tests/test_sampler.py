@@ -12,13 +12,13 @@ from heraldsim.protocol import ProtocolConfig, run_two_rounds
 from heraldsim.qmath import PAULI_LABELS, ValidationError, pauli_decompose
 from heraldsim.sampler import (
     BRANCH_ORDER,
-    OUTCOME_LABELS,
     Shots,
     aggregate,
     sample_shots,
     write_shots_csv,
 )
 from heraldsim.tomography import (
+    BASIS_ORDER,
     AssignmentMatrix,
     CountsTable,
     reconstruct_pauli,
@@ -260,7 +260,7 @@ class TestShotsCsv:
             for i, (ok, c1, c2, k, j) in enumerate(rows):
                 writer.writerow(
                     [i, int(ok), int(c1), int(c2), k if k >= 0 else "",
-                     OUTCOME_LABELS[j] if j >= 0 else ""]
+                     BASIS_ORDER[j] if j >= 0 else ""]
                 )
         path = tmp_path / "shots.csv"
         write_shots_csv(shots, path)

@@ -19,7 +19,6 @@ from heraldsim.tomography import (
     TomographySettings,
     assignment_from_json,
     assignment_to_json,
-    correct_counts,
     counts_from_json,
     counts_to_json,
     fidelity_with_errors,
@@ -116,22 +115,29 @@ class TestSimulateCounts:
 
 
 class TestCorrectCounts:
+    """Linear-inversion readout correction as `reconstruct_pauli` applies it."""
+
     def test_identity_is_noop(self):
-        b = np.array([0.5, 0.2, 0.2, 0.1])
-        assert np.allclose(correct_counts(b, AssignmentMatrix.identity()), b)
+        b = CountsTable(np.tile([0.5, 0.2, 0.2, 0.1], (9, 1)), None)
+        corrected = reconstruct_pauli(b, AssignmentMatrix.identity())
+        assert np.allclose(corrected.components, reconstruct_pauli(b).components)
 
     def test_round_trip_random_probabilities(self):
         a = reference_assignment()
         rng = np.random.default_rng(11)
         for _ in range(5):
-            p = rng.dirichlet(np.ones(4))
-            assert np.allclose(correct_counts(a.a @ p, a), p, atol=1e-9)
-            assert np.isclose(correct_counts(a.a @ p, a).sum(), 1.0, atol=1e-9)
+            p = rng.dirichlet(np.ones(4), size=9)
+            corrected = reconstruct_pauli(CountsTable(p @ a.a.T, None), a)
+            clean = reconstruct_pauli(CountsTable(p, None))
+            assert np.allclose(corrected.components, clean.components, atol=1e-9)
+        # columns of A^-1 sum to one, so the correction preserves each sum
+        assert np.allclose(a.inverse().sum(axis=0), 1.0, atol=1e-9)
 
     def test_reference_matrix_inverts_basis_vector(self):
+        # every setting records GG through A: corrected, every parity is +1
         a = reference_assignment()
-        b = a.a @ np.array([1.0, 0.0, 0.0, 0.0])
-        assert np.allclose(correct_counts(b, a), [1, 0, 0, 0], atol=1e-9)
+        b = CountsTable(np.tile(a.a @ np.array([1.0, 0.0, 0.0, 0.0]), (9, 1)), None)
+        assert np.allclose(reconstruct_pauli(b, a).components, 1.0, atol=1e-9)
 
 
 class TestReconstructPauli:
