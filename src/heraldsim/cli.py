@@ -3,7 +3,7 @@ and tomography correction, emitting JSON scalars and CSV curves.
 
 Every command is deterministic for a fixed (config, seed): repeated runs
 produce byte-identical output files.  Exit codes: 0 success, 2 for
-configuration or usage errors, 3 for numerical failures.
+configuration or usage errors, 3 for numerical failures or unallocatable runs.
 
 Environment: HERALDSIM_CONFIG_DIR supplies the directory for bare
 --config file names.
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, ValidationError) as exc:
+    except (IntegrationError, ValidationError, MemoryError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

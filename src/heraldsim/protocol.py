@@ -27,17 +27,13 @@ damping (full sequence duration, applied once) -> trace rails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
 from . import qmath
 from .detector import DetectorRoundParams, branch_matrices
-from .photonics import (
-    FockSpaceSpec,
-    beam_splitter_unitary,
-    emission_unitary,
-    loss_kraus,
-)
+from .photonics import FockSpaceSpec, beam_splitter_unitary, emission_unitary, loss_kraus
 from .qmath import (
     DensityMatrix,
     PauliVector,
@@ -148,77 +144,87 @@ def prepared_qubit_ket(theta: float, phi: float) -> np.ndarray:
     )
 
 
+def _prepared_qubits(config: ProtocolConfig) -> np.ndarray:
+    """Two-qubit ket of both preparations, A (x) B."""
+    return np.kron(
+        prepared_qubit_ket(config.theta_a, config.phi_a),
+        prepared_qubit_ket(config.theta_b, config.phi_b),
+    )
+
+
+@cache
+def _unitaries(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full-space emission, splitter and pi-pulse unitaries, read-only and
+    embedded once per process: they depend on `n_max` alone."""
+    spec = FockSpaceSpec(n_max=n_max)
+    dims = (2, 2, spec.rail_dim, spec.rail_dim)
+    emit = emission_unitary(spec)
+    ops = (
+        embed_operator(emit, dims, (QUBIT_A, RAIL_LOAD))
+        @ embed_operator(emit, dims, (QUBIT_B, RAIL_DET)),
+        embed_operator(beam_splitter_unitary(spec), dims, (RAIL_DET, RAIL_LOAD)),
+        embed_operator(np.kron(RY_PI, RY_PI), dims, (QUBIT_A, QUBIT_B)),
+    )
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
 class _Engine:
-    """Precomputed full-space operators for one configuration."""
+    """Full-space operators for one configuration, each built once.
+
+    The emission, splitter and pi-pulse unitaries come from the per-`n_max`
+    cache; the offset phase, the loss Kraus operators (only when
+    eta_loss < 1) and the dephasing pairs are embedded here.  Every step
+    applies them with the one kernel `apply_kraus_matrix`.
+    """
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
         self.dims = config.dims
+        self.u_emit, self.u_bs, self.u_pi = _unitaries(config.n_max)
         spec = FockSpaceSpec(n_max=config.n_max)
-        d = spec.rail_dim
-
-        emit = emission_unitary(spec)
-        emit_b = embed_operator(emit, self.dims, (QUBIT_B, RAIL_DET))
-        emit_a = embed_operator(emit, self.dims, (QUBIT_A, RAIL_LOAD))
-        self.u_emit = emit_a @ emit_b
-
-        bs = beam_splitter_unitary(spec)
-        self.u_bs = embed_operator(bs, self.dims, (RAIL_DET, RAIL_LOAD))
-
-        phase = np.diag(np.exp(1j * config.phi_off * np.arange(d)))
+        phase = np.diag(np.exp(1j * config.phi_off * np.arange(spec.rail_dim)))
         self.u_offset = embed_operator(phase, self.dims, (RAIL_DET,))
-
-        self.u_pi = embed_operator(np.kron(RY_PI, RY_PI), self.dims, (QUBIT_A, QUBIT_B))
-
-        self.loss = loss_kraus(spec, config.eta_loss)
+        self.loss = (
+            [embed_operator(k, self.dims, (RAIL_DET,)) for k in loss_kraus(spec, config.eta_loss)]
+            if config.eta_loss < 1.0 else []
+        )
+        self.dephasing = _phase_damping_kraus(self.dims, config.t_seq, config.t2e_a, config.t2e_b)
 
     def initial_matrix(self) -> np.ndarray:
-        cfg = self.config
-        ket = np.kron(
-            np.kron(
-                prepared_qubit_ket(cfg.theta_a, cfg.phi_a),
-                prepared_qubit_ket(cfg.theta_b, cfg.phi_b),
-            ),
-            np.kron(basis_ket(self.dims[2], 0), basis_ket(self.dims[3], 0)),
-        )
+        ket = np.kron(_prepared_qubits(self.config), basis_ket(self.dims[2] * self.dims[3], 0))
         return np.outer(ket, ket.conj())
-
-    def _conjugate(self, u: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        return u @ mat @ u.conj().T
 
     def emit_and_detect(self, mat: np.ndarray, first_round: bool):
         """One round: emit, interfere, lose, detect.
 
         Returns the unnormalized (click, no_click) branch matrices.
         """
-        mat = self._conjugate(self.u_emit, mat)
+        mat = apply_kraus_matrix(mat, [self.u_emit])
         if first_round:
-            mat = self._conjugate(self.u_offset, mat)
-        mat = self._conjugate(self.u_bs, mat)
-        if self.config.eta_loss < 1.0:
-            mat = apply_kraus_matrix(mat, self.loss, self.dims, (RAIL_DET,))
+            mat = apply_kraus_matrix(mat, [self.u_offset])
+        mat = apply_kraus_matrix(mat, [self.u_bs])
+        if self.loss:
+            mat = apply_kraus_matrix(mat, self.loss)
         params = self.config.round1 if first_round else self.config.round2
         return branch_matrices(mat, self.dims, RAIL_DET, params)
 
-    def pi_pulses(self, mat: np.ndarray) -> np.ndarray:
-        return self._conjugate(self.u_pi, mat)
 
+def _phase_damping_kraus(dims, duration: float, t2e_a: float, t2e_b: float) -> list:
+    """Embedded Kraus pairs [sqrt(alpha) I, sqrt(1-alpha) Z] for qubits A, B.
 
-def _phase_damping_kraus(duration: float, t2e: float) -> list[np.ndarray]:
-    alpha = 0.5 * (1.0 + np.exp(-duration / t2e))
-    return [
-        np.sqrt(alpha) * np.eye(2, dtype=complex),
-        np.sqrt(1.0 - alpha) * np.diag([1.0, -1.0]).astype(complex),
-    ]
-
-
-def _phase_damping_matrix(
-    mat: np.ndarray, dims, duration: float, t2e_a: float, t2e_b: float
-) -> np.ndarray:
-    """Phase damping of qubits A and B on a bare (unnormalized) matrix."""
+    alpha = (1 + exp(-duration/T2E))/2; an infinite T2E means no dephasing.
+    Apply the two pairs one after the other.
+    """
+    if not (duration >= 0.0 and t2e_a > 0.0 and t2e_b > 0.0):
+        raise ValidationError(f"phase damping needs t >= 0, T2E > 0: {(duration, t2e_a, t2e_b)}")
+    pairs = []
     for qubit, t2e in ((QUBIT_A, t2e_a), (QUBIT_B, t2e_b)):
-        mat = apply_kraus_matrix(mat, _phase_damping_kraus(duration, t2e), dims, (qubit,))
-    return mat
+        alpha = 0.5 * (1.0 + np.exp(-duration / t2e))
+        local = (np.sqrt(alpha) * np.eye(2), np.sqrt(1.0 - alpha) * np.diag([1.0, -1.0]))
+        pairs.append([embed_operator(k, dims, (qubit,)) for k in local])
+    return pairs
 
 
 def apply_phase_damping(
@@ -230,13 +236,12 @@ def apply_phase_damping(
     alpha = (1 + exp(-t/T2E))/2; populations are untouched, two-qubit
     coherences decay with the product of the single-qubit factors.
     """
-    if duration < 0.0:
-        raise ValidationError("duration must be non-negative")
     if len(rho.dims) < 2 or rho.dims[0] != 2 or rho.dims[1] != 2:
         raise ValidationError("state must start with two qubit subsystems")
-    return DensityMatrix(
-        rho.dims, _phase_damping_matrix(rho.matrix, rho.dims, duration, t2e_a, t2e_b)
-    )
+    mat = rho.matrix
+    for pair in _phase_damping_kraus(rho.dims, duration, t2e_a, t2e_b):
+        mat = apply_kraus_matrix(mat, pair)
+    return DensityMatrix(rho.dims, mat)
 
 
 def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
@@ -250,18 +255,16 @@ def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
 
     branches: dict[tuple[bool, bool], Branch] = {}
     for c1, mat1 in ((True, click1), (False, noclick1)):
-        click2, noclick2 = eng.emit_and_detect(eng.pi_pulses(mat1), first_round=False)
+        mat1 = apply_kraus_matrix(mat1, [eng.u_pi])
+        click2, noclick2 = eng.emit_and_detect(mat1, first_round=False)
         for c2, mat2 in ((True, click2), (False, noclick2)):
             p = float(np.trace(mat2).real)
             if p <= 1e-14:
                 branches[(c1, c2)] = Branch(max(p, 0.0), None)
                 continue
-            mat2 = _phase_damping_matrix(
-                mat2, config.dims, config.t_seq, config.t2e_a, config.t2e_b
-            )
-            reduced = qmath.partial_trace_matrix(
-                mat2, config.dims, (QUBIT_A, QUBIT_B)
-            )
+            for pair in eng.dephasing:
+                mat2 = apply_kraus_matrix(mat2, pair)
+            reduced = qmath.partial_trace_matrix(mat2, config.dims, (QUBIT_A, QUBIT_B))
             branches[(c1, c2)] = Branch(p, DensityMatrix((2, 2), reduced / p))
 
     total = sum(b.probability for b in branches.values())
@@ -282,15 +285,9 @@ def round_one_click_weights(config: ProtocolConfig) -> dict[str, float]:
     if p <= 1e-14:
         raise ValidationError("round-1 click probability vanishes")
     reduced = qmath.partial_trace_matrix(click, config.dims, (QUBIT_A, QUBIT_B)) / p
-    kets = {
-        "odd_plus": bell_odd_plus(),
-        "ee": two_qubit_ket("ee"),
-        "gg": two_qubit_ket("gg"),
-        "odd_minus": bell_odd_minus(),
-    }
-    return {
-        name: float(np.real(k.conj() @ reduced @ k)) for name, k in kets.items()
-    }
+    kets = (bell_odd_plus(), two_qubit_ket("ee"), two_qubit_ket("gg"), bell_odd_minus())
+    names = ("odd_plus", "ee", "gg", "odd_minus")
+    return {name: float(np.real(k.conj() @ reduced @ k)) for name, k in zip(names, kets)}
 
 
 def run_control(config: ProtocolConfig) -> DensityMatrix:
@@ -299,12 +296,8 @@ def run_control(config: ProtocolConfig) -> DensityMatrix:
     The qubits see their preparations, the two pi pulses and the full
     sequence of phase damping; the output is always separable.
     """
-    ket = np.kron(
-        prepared_qubit_ket(config.theta_a, config.phi_a),
-        prepared_qubit_ket(config.theta_b, config.phi_b),
-    )
     # one joint pi pulse between the two (photonless) rounds
-    ket = np.kron(RY_PI, RY_PI) @ ket
+    ket = np.kron(RY_PI, RY_PI) @ _prepared_qubits(config)
     rho = DensityMatrix((2, 2), np.outer(ket, ket.conj()))
     return apply_phase_damping(rho, config.t_seq, config.t2e_a, config.t2e_b)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -233,16 +232,16 @@ def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
     return np.ascontiguousarray(full.reshape(d, d))
 
 
-def apply_kraus_matrix(mat: np.ndarray, kraus, dims, targets) -> np.ndarray:
+def apply_kraus_matrix(mat: np.ndarray, ops) -> np.ndarray:
     """Raw sum_k K rho K^dag on a bare matrix; no normalization or checks.
 
-    Serves the photon-loss and qubit-dephasing channels; detector clicks
-    are applied by indexing in `detector.branch_matrices`.
+    `ops` are full-space operators, already embedded by the caller (a
+    unitary is a one-element list); nothing is built here.  Detector
+    clicks are applied by indexing in `detector.branch_matrices`.
     """
     out = np.zeros_like(mat)
-    for k in kraus:
-        full = embed_operator(k, dims, targets)
-        out += full @ mat @ full.conj().T
+    for k in ops:
+        out += k @ mat @ k.conj().T
     return out
 
 
@@ -255,13 +254,14 @@ def apply_channel(rho: DensityMatrix, kraus, targets) -> DensityMatrix:
     comp = sum(k.conj().T @ k for k in kraus)
     if np.max(np.abs(comp - np.eye(comp.shape[0]))) > 1e-10:
         raise ValidationError("Kraus operators are not trace preserving")
-    return DensityMatrix(
-        rho.dims, apply_kraus_matrix(rho.matrix, kraus, rho.dims, targets)
-    )
+    full = [embed_operator(k, rho.dims, targets) for k in kraus]
+    return DensityMatrix(rho.dims, apply_kraus_matrix(rho.matrix, full))
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
     """exp(M) for a square complex matrix (Pade scaling-and-squaring)."""
+    from scipy.linalg import expm  # here, so commands without a splitter never load scipy
+
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("matrix_exponential needs a square matrix")

@@ -391,9 +391,16 @@ def counts_to_json(counts: CountsTable) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _json_object(doc, what: str, *keys: str) -> dict:
+    """`doc`, checked to be a JSON object whose `keys` all hold lists."""
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in keys):
+        raise ValidationError(f"{what} must be a JSON object with list values {list(keys)}")
+    return doc
+
+
 def counts_from_json(text: str) -> CountsTable:
-    doc = json.loads(text)
-    if doc.get("basis") != list(BASIS_ORDER):
+    doc = _json_object(json.loads(text), "counts document", "basis", "settings")
+    if doc["basis"] != list(BASIS_ORDER):
         raise ValidationError(f"counts basis must be {list(BASIS_ORDER)}")
     settings = doc["settings"]
     if len(settings) != 9:
@@ -401,7 +408,7 @@ def counts_from_json(text: str) -> CountsTable:
     counts = np.zeros((9, 4))
     seen = set()
     for entry in settings:
-        axes = tuple(entry["axes"])
+        axes = tuple(_json_object(entry, "each setting", "axes", "counts")["axes"])
         if axes not in SETTING_AXES:
             raise ValidationError(f"unknown setting axes {axes}")
         k = SETTING_AXES.index(axes)
@@ -423,7 +430,7 @@ def assignment_to_json(a: AssignmentMatrix) -> str:
 
 
 def assignment_from_json(text: str) -> AssignmentMatrix:
-    doc = json.loads(text)
-    if doc.get("basis") != list(BASIS_ORDER):
+    doc = _json_object(json.loads(text), "calibration document", "basis", "matrix")
+    if doc["basis"] != list(BASIS_ORDER):
         raise ValidationError(f"assignment basis must be {list(BASIS_ORDER)}")
     return AssignmentMatrix(np.asarray(doc["matrix"], dtype=float))

@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heraldsim
 from heraldsim.cli import main
 from heraldsim.protocol import SWEEPABLE_AXES
 from heraldsim.qmath import DensityMatrix, PAULI_LABELS, bell_odd_plus, pauli_decompose
@@ -410,6 +414,36 @@ class TestTomoCommand:
         cal_path.write_text(json.dumps(doc))
         assert main(["tomo", "--counts", counts, "--cal", str(cal_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "fault",
+        ["counts_without_settings", "counts_as_list", "setting_not_object", "cal_without_matrix"],
+    )
+    def test_malformed_file_exits_2(self, fault, tmp_path, capsys):
+        # valid JSON of the wrong shape is a usage error, not a traceback
+        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        counts = self.make_counts_file(tmp_path, rho, AssignmentMatrix.identity())
+        cal = self.make_cal_file(tmp_path, AssignmentMatrix.identity())
+        path = Path(cal if fault == "cal_without_matrix" else counts)
+        doc = json.loads(path.read_text())
+        if fault == "counts_as_list":
+            doc = [doc]
+        elif fault == "setting_not_object":
+            doc["settings"][4] = 7
+        else:
+            del doc["matrix" if fault == "cal_without_matrix" else "settings"]
+        path.write_text(json.dumps(doc))
+        assert main(["tomo", "--counts", counts, "--cal", cal]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_calibration_path_without_matrix_exits_2(self, tmp_path, capsys):
+        cal = tmp_path / "cal.json"
+        doc = json.loads(assignment_to_json(AssignmentMatrix.identity()))
+        del doc["matrix"]
+        cal.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, {"tomography": {"assignment_path": str(cal)}})
+        assert main(["protocol", "--config", cfg]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_odd_minus_target(self, tmp_path):
         from heraldsim.qmath import bell_odd_minus
 
@@ -425,6 +459,42 @@ class TestTomoCommand:
         )
         assert rc == 0
         assert abs(json.loads(out.read_text())["fidelity"] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each first allocation is larger than the user address space
+        # (128 TiB on x86-64, 256 TiB with 48-bit arm64), so numpy refuses
+        # it before touching memory under any overcommit setting
+        ["protocol", "--shots", str(10**15)],  # 10^15 x 3 float64: 21 PiB
+        ["sweep", "--axis", "phi_a", "--from", "0", "--to", "1",
+         "--points", str(10**15)],  # 10^15 float64: 7.1 PiB
+        ["detector-sim", "--t-total", "1e15"],  # 10^15 + 1 time steps: 7.1 PiB
+    ],
+)
+def test_unallocatable_run_exits_3(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: Unable to allocate") and err.count("\n") == 1
+
+
+def test_detector_sim_runs_without_scipy(tmp_path):
+    # scipy is loaded only to build the beam splitter, which the detector
+    # simulation never needs; a fresh interpreter shows what the CLI imports
+    code = (
+        "import sys, heraldsim.cli as cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "assert cli.main(['detector-sim', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(heraldsim.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "d.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 class TestConfigDir:

@@ -1,6 +1,7 @@
 """Two-round protocol engine: written-state checks, branch bookkeeping,
 oracle equivalences, control runs and sweeps."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from heraldsim.protocol import (
     ProtocolConfig,
     RY_PI,
     _Engine,
+    _unitaries,
     apply_phase_damping,
     click_probabilities,
     prepared_qubit_ket,
@@ -174,6 +176,64 @@ class TestPhaseDamping:
         # closed form (1 + exp(-t(1/Ta + 1/Tb)))/2 = 0.833
         assert np.isclose(got, 0.5 * (1 + np.exp(-t * (1 / ta + 1 / tb))), atol=1e-12)
         assert abs(got - 0.830) < 0.005
+
+
+class TestPhaseDampingInputs:
+    """The one shared Kraus builder checks duration and both T2E values."""
+
+    @pytest.mark.parametrize(
+        "duration, t2e_a, t2e_b",
+        [
+            (2.5, 0.0, 16.0),
+            (2.5, 10.0, 0.0),
+            (2.5, -10.0, 16.0),
+            (2.5, 10.0, -16.0),
+            (-1.0, 10.0, 16.0),
+            (-INF, 10.0, 16.0),
+            (np.nan, 10.0, 16.0),
+            (2.5, np.nan, 16.0),
+            (2.5, 10.0, np.nan),
+        ],
+    )
+    def test_rejected(self, duration, t2e_a, t2e_b):
+        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValidationError, match="phase damping"):
+                apply_phase_damping(rho, duration, t2e_a, t2e_b)
+
+    @pytest.mark.parametrize("t2e", [1e300, INF])
+    def test_infinite_coherence_time_is_no_dephasing(self, t2e):
+        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        out = apply_phase_damping(rho, 2.5, t2e, t2e)
+        assert np.array_equal(out.matrix, apply_phase_damping(rho, 0.0, 10.0, 16.0).matrix)
+        assert np.allclose(out.matrix, rho.matrix, atol=1e-15)
+
+
+class TestOperatorCache:
+    """Unitaries that depend on n_max alone are built once and shared."""
+
+    def test_cached_unitaries_are_read_only(self):
+        for op in _unitaries(2):
+            with pytest.raises(ValueError):
+                op[0, 0] = 2.0
+
+    def test_configs_with_same_n_max_share_arrays(self):
+        a = _Engine(ProtocolConfig(theta_a=0.3, eta_loss=0.5))
+        b = _Engine(measured_config(phi_off=1.1))
+        for name in ("u_emit", "u_bs", "u_pi"):
+            assert getattr(a, name) is getattr(b, name)
+        assert _Engine(ProtocolConfig(n_max=3)).u_bs is not a.u_bs
+
+    def test_alternating_n_max_matches_fresh_runs(self):
+        cfgs = [ProtocolConfig(n_max=n, eta_loss=0.7, theta_a=1.0) for n in (2, 3, 2)]
+        first = [run_two_rounds(c) for c in cfgs]
+        for cfg, old in zip(cfgs, first):
+            _unitaries.cache_clear()
+            fresh = run_two_rounds(cfg)
+            for key, branch in fresh.branches.items():
+                assert branch.probability == old.branches[key].probability
+                assert np.array_equal(branch.state.matrix, old.branches[key].state.matrix)
 
 
 def brute_force_click_click(config):

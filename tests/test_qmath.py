@@ -9,6 +9,8 @@ from heraldsim.qmath import (
     DensityMatrix,
     PauliVector,
     ValidationError,
+    apply_channel,
+    apply_kraus_matrix,
     basis_ket,
     bell_odd_plus,
     concurrence,
@@ -142,6 +144,23 @@ class TestApplyUnitary:
         )[0]
         out = DensityMatrix(rho.dims, conjugate(embed_operator(u, rho.dims, (1,)), rho))
         assert np.isclose(out.purity(), rho.purity(), atol=1e-11)
+
+
+class TestKrausKernel:
+    """`apply_kraus_matrix` takes full-space operators; `apply_channel` embeds."""
+
+    def test_one_element_list_is_unitary_conjugation(self):
+        rho = random_density((2, 3), 10)
+        u = embed_operator(np.kron(PAULI_X, np.eye(3)), rho.dims, (0, 1))
+        assert np.array_equal(apply_kraus_matrix(rho.matrix, [u]), conjugate(u, rho))
+
+    def test_channel_matches_kernel_on_embedded_operators(self):
+        rho = random_density((2, 3), 11)
+        p = 0.3
+        local = [np.sqrt(1 - p) * np.eye(3), np.sqrt(p) * np.diag([1.0, -1.0, 1.0])]
+        full = [embed_operator(k, rho.dims, (1,)) for k in local]
+        out = apply_channel(rho, local, targets=(1,))
+        assert np.array_equal(out.matrix, apply_kraus_matrix(rho.matrix, full))
 
 
 class TestMatrixExponential:
