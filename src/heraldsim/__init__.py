@@ -11,8 +11,8 @@ Carlo, plus a time-domain cascaded-cavity simulation of the detector
 itself.
 """
 
-from .detector import DetectorRoundParams, dark_count_fidelity, detector_measure
-from .photonics import FockSpaceSpec, beam_splitter_unitary, loss_channel
+from .detector import DetectorRoundParams, dark_count_fidelity
+from .photonics import beam_splitter_unitary
 from .protocol import (
     OutcomeTable,
     ProtocolConfig,
@@ -31,15 +31,12 @@ __all__ = [
     "DensityMatrix",
     "PauliVector",
     "DetectorRoundParams",
-    "FockSpaceSpec",
     "OutcomeTable",
     "ProtocolConfig",
     "apply_phase_damping",
     "beam_splitter_unitary",
     "concurrence",
     "dark_count_fidelity",
-    "detector_measure",
-    "loss_channel",
     "pauli_decompose",
     "round_one_click_weights",
     "run_control",

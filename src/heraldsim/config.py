@@ -29,12 +29,11 @@ from math import isfinite
 from operator import attrgetter
 from pathlib import Path
 
-import numpy as np
-
 from .protocol import ProtocolConfig
 from .tomography import (
     AssignmentMatrix,
     assignment_from_json,
+    json_numbers,
     reference_assignment,
 )
 
@@ -54,9 +53,10 @@ def check_shots(shots, name: str) -> None:
 
 
 def check_seed(seed, name: str) -> None:
-    """Seeds are non-negative integers, in a config file or on the CLI."""
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"{name} must be a non-negative integer")
+    """Seeds are integers in [0, 2**128), the Philox key range, in a config
+    file or on the CLI."""
+    if not _is_int(seed) or not 0 <= seed < 2**128:
+        raise ConfigError(f"{name} must be a non-negative integer below 2**128")
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         raise ConfigError(f"give either {_ASSIGNMENT} or {_ASSIGNMENT_PATH}")
     try:
         if _ASSIGNMENT in flat:
-            assignment = AssignmentMatrix(np.asarray(flat[_ASSIGNMENT], dtype=float))
+            assignment = AssignmentMatrix(json_numbers(flat[_ASSIGNMENT], "values"))
         elif _ASSIGNMENT_PATH in flat:
             assignment = assignment_from_json(Path(flat[_ASSIGNMENT_PATH]).read_text())
         else:

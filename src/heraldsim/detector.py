@@ -21,7 +21,7 @@ from math import erf, sqrt
 
 import numpy as np
 
-from .qmath import DensityMatrix, ValidationError
+from .qmath import ValidationError
 
 
 @dataclass(frozen=True)
@@ -36,18 +36,6 @@ class DetectorRoundParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name}={v} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One branch of a detector measurement.
-
-    post_state is None for a zero-probability branch (undefined, not NaN).
-    """
-
-    label: str
-    probability: float
-    post_state: DensityMatrix | None
 
 
 def branch_matrices(
@@ -73,27 +61,6 @@ def branch_matrices(
                 out[:, 0, :, :, 0, :] += w * blocks[:, k, :, :, k, :]
         branches.append(out.reshape(mat.shape))
     return branches[0], branches[1]
-
-
-def detector_measure(
-    rho: DensityMatrix, rail: int, params: DetectorRoundParams
-) -> tuple[MeasurementOutcome, MeasurementOutcome]:
-    """Measure one rail; returns the (click, no_click) branches.
-
-    Branch probabilities sum to one within 1e-10 for any valid input, and
-    the measured rail ends in vacuum in both branches.
-    """
-    if rail < 0 or rail >= len(rho.dims):
-        raise ValidationError(f"rail index {rail} out of range for {rho.dims}")
-    if rho.dims[rail] < 3:
-        raise ValidationError("detector rail must have dimension >= 3")
-    branches = branch_matrices(rho.matrix, rho.dims, rail, params)
-    outcomes = []
-    for label, mat in zip(("click", "no_click"), branches):
-        p = float(np.trace(mat).real)
-        state = DensityMatrix(rho.dims, mat / p) if p > 1e-14 else None
-        outcomes.append(MeasurementOutcome(label, max(p, 0.0), state))
-    return outcomes[0], outcomes[1]
 
 
 def dark_count_fidelity(

@@ -2,7 +2,8 @@
 
 The two flying channels are truncated harmonic oscillators with n_max
 photons each (n_max >= 2: the doubly-excited qubit branch interferes into
-a two-photon state, so at least |2> must exist).
+a two-photon state, so at least |2> must exist; `ProtocolConfig` checks
+it).  Every builder here takes the rail dimension d = n_max + 1.
 
 Port/phase convention, pinned once and tested: the 50/50 beam splitter is
 the exponential of -(3*pi/4) * (a^dag b - a b^dag) on the truncated space.
@@ -22,27 +23,11 @@ the protocol produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .qmath import DensityMatrix, ValidationError, apply_channel, matrix_exponential
-
-
-@dataclass(frozen=True)
-class FockSpaceSpec:
-    """Truncation of the two flying-photon rails."""
-
-    n_max: int = 2
-
-    def __post_init__(self):
-        if self.n_max < 2:
-            raise ValidationError("n_max must be >= 2")
-
-    @property
-    def rail_dim(self) -> int:
-        return self.n_max + 1
+from .qmath import ValidationError, matrix_exponential
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -53,13 +38,12 @@ def annihilation(dim: int) -> np.ndarray:
     return a
 
 
-def beam_splitter_unitary(spec: FockSpaceSpec) -> np.ndarray:
+def beam_splitter_unitary(d: int) -> np.ndarray:
     """50/50 beam splitter on the two-rail space, exp(-3pi/4 (a^dag b - a b^dag)).
 
     Unitary on the whole truncated space and block diagonal in total photon
     number; see module docstring for the pinned port mapping.
     """
-    d = spec.rail_dim
     a = annihilation(d)
     eye = np.eye(d, dtype=complex)
     gen = np.kron(a.conj().T, eye) @ np.kron(eye, a) - np.kron(a, eye) @ np.kron(
@@ -68,7 +52,7 @@ def beam_splitter_unitary(spec: FockSpaceSpec) -> np.ndarray:
     return matrix_exponential(-3.0 * np.pi / 4.0 * gen)
 
 
-def emission_unitary(spec: FockSpaceSpec) -> np.ndarray:
+def emission_unitary(d: int) -> np.ndarray:
     """Qubit-conditioned photon emission on (qubit x rail).
 
     Acts as |g,n> -> |g,n> and, for the excited qubit, swaps the rail's
@@ -79,7 +63,6 @@ def emission_unitary(spec: FockSpaceSpec) -> np.ndarray:
     the load rail; the closed-form dark-count fidelity check pins this
     convention.
     """
-    d = spec.rail_dim
     swap01 = np.eye(d, dtype=complex)
     swap01[0, 0] = swap01[1, 1] = 0.0
     swap01[0, 1] = swap01[1, 0] = 1.0
@@ -89,14 +72,13 @@ def emission_unitary(spec: FockSpaceSpec) -> np.ndarray:
     return u
 
 
-def loss_kraus(spec: FockSpaceSpec, eta: float) -> list[np.ndarray]:
+def loss_kraus(d: int, eta: float) -> list[np.ndarray]:
     """Kraus operators of the pure-loss channel with transmissivity eta.
 
     K_k = sum_n sqrt(C(n,k)) sqrt(eta^(n-k) (1-eta)^k) |n-k><n|.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must lie in [0, 1]")
-    d = spec.rail_dim
     ops = []
     for k in range(d):
         m = np.zeros((d, d), dtype=complex)
@@ -105,15 +87,3 @@ def loss_kraus(spec: FockSpaceSpec, eta: float) -> list[np.ndarray]:
         ops.append(m)
     return ops
 
-
-def loss_channel(rho: DensityMatrix, rail: int, eta: float) -> DensityMatrix:
-    """Photon loss with transmissivity eta on the subsystem index `rail`.
-
-    eta = 1 is the identity, eta = 0 empties the rail; mean photon number
-    of number-diagonal states scales by exactly eta.
-    """
-    if rail < 0 or rail >= len(rho.dims):
-        raise ValidationError(f"rail index {rail} out of range for {rho.dims}")
-    d = rho.dims[rail]
-    spec = FockSpaceSpec(n_max=d - 1)
-    return apply_channel(rho, loss_kraus(spec, eta), targets=(rail,))

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import qmath
 from .detector import DetectorRoundParams, branch_matrices
-from .photonics import FockSpaceSpec, beam_splitter_unitary, emission_unitary, loss_kraus
+from .photonics import beam_splitter_unitary, emission_unitary, loss_kraus
 from .qmath import (
     DensityMatrix,
     PauliVector,
@@ -156,13 +156,13 @@ def _prepared_qubits(config: ProtocolConfig) -> np.ndarray:
 def _unitaries(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full-space emission, splitter and pi-pulse unitaries, read-only and
     embedded once per process: they depend on `n_max` alone."""
-    spec = FockSpaceSpec(n_max=n_max)
-    dims = (2, 2, spec.rail_dim, spec.rail_dim)
-    emit = emission_unitary(spec)
+    d = n_max + 1
+    dims = (2, 2, d, d)
+    emit = emission_unitary(d)
     ops = (
         embed_operator(emit, dims, (QUBIT_A, RAIL_LOAD))
         @ embed_operator(emit, dims, (QUBIT_B, RAIL_DET)),
-        embed_operator(beam_splitter_unitary(spec), dims, (RAIL_DET, RAIL_LOAD)),
+        embed_operator(beam_splitter_unitary(d), dims, (RAIL_DET, RAIL_LOAD)),
         embed_operator(np.kron(RY_PI, RY_PI), dims, (QUBIT_A, QUBIT_B)),
     )
     for op in ops:
@@ -183,11 +183,11 @@ class _Engine:
         self.config = config
         self.dims = config.dims
         self.u_emit, self.u_bs, self.u_pi = _unitaries(config.n_max)
-        spec = FockSpaceSpec(n_max=config.n_max)
-        phase = np.diag(np.exp(1j * config.phi_off * np.arange(spec.rail_dim)))
+        d = self.dims[RAIL_DET]
+        phase = np.diag(np.exp(1j * config.phi_off * np.arange(d)))
         self.u_offset = embed_operator(phase, self.dims, (RAIL_DET,))
         self.loss = (
-            [embed_operator(k, self.dims, (RAIL_DET,)) for k in loss_kraus(spec, config.eta_loss)]
+            [embed_operator(k, self.dims, (RAIL_DET,)) for k in loss_kraus(d, config.eta_loss)]
             if config.eta_loss < 1.0 else []
         )
         self.dephasing = _phase_damping_kraus(self.dims, config.t_seq, config.t2e_a, config.t2e_b)

@@ -105,13 +105,6 @@ class DensityMatrix:
             dims = (v.size,)
         return cls(tuple(dims), np.outer(v, v.conj()))
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    def expectation(self, op: np.ndarray) -> float:
-        """Real expectation value Tr(rho O) of a Hermitian operator."""
-        return float(np.trace(op @ self.matrix).real)
-
 
 @dataclass(frozen=True)
 class PauliVector:
@@ -243,19 +236,6 @@ def apply_kraus_matrix(mat: np.ndarray, ops) -> np.ndarray:
     for k in ops:
         out += k @ mat @ k.conj().T
     return out
-
-
-def apply_channel(rho: DensityMatrix, kraus, targets) -> DensityMatrix:
-    """Apply a CPTP map given by Kraus operators on `targets`.
-
-    Completeness sum_k K^dag K = 1 is checked to 1e-10.
-    """
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
-    comp = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(comp - np.eye(comp.shape[0]))) > 1e-10:
-        raise ValidationError("Kraus operators are not trace preserving")
-    full = [embed_operator(k, rho.dims, targets) for k in kraus]
-    return DensityMatrix(rho.dims, apply_kraus_matrix(rho.matrix, full))
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:

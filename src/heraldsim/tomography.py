@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -134,8 +135,8 @@ class CountsTable:
         c = np.asarray(self.counts, dtype=float)
         if c.shape != (9, 4):
             raise ValidationError("counts must be 9 settings x 4 outcomes")
-        if np.any(c < 0):
-            raise ValidationError("counts must be non-negative")
+        if not np.all(np.isfinite(c) & (c >= 0)):
+            raise ValidationError("counts must be finite and non-negative")
         if self.shots_per_setting is not None and np.ndim(self.shots_per_setting) != 0:
             totals = np.array(self.shots_per_setting, dtype=float)
             if totals.shape != (9,):
@@ -145,8 +146,8 @@ class CountsTable:
         target = self.setting_totals()
         if target is None:
             target = np.ones(9)
-        elif np.any(target <= 0):
-            raise ValidationError("shot totals must be positive")
+        elif not np.all(np.isfinite(target) & (target > 0)):
+            raise ValidationError("shot totals must be positive and finite")
         if np.any(np.abs(c.sum(axis=1) - target) > 1e-6 * np.maximum(target, 1.0)):
             raise ValidationError("each setting's counts must sum to the shot budget")
         c = c.copy()
@@ -391,6 +392,18 @@ def counts_to_json(counts: CountsTable) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def json_numbers(value, what: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array; a bool, str,
+    object, null or non-finite entry (NaN, Infinity, 1e999, 10**400) is rejected."""
+    def number(x):
+        if isinstance(x, list):
+            return [number(v) for v in x]
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= float_info.max:
+            raise ValidationError(f"{what} must be finite JSON numbers, got {x!r}")
+        return x
+    return np.asarray(number(value), dtype=float)
+
+
 def _json_object(doc, what: str, *keys: str) -> dict:
     """`doc`, checked to be a JSON object whose `keys` all hold lists."""
     if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in keys):
@@ -415,8 +428,11 @@ def counts_from_json(text: str) -> CountsTable:
         if k in seen:
             raise ValidationError(f"duplicate setting {axes}")
         seen.add(k)
-        counts[k] = np.asarray(entry["counts"], dtype=float)
-    return CountsTable(counts, doc.get("shots_per_setting"))
+        counts[k] = json_numbers(entry["counts"], "counts")
+    totals = doc.get("shots_per_setting")
+    if totals is not None:
+        json_numbers(totals, "shots_per_setting")
+    return CountsTable(counts, totals)
 
 
 def assignment_to_json(a: AssignmentMatrix) -> str:
@@ -433,4 +449,4 @@ def assignment_from_json(text: str) -> AssignmentMatrix:
     doc = _json_object(json.loads(text), "calibration document", "basis", "matrix")
     if doc["basis"] != list(BASIS_ORDER):
         raise ValidationError(f"assignment basis must be {list(BASIS_ORDER)}")
-    return AssignmentMatrix(np.asarray(doc["matrix"], dtype=float))
+    return AssignmentMatrix(json_numbers(doc["matrix"], "matrix"))

@@ -27,7 +27,7 @@ from heraldsim.lindblad import (
     parameter_robustness,
     pulse_sweep,
 )
-from heraldsim.photonics import FockSpaceSpec, beam_splitter_unitary
+from heraldsim.photonics import beam_splitter_unitary
 from heraldsim.protocol import (
     ProtocolConfig,
     apply_phase_damping,
@@ -160,8 +160,7 @@ def test_c06_success_rate():
 
 
 def test_c07_two_photon_interference():
-    spec = FockSpaceSpec()
-    u = beam_splitter_unitary(spec)
+    u = beam_splitter_unitary(3)
 
     def rail(n, m):
         return np.kron(basis_ket(3, n), basis_ket(3, m))

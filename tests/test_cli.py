@@ -20,6 +20,7 @@ from heraldsim.cli import main
 from heraldsim.protocol import SWEEPABLE_AXES
 from heraldsim.qmath import DensityMatrix, PAULI_LABELS, bell_odd_plus, pauli_decompose
 from heraldsim.tomography import (
+    SETTING_AXES,
     AssignmentMatrix,
     TomographySettings,
     assignment_to_json,
@@ -92,6 +93,29 @@ class TestProtocolCommand:
         assert main(["protocol", "--seed", "-1", "--shots", "10"]) == 2
         assert "--seed must be a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via", ["--seed", "sampling.seed"])
+    def test_seed_beyond_philox_key_range_exits_2(self, via, tmp_path, capsys):
+        # Philox keys are 128-bit: 2**128 has no stream, 2**128 - 1 does
+        argv = ["protocol", "--shots", "10", "--out", str(tmp_path / "out.json")]
+        for seed, rc in ((2**128, 2), (2**128 - 1, 0)):
+            if via == "--seed":
+                extra = ["--seed", str(seed)]
+            else:
+                extra = ["--config", write_config(tmp_path, {"sampling": {"seed": seed}})]
+            assert main(argv + extra) == rc
+        assert f"{via} must be a non-negative integer below 2**128" in capsys.readouterr().err
+
+    def test_loss_analytic_digest(self, tmp_path):
+        # SHA-256 of the analytic output with photon loss (numpy 2.4.6): pins
+        # the bytes of the loss route through the engine
+        out = tmp_path / "loss.json"
+        cfg = write_config(tmp_path, {"loss": {"eta": 0.8}})
+        args = ["protocol", "--analytic", "--control", "--config", cfg]
+        assert main(args + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "cab4c4b542c738ede7b20c901ce99f1269cdb53e02268ae07d8ae5009351d38a"
+        )
+
     @pytest.mark.parametrize("shots", ["-5", "0"])
     def test_non_positive_shots_exit_2(self, shots, capsys):
         assert main(["protocol", "--shots", shots]) == 2
@@ -137,6 +161,15 @@ class TestProtocolCommand:
 
 
 class TestSweepCommand:
+    def test_eta_loss_sweep_digest(self, tmp_path):
+        # SHA-256 of a 25-point loss sweep (numpy 2.4.6)
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--axis", "eta_loss", "--from", "0.05", "--to", "1", "--points", "25"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c029ee7888166bdac09fd3c52f5f114ab851c742ec1f38cdda970ae844d3afec"
+        )
+
     def test_phase_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main(
@@ -363,6 +396,27 @@ class TestDetectorSimCommand:
         assert exc.value.code == 2
 
 
+# Odd-Bell-like joint-readout counts, 100 shots per setting, SETTING_AXES order.
+LITERAL_COUNTS = [
+    [4, 45, 47, 4], [26, 24, 23, 27], [24, 25, 27, 24],
+    [25, 26, 24, 25], [44, 6, 5, 45], [23, 27, 26, 24],
+    [26, 25, 25, 24], [27, 23, 24, 26], [45, 5, 4, 46],
+]
+
+
+def literal_counts_doc(scale=1):
+    """LITERAL_COUNTS as a counts document; scale 0.01 turns rows into probabilities."""
+    return {
+        "schema_version": 1,
+        "basis": ["GG", "GE", "EG", "EE"],
+        "shots_per_setting": 100 * scale,
+        "settings": [
+            {"axes": list(axes), "counts": [c * scale for c in row]}
+            for axes, row in zip(SETTING_AXES, LITERAL_COUNTS)
+        ],
+    }
+
+
 class TestTomoCommand:
     def make_counts_file(self, tmp_path, rho, assignment, shots=None, seed=0):
         settings = None if shots is None else TomographySettings(shots)
@@ -434,6 +488,57 @@ class TestTomoCommand:
         path.write_text(json.dumps(doc))
         assert main(["tomo", "--counts", counts, "--cal", cal]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_literal_counts_digest(self, tmp_path):
+        # SHA-256 of the corrected tomography of fixed integer counts (numpy 2.4.6)
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps(literal_counts_doc()))
+        cal = self.make_cal_file(tmp_path, reference_assignment())
+        out = tmp_path / "tomo.json"
+        assert main(["tomo", "--counts", str(counts), "--cal", cal, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "28cfb1aa129312cacb6ba08456b5a944fdac82b4b04243afbe87b880424ca323"
+        )
+
+    IDENTITY_ROWS = "[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+
+    @pytest.mark.parametrize(
+        "file, key, raw, scale",
+        [
+            ("counts", "counts", "[{}, 1, 2, 97]", 1),
+            ("counts", "counts", "[null, 1, 2, 97]", 1),
+            ("counts", "counts", '["25", 25, 25, 25]', 1),
+            ("counts", "counts", "[true, 1, 2, 96]", 1),
+            ("counts", "counts", "[NaN, 1, 2, 97]", 1),
+            ("counts", "shots_per_setting", "Infinity", 1),
+            ("counts", "shots_per_setting", "1e999", 1),
+            ("counts", "shots_per_setting", "NaN", 1),
+            ("counts", "shots_per_setting", '"100"', 1),
+            ("counts", "shots_per_setting", "true", 0.01),
+            ("counts", "shots_per_setting", "[100, 100, 100, 100, 100, 100, 100, 100, {}]", 1),
+            ("calibration", "matrix", "[[{}, 0, 0, 0], " + IDENTITY_ROWS, 1),
+            ("calibration", "matrix", '[["1", 0, 0, 0], ' + IDENTITY_ROWS, 1),
+            ("calibration", "matrix", "[[true, 0, 0, 0], " + IDENTITY_ROWS, 1),
+            ("calibration", "matrix", "[[NaN, 0, 0, 0], " + IDENTITY_ROWS, 1),
+        ],
+    )
+    def test_non_number_entry_exits_2(self, file, key, raw, scale, tmp_path, capsys):
+        # every counts and matrix entry is a finite JSON number
+        counts_doc = literal_counts_doc(scale)
+        cal_doc = json.loads(assignment_to_json(AssignmentMatrix.identity()))
+        doc = counts_doc if file == "counts" else cal_doc
+        if key == "counts":
+            counts_doc["settings"][0]["counts"] = "@FAULT@"
+        else:
+            doc[key] = "@FAULT@"
+        paths = {"counts": tmp_path / "counts.json", "calibration": tmp_path / "cal.json"}
+        paths["counts"].write_text(json.dumps(counts_doc))
+        paths["calibration"].write_text(json.dumps(cal_doc))
+        paths[file].write_text(paths[file].read_text().replace('"@FAULT@"', raw))
+        argv = ["tomo", "--counts", str(paths["counts"]), "--cal", str(paths["calibration"])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {file} file: ") and err.count("\n") == 1
 
     def test_calibration_path_without_matrix_exits_2(self, tmp_path, capsys):
         cal = tmp_path / "cal.json"

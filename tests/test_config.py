@@ -148,6 +148,8 @@ class TestRejectedKeys:
             {"assignment": [[1.0, 0.0], [0.0, 1.0]]},
             {"assignment_path": "missing.json"},
             {"assignment": np.eye(4).tolist(), "assignment_path": "missing.json"},
+            {"assignment": [["1", 0, 0, 0], [0, True, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+            {"assignment": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, None]]},
         ],
     )
     def test_bad_assignment_exits_2(self, tomography, tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from heraldsim.detector import DetectorRoundParams, dark_count_fidelity
-from heraldsim.photonics import FockSpaceSpec, beam_splitter_unitary, emission_unitary
+from heraldsim.photonics import beam_splitter_unitary, emission_unitary
 from heraldsim.protocol import (
     ProtocolConfig,
     RY_PI,
@@ -245,12 +245,11 @@ def brute_force_click_click(config):
     density matrix) by summing the - mutually orthogonal by construction -
     Kraus-path outputs.
     """
-    spec = FockSpaceSpec(n_max=config.n_max)
     dims = (2, 2, 3, 3)
-    emit = embed_operator(emission_unitary(spec), dims, (1, 2)) @ embed_operator(
-        emission_unitary(spec), dims, (0, 3)
+    emit = embed_operator(emission_unitary(3), dims, (1, 2)) @ embed_operator(
+        emission_unitary(3), dims, (0, 3)
     )
-    bs = embed_operator(beam_splitter_unitary(spec), dims, (2, 3))
+    bs = embed_operator(beam_splitter_unitary(3), dims, (2, 3))
     phase = np.diag(np.exp(1j * config.phi_off * np.arange(3)))
     offset = embed_operator(phase, dims, (2,))
     pi2 = embed_operator(np.kron(RY_PI, RY_PI), dims, (0, 1))

@@ -245,6 +245,18 @@ class TestPerSettingTotals:
         with pytest.raises(ValidationError):
             CountsTable(np.zeros((9, 4)), np.zeros(9))
 
+    @pytest.mark.parametrize("totals", [np.inf, np.nan, [100.0] * 8 + [np.inf]])
+    def test_non_finite_totals_rejected(self, totals):
+        # inf > inf is false, so the sum check alone lets an infinite budget through
+        with pytest.raises(ValidationError, match="finite"):
+            CountsTable(np.full((9, 4), 25.0), totals)
+
+    def test_non_finite_counts_rejected(self):
+        counts = np.full((9, 4), 25.0)
+        counts[3, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            CountsTable(counts, 100)
+
     def test_json_round_trip(self):
         counts, totals = self.unequal_counts()
         table = CountsTable(counts, totals)
