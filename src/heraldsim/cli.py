@@ -10,8 +10,10 @@ Environment: HERALDSIM_CONFIG_DIR supplies the directory for bare
 
 Every value a command will use is checked before any computation: a
 config value or sweep point that `ProtocolConfig` rejects, a non-finite
-detector pulse start or sweep bound, or a pulse that ends by the photon
-release at t = 0, is a usage error (2).
+detector pulse start or sweep bound, a pulse that ends by the photon
+release at t = 0, or a flag the chosen mode would ignore (`--shots-out`
+without `--shots`, `detector-sim --from/--to/--points` without `--sweep`,
+`--traces-out` with it), is a usage error (2).
 `detector-sim` runs its sweep points as one batched integration.
 """
 
@@ -249,11 +251,19 @@ def _check_t_total(t_total: float, pulse_end: float) -> None:
 
 
 def cmd_detector_sim(args) -> int:
+    # a flag the chosen mode would ignore is a usage error, not a no-op
+    if args.sweep is None:
+        range_flags = {"--from": args.start, "--to": args.stop, "--points": args.points}
+        for flag, value in range_flags.items():
+            if value is not None:
+                raise ConfigError(f"{flag} needs --sweep")
+    elif args.traces_out:
+        raise ConfigError("--traces-out writes one run's traces; it cannot be used with --sweep")
     params = _detector_params(args)
     pulse_end = params.pulse.start_time + params.pulse.total_length
 
     if args.sweep is not None:
-        if args.points < 2:
+        if args.points is None or args.points < 2:
             raise ConfigError("--points must be at least 2 for a sweep")
         values = _sweep_values(args.start, args.stop, args.points)
         if args.sweep == "delay":
@@ -358,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=("detuning", "delay"))
     p.add_argument("--from", dest="start", type=float)
     p.add_argument("--to", dest="stop", type=float)
-    p.add_argument("--points", type=int, default=0)
+    p.add_argument("--points", type=int)
     p.add_argument("--pulse-start", type=float, help="override pulse start time (ns)")
     p.add_argument("--t-total", type=float, default=1500.0)
     p.add_argument("--traces-out", help="write the time-trace CSV here")

@@ -34,7 +34,7 @@ from math import atan, isfinite, pi, sqrt
 
 import numpy as np
 
-from .qmath import ValidationError, basis_ket, embed_operator
+from .qmath import ValidationError, basis_ket, embed_operator, partial_trace_matrix
 from .photonics import annihilation
 
 MHZ_TO_RAD_NS = 2.0e-3 * np.pi  # omega [rad/ns] = 2 pi f[MHz] 1e-3
@@ -53,6 +53,12 @@ class IntegrationError(RuntimeError):
     """The integrator left its tolerance budget; message carries the estimate."""
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GaussianPulse:
     """Truncated, offset-subtracted Gaussian drive envelope.
@@ -69,12 +75,13 @@ class GaussianPulse:
     start_time: float = 0.0        # ns
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValidationError("pulse sigma must be positive")
         if self.total_length is None:
             object.__setattr__(self, "total_length", 4.0 * self.sigma)
-        if self.total_length <= 0.0:
-            raise ValidationError("pulse length must be positive")
+        amplitude = 0.0 if self.amplitude is None else self.amplitude
+        _require_finite(sigma=self.sigma, total_length=self.total_length,
+                        amplitude=amplitude, start_time=self.start_time)
+        if self.sigma <= 0.0 or self.total_length <= 0.0:
+            raise ValidationError("pulse sigma and length must be positive")
 
     def unit_envelope(self, t: np.ndarray) -> np.ndarray:
         """Envelope with unit peak on an arbitrary time grid."""
@@ -122,6 +129,8 @@ class CascadedSystemParams:
     detuning: float = -3.0
 
     def __post_init__(self):
+        _require_finite(kappa_a=self.kappa_a, kappa_d=self.kappa_d,
+                        chi_d=self.chi_d, detuning=self.detuning)
         if self.kappa_a < 0.0 or self.kappa_d <= 0.0:
             raise ValidationError("cavity rates must be positive (kappa_a may be 0)")
         if self.emitter_dim < 3:
@@ -173,10 +182,7 @@ class _CascadeOperators:
         h_disp = -chi * pe @ (d.conj().T @ d)
         self.h0 = h_casc + h_disp
         self.hp = sp
-        self.hm = sp.conj().T
         self.c_op = sqrt(ka) * a + sqrt(kd) * d
-        self.c_dag = self.c_op.conj().T
-        self.cdc = self.c_dag @ self.c_op
 
         guard = np.zeros(params.detector_cavity_dim)
         guard[-1] = 1.0
@@ -186,24 +192,29 @@ class _CascadeOperators:
             [np.diagonal(op).real for op in (a.conj().T @ a, d.conj().T @ d, pe, guard_op)]
         )
 
-    def initial_state(self, emitter_fock: int) -> np.ndarray:
-        ket = np.kron(
-            np.kron(basis_ket(self.dims[0], emitter_fock), basis_ket(2, 0)),
-            basis_ket(self.dims[2], 0),
-        )
-        return np.outer(ket, ket.conj())
+    def initial_state(self, emitter_fock: int, detector=None) -> np.ndarray:
+        """|n><n| on the emitter times `detector`, by default |g, 0><g, 0|."""
+        ket = basis_ket(self.dims[0], emitter_fock)
+        if detector is None:
+            ground = np.kron(basis_ket(2, 0), basis_ket(self.dims[2], 0))
+            detector = np.outer(ground, ground.conj())
+        return np.kron(np.outer(ket, ket.conj()), detector)
 
 
-def _propagate(rho0, h0, hp, hm, c_op, c_dag, cdc, coeffs, dt, obs):
+def _propagate(rho0, h0, hp, c_op, coeffs, dt, obs):
     """Classical RK4 over a stack of B independent systems.
 
-    rho0, h0, hp, hm, c_op, c_dag and cdc are (B, n, n); coeffs is
-    (B, 2*n_steps + 1), each system's drive coefficient c on the half-step
-    grid, with H = h0 + c hp + c* hm.  obs holds the diagonals (n_obs, n)
-    of diagonal observables.  Returns the (B, n_obs, n_steps + 1) real
-    expectation traces and the (B, n, n) final states.  Each slice gets the
-    same arithmetic in the same order as a stack of one.
+    rho0, h0, hp and c_op are (B, n, n); coeffs is (B, 2*n_steps + 1), each
+    system's drive coefficient c on the half-step grid, with
+    H = h0 + c hp + c* hp^dag and the single collapse operator c_op.  obs
+    holds the diagonals (n_obs, n) of diagonal observables.  Returns the
+    (B, n_obs, n_steps + 1) real expectation traces and the (B, n, n) final
+    states.  Each slice gets the same arithmetic in the same order as a
+    stack of one.
     """
+    hm = np.ascontiguousarray(np.conj(hp).transpose(0, 2, 1))
+    c_dag = np.ascontiguousarray(np.conj(c_op).transpose(0, 2, 1))
+    cdc = c_dag @ c_op
     n_steps = (coeffs.shape[1] - 1) // 2
     c = coeffs.T[:, :, None, None]
     c_conj = np.conj(c)
@@ -251,20 +262,15 @@ def _drive_coefficients(params: CascadedSystemParams, times, dt) -> np.ndarray:
 
 def _integrate(members, times, dt):
     """One kernel call over a shared window for (ops, params, rho0) members."""
-    def stack(name):
-        return np.stack([getattr(ops, name) for ops, _, _ in members])
-
+    ops, params, rho0 = zip(*members)
     return _propagate(
-        np.stack([rho0 for _, _, rho0 in members]),
-        stack("h0"),
-        stack("hp"),
-        stack("hm"),
-        stack("c_op"),
-        stack("c_dag"),
-        stack("cdc"),
-        np.stack([_drive_coefficients(params, times, dt) for _, params, _ in members]),
+        np.stack(rho0),
+        np.stack([o.h0 for o in ops]),
+        np.stack([o.hp for o in ops]),
+        np.stack([o.c_op for o in ops]),
+        np.stack([_drive_coefficients(p, times, dt) for p in params]),
         float(dt),
-        members[0][0].obs,
+        ops[0].obs,
     )
 
 
@@ -316,7 +322,8 @@ def _simulate(systems, t_total: float, dt: float) -> list[TimeTraces]:
                     break
                 # swap in the freshly released Fock state; the emitter factor is
                 # untouched vacuum up to here, so this is a tensor replacement
-                rho_start = _replace_emitter(rho_mid[0], ops.dims, fock)
+                detector = partial_trace_matrix(rho_mid[0], ops.dims, (1, 2))
+                rho_start = ops.initial_state(fock, detector)
                 prerolls.append((times_pre[:-1], out_pre[0][:, :-1]))
             else:
                 rho_start = ops.initial_state(fock)
@@ -369,16 +376,6 @@ def cascaded_simulate(
     return _simulate([(params, initial_fock)], t_total, dt)[0]
 
 
-def _replace_emitter(rho: np.ndarray, dims, fock: int) -> np.ndarray:
-    d_em = dims[0]
-    d_rest = dims[1] * dims[2]
-    rho_rest = np.einsum(
-        "iajb->ab", rho.reshape(d_em, d_rest, d_em, d_rest)
-    )
-    ket = basis_ket(d_em, fock)
-    return np.kron(np.outer(ket, ket.conj()), rho_rest)
-
-
 @dataclass(frozen=True)
 class RobustnessReport:
     baseline_efficiency: float
@@ -399,42 +396,25 @@ def parameter_robustness(
     value) and the pulse timing (shift by +/-variation of the pulse
     length).  Reports the worst relative efficiency change.
     """
-    if variation < 0.0:
-        raise ValidationError("variation must be non-negative")
+    if not (variation >= 0.0 and isfinite(variation)):
+        raise ValidationError(f"variation must be non-negative and finite, got {variation!r}")
     base_pulse = replace(params.pulse, amplitude=None)
     frozen_amp = base_pulse.peak_rate_rad_ns() / MHZ_TO_RAD_NS
     baseline_params = replace(params, pulse=replace(base_pulse, amplitude=frozen_amp))
+    pulse = baseline_params.pulse
+    length = pulse.total_length
+
+    def with_pulse(**changes):
+        return replace(baseline_params, pulse=replace(pulse, **changes))
 
     cases = []
     for sign in (+1.0, -1.0):
         f = 1.0 + sign * variation
-        cases.append(("bandwidth_mismatch", replace(baseline_params, kappa_d=params.kappa_d * f)))
-        cases.append(
-            (
-                "pulse_length",
-                replace(
-                    baseline_params,
-                    pulse=replace(
-                        baseline_params.pulse,
-                        sigma=base_pulse.sigma * f,
-                        total_length=base_pulse.total_length * f,
-                    ),
-                ),
-            )
-        )
-        cases.append(
-            (
-                "pulse_timing",
-                replace(
-                    baseline_params,
-                    pulse=replace(
-                        baseline_params.pulse,
-                        start_time=base_pulse.start_time
-                        + sign * variation * base_pulse.total_length,
-                    ),
-                ),
-            )
-        )
+        cases += [
+            ("bandwidth_mismatch", replace(baseline_params, kappa_d=params.kappa_d * f)),
+            ("pulse_length", with_pulse(sigma=pulse.sigma * f, total_length=length * f)),
+            ("pulse_timing", with_pulse(start_time=pulse.start_time + sign * variation * length)),
+        ]
 
     traces = _simulate(
         [(baseline_params, 1)] + [(varied, 1) for _, varied in cases], t_total, dt
@@ -497,16 +477,22 @@ def sideband_rabi(
 
     drive_rate and kappa are f = omega/2pi values in MHz; eta is the
     lumped path-plus-detector efficiency scaling p_e1 into the click
-    signal.
+    signal.  Raises IntegrationError when the final state leaves the trace
+    or hermiticity budget (a drive too fast for the 0.5-ns step).
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValidationError("need at least two time points")
+    if not np.all(np.isfinite(times)):
+        raise ValidationError("time grid must be finite")
     spacing = np.diff(times)
-    if np.max(np.abs(spacing - spacing[0])) > 1e-9:
-        raise ValidationError("time grid must be uniform")
+    if spacing[0] <= 0.0 or np.max(np.abs(spacing - spacing[0])) > 1e-9:
+        raise ValidationError("time grid must be increasing and uniform")
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must lie in [0, 1]")
+    _require_finite(drive_rate=drive_rate, kappa=kappa)
+    if kappa < 0.0:
+        raise ValidationError("kappa must be non-negative")
 
     omega = drive_rate * MHZ_TO_RAD_NS
     k = kappa * MHZ_TO_RAD_NS
@@ -520,14 +506,12 @@ def sideband_rabi(
     dt = spacing[0] / sub
     n_steps = (times.size - 1) * sub
     coeffs = np.zeros((1, 2 * n_steps + 1), dtype=complex)
-    zeros = np.zeros((1, 3, 3), dtype=complex)
     rho0 = np.zeros((1, 3, 3), dtype=complex)
     rho0[0, 0, 0] = 1.0
-    c_dag = c_op.conj().T
-    out, _ = _propagate(
-        rho0, h0[None], zeros, zeros, c_op[None], c_dag[None],
-        (c_dag @ c_op)[None], coeffs, dt, np.eye(3),
+    out, rho = _propagate(
+        rho0, h0[None], np.zeros_like(rho0), c_op[None], coeffs, dt, np.eye(3)
     )
+    _check_budget(rho[0])
     p_f0, p_e1, p_e0 = out[0, 0, ::sub], out[0, 1, ::sub], out[0, 2, ::sub]
     return SidebandTraces(
         times=times,

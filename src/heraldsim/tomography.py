@@ -148,6 +148,11 @@ class CountsTable:
             target = np.ones(9)
         elif not np.all(np.isfinite(target) & (target > 0)):
             raise ValidationError("shot totals must be positive and finite")
+        elif np.any(c != np.rint(c)) or np.any(target != np.rint(target)):
+            raise ValidationError(
+                "sampled counts and shot totals must be whole numbers "
+                "(probability rows take shots_per_setting null)"
+            )
         if np.any(np.abs(c.sum(axis=1) - target) > 1e-6 * np.maximum(target, 1.0)):
             raise ValidationError("each setting's counts must sum to the shot budget")
         c = c.copy()

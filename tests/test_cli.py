@@ -320,6 +320,23 @@ class TestDetectorSimCommand:
             "a48b5835ba158e212289389c212507dc1af5270580b5202e0d375c00276a0fce"
         )
 
+    def test_preroll_output_digest(self, tmp_path):
+        # a pulse starting at -100 ns pre-rolls the drive on the empty system
+        # and injects the photon at t = 0; recorded before the injection was
+        # rewritten as a partial trace (numpy 2.4.6)
+        out, traces = tmp_path / "det.json", tmp_path / "traces.csv"
+        args = [
+            "detector-sim", "--fock", "1", "--pulse-start", "-100",
+            "--out", str(out), "--traces-out", str(traces),
+        ]
+        assert main(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "48be7be8dd42653e7e966335cade2f650443b76dd26cf8fbd0d4e82121d3ef06"
+        )
+        assert hashlib.sha256(traces.read_bytes()).hexdigest() == (
+            "d3abec72a6a8d5ca726a2f1948f467c76034ef9e56d0b8833c5b1c8487398f34"
+        )
+
     def test_delay_sweep_digest(self, tmp_path):
         # delays -100, 0, 100, 200 ns: a pre-rolled point, then on-grid starts
         out = tmp_path / "sweep.csv"
@@ -389,6 +406,24 @@ class TestDetectorSimCommand:
         assert main(["detector-sim", "--out", str(out)] + extra) == 2
         assert "pulse ends before the photon release" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--from", "-6"], "--from needs --sweep"),
+            (["--to", "0"], "--to needs --sweep"),
+            (["--points", "5"], "--points needs --sweep"),
+            (["--sweep", "delay", "--from", "0", "--to", "100", "--points", "2",
+              "--traces-out", "TRACES"], "cannot be used with --sweep"),
+        ],
+    )
+    def test_ignored_flag_exits_2(self, extra, message, tmp_path, capsys):
+        # the single run would ignore the range, and a sweep writes no traces
+        out, traces = tmp_path / "out", tmp_path / "traces.csv"
+        extra = [str(traces) if arg == "TRACES" else arg for arg in extra]
+        assert main(["detector-sim", "--out", str(out)] + extra) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not traces.exists()
 
     def test_sweep_without_range_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -499,6 +534,15 @@ class TestTomoCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "28cfb1aa129312cacb6ba08456b5a944fdac82b4b04243afbe87b880424ca323"
         )
+
+    @pytest.mark.parametrize("shots", [1, 1.0, 100.5])
+    def test_fractional_sampled_counts_exit_2(self, shots, tmp_path, capsys):
+        # probability rows claimed as sampled data would get one-shot error bars
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps({**literal_counts_doc(0.01), "shots_per_setting": shots}))
+        cal = self.make_cal_file(tmp_path, reference_assignment())
+        assert main(["tomo", "--counts", str(counts), "--cal", cal]) == 2
+        assert "whole numbers" in capsys.readouterr().err
 
     IDENTITY_ROWS = "[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
 
@@ -654,7 +698,15 @@ def bad_sweep_args(draw):
 
 @st.composite
 def bad_detector_args(draw):
-    fault = draw(st.sampled_from(["pulse", "early", "t_total", "range", "points", "fock"]))
+    fault = draw(
+        st.sampled_from(
+            ["pulse", "early", "t_total", "range", "points", "fock", "no_sweep", "sweep_traces"]
+        )
+    )
+    if fault == "no_sweep":
+        # range flags without --sweep would be ignored by the single run
+        flags = draw(st.lists(st.sampled_from(["--from=0", "--to=1", "--points=5"]), min_size=1))
+        return ["detector-sim"] + flags
     if fault == "pulse":
         return ["detector-sim", f"--pulse-start={draw(NON_FINITE)}"]
     if fault == "early":
@@ -670,6 +722,9 @@ def bad_detector_args(draw):
     if fault == "fock":
         return ["detector-sim", f"--fock={draw(st.integers(3, 100))}"]
     sweep = ["detector-sim", "--sweep", draw(st.sampled_from(["delay", "detuning"]))]
+    if fault == "sweep_traces":
+        # a sweep writes no time traces
+        return sweep + ["--from=0", "--to=100", "--points=2", "--traces-out=never.csv"]
     if fault == "points":
         return sweep + ["--from", "0", "--to", "1", f"--points={draw(st.integers(max_value=1))}"]
     ends = [draw(NON_FINITE), draw(st.floats(-5.0, 5.0).map(repr))]

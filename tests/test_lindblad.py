@@ -1,5 +1,6 @@
 """Time-domain detector models: cascade traces, robustness, sideband Rabi."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +211,60 @@ class TestWindowValidation:
             parameter_robustness(params, 0.1, dt=0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestInputValidation:
+    """Every model input must be finite; NaN slips past a plain `x <= 0` check."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sigma": NAN}, {"sigma": INF}, {"sigma": 0.0},
+            {"total_length": NAN}, {"total_length": -1.0},
+            {"amplitude": NAN}, {"amplitude": INF},
+            {"start_time": NAN}, {"start_time": -INF},
+        ],
+    )
+    def test_bad_pulse_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            GaussianPulse(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kappa_a": NAN}, {"kappa_a": -0.1}, {"kappa_a": INF},
+            {"kappa_d": NAN}, {"kappa_d": 0.0}, {"kappa_d": INF},
+            {"chi_d": NAN}, {"detuning": NAN}, {"detuning": INF},
+        ],
+    )
+    def test_bad_cascade_params_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            CascadedSystemParams(**kwargs)
+
+    @pytest.mark.parametrize("variation", [NAN, INF, -0.1])
+    def test_bad_variation_rejected(self, variation):
+        with pytest.raises(ValidationError, match="variation"):
+            parameter_robustness(CascadedSystemParams(), variation)
+
+    @pytest.mark.parametrize(
+        "drive, kappa, times",
+        [
+            (1.0, NAN, [0.0, 1.0, 2.0]),
+            (1.0, INF, [0.0, 1.0, 2.0]),
+            (1.0, -0.5, [0.0, 1.0, 2.0]),
+            (NAN, 1.0, [0.0, 1.0, 2.0]),
+            (1.0, 1.0, [0.0, NAN, 2.0]),
+            (1.0, 1.0, [0.0, 1.0, INF]),
+            (1.0, 1.0, [2.0, 1.0, 0.0]),
+            (1.0, 1.0, [0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_bad_sideband_inputs_rejected(self, drive, kappa, times):
+        with pytest.raises(ValidationError):
+            sideband_rabi(drive, kappa, 0.5, np.array(times))
+
+
 class TestRobustness:
     def test_zero_variation_is_exact(self):
         report = parameter_robustness(CascadedSystemParams(), 0.0, t_total=900.0)
@@ -336,6 +391,22 @@ class TestSidebandRabi:
         assert np.allclose(
             tr.ef_polarization, tr.p_f0 - tr.p_e1 - tr.p_e0, atol=1e-14
         )
+
+    def test_benchmark_grid_digest(self):
+        # SHA-256 of the traces at the benchmark's sideband parameters (kappa
+        # 0.9 MHz, calibrated drive, 0-2000 ns), recorded before the kernel
+        # derived its own adjoints (numpy 2.4.6)
+        tr = sideband_rabi(calibrate_sideband_drive(0.9), 0.9, 0.4, np.arange(0.0, 2001.0, 1.0))
+        arr = np.stack([tr.times, tr.p_f0, tr.p_e1, tr.p_e0, tr.ef_polarization, tr.p_click])
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == (
+            "9168bfcf7d522222113e196a4794758aa21de50d9701fc273084907a1a926ad2"
+        )
+
+    def test_diverging_run_raises(self):
+        # a 2000-MHz drive takes RK4 at dt = 0.5 ns far outside its stability
+        # region; the final state fails the budget instead of giving NaN traces
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError):
+            sideband_rabi(2000.0, 1.0, 1.0, np.arange(0.0, 501.0))
 
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(ValidationError):

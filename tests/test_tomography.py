@@ -257,6 +257,23 @@ class TestPerSettingTotals:
         with pytest.raises(ValidationError, match="finite"):
             CountsTable(counts, 100)
 
+    @pytest.mark.parametrize(
+        "rows, totals",
+        [
+            ({2: [25.5, 24.5, 25, 25]}, 100),
+            ({2: [25 + 1e-9, 25 - 1e-9, 25, 25]}, 100),
+            ({k: [25.5, 25, 25, 25] for k in range(9)}, 100.5),
+            ({8: [25.5, 25, 25, 25]}, [100] * 8 + [100.5]),
+        ],
+    )
+    def test_fractional_sampled_counts_rejected(self, rows, totals):
+        # every row sums to its total, so only the whole-number check rejects
+        counts = np.full((9, 4), 25.0)
+        for k, row in rows.items():
+            counts[k] = row
+        with pytest.raises(ValidationError, match="whole numbers"):
+            CountsTable(counts, totals)
+
     def test_json_round_trip(self):
         counts, totals = self.unequal_counts()
         table = CountsTable(counts, totals)
