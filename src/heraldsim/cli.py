@@ -37,7 +37,7 @@ from .config import (
     load_run_config,
     resolved_config_doc,
 )
-from .lindblad import CascadedSystemParams, IntegrationError, cascaded_simulate, pulse_sweep
+from .lindblad import CascadedSystemParams, IntegrationError, pulse_sweep, simulate
 from .protocol import (
     SWEEPABLE_AXES,
     click_probabilities,
@@ -281,8 +281,8 @@ def cmd_detector_sim(args) -> int:
         return EXIT_OK
 
     _check_t_total(args.t_total, pulse_end)
-    traces = cascaded_simulate(args.fock, params, t_total=args.t_total)
-    dark = cascaded_simulate(0, params, t_total=args.t_total)
+    # one batch; the Fock run is first, so its failure is the one raised
+    traces, dark = simulate([(params, args.fock), (params, 0)], t_total=args.t_total)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "backend": "numpy",  # schema version 1 field; one integrator remains

@@ -22,9 +22,9 @@ in MHz, times in ns.
 
 Integration is fixed-step classical RK4 (default 1 ns), deterministic by
 construction.  One numpy kernel, `_propagate`, steps a stack of
-independent systems at once: `pulse_sweep` and `parameter_robustness`
-integrate all their points in one batch, and every member's trajectory is
-bit-identical to integrating it alone.
+independent systems at once: `simulate`, `pulse_sweep` and
+`parameter_robustness` integrate all their systems in one batch, and every
+member's trajectory is bit-identical to integrating it alone.
 """
 
 from __future__ import annotations
@@ -274,8 +274,12 @@ def _integrate(members, times, dt):
     )
 
 
-def _check_budget(rho: np.ndarray) -> float:
-    """Trace error of a final state; raises when trace or hermiticity drift."""
+def _check_budget(rho: np.ndarray, hint: str) -> float:
+    """Trace error of a final state; raises when trace or hermiticity drift.
+
+    hint ends the error message and names the caller's knob for a smaller
+    error.
+    """
     trace_error = abs(float(np.trace(rho).real) - 1.0)
     herm_error = float(np.max(np.abs(rho - rho.conj().T)))
     # written so that a NaN state fails too
@@ -283,16 +287,17 @@ def _check_budget(rho: np.ndarray) -> float:
         raise IntegrationError(
             f"integrator left tolerance: trace error {trace_error:.2e} "
             f"(budget {TRACE_TOL:.0e}), hermiticity {herm_error:.2e} "
-            f"(budget {HERMITICITY_TOL:.0e}); reduce dt"
+            f"(budget {HERMITICITY_TOL:.0e}); {hint}"
         )
     return trace_error
 
 
-def _simulate(systems, t_total: float, dt: float) -> list[TimeTraces]:
-    """Integrate (params, initial_fock) systems, _BATCH per kernel call.
+def simulate(systems, t_total: float = 1200.0, dt: float = 1.0) -> list[TimeTraces]:
+    """`cascaded_simulate` for a list of (params, initial_fock) systems.
 
-    Results, and the first budget failure raised, are those of integrating
-    the systems one by one in input order.
+    The systems are integrated _BATCH per kernel call.  Results, and the
+    first error raised, are those of integrating the systems one by one in
+    input order.
     """
     for name, value in (("t_total", t_total), ("dt", dt)):
         if not (isfinite(value) and value > 0.0):
@@ -315,7 +320,7 @@ def _simulate(systems, t_total: float, dt: float) -> list[TimeTraces]:
                     [(ops, params, ops.initial_state(0))], times_pre, dt
                 )
                 try:
-                    _check_budget(rho_mid[0])
+                    _check_budget(rho_mid[0], "reduce dt")
                 except IntegrationError as exc:
                     # members before this one still report their own failures first
                     failure = exc
@@ -333,7 +338,7 @@ def _simulate(systems, t_total: float, dt: float) -> list[TimeTraces]:
         if members:
             out_main, rho_final = _integrate(members, times_main, dt)
         for b, ((_, params, _), (times_pre, out_pre)) in enumerate(zip(members, prerolls)):
-            trace_error = _check_budget(rho_final[b])
+            trace_error = _check_budget(rho_final[b], "reduce dt")
             times = np.concatenate([times_pre, times_main])
             out = np.concatenate([out_pre, out_main[b]], axis=1)
             guard_max = float(out[3].max())
@@ -373,7 +378,7 @@ def cascaded_simulate(
     non-positive or non-finite t_total or dt, and IntegrationError when the
     trace or guard-level budget is exceeded.
     """
-    return _simulate([(params, initial_fock)], t_total, dt)[0]
+    return simulate([(params, initial_fock)], t_total, dt)[0]
 
 
 @dataclass(frozen=True)
@@ -416,7 +421,7 @@ def parameter_robustness(
             ("pulse_timing", with_pulse(start_time=pulse.start_time + sign * variation * length)),
         ]
 
-    traces = _simulate(
+    traces = simulate(
         [(baseline_params, 1)] + [(varied, 1) for _, varied in cases], t_total, dt
     )
     baseline = traces[0].p_click
@@ -452,7 +457,7 @@ def pulse_sweep(
             (replace(params, pulse=replace(params.pulse, start_time=float(v))), initial_fock)
             for v in values
         ]
-    return np.array([tr.p_click for tr in _simulate(systems, t_total, dt)], dtype=float)
+    return np.array([tr.p_click for tr in simulate(systems, t_total, dt)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +516,7 @@ def sideband_rabi(
     out, rho = _propagate(
         rho0, h0[None], np.zeros_like(rho0), c_op[None], coeffs, dt, np.eye(3)
     )
-    _check_budget(rho[0])
+    _check_budget(rho[0], "use a slower drive (smaller drive_rate)")
     p_f0, p_e1, p_e0 = out[0, 0, ::sub], out[0, 1, ::sub], out[0, 2, ::sub]
     return SidebandTraces(
         times=times,

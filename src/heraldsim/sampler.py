@@ -11,11 +11,15 @@ of a real dataset.
 
 Randomness is counter-based: one Philox stream keyed by the seed supplies
 a fixed block of three uniforms per shot, so shot i's randomness is a
-pure function of (seed, i) and identical runs are bit-identical.
+pure function of (seed, i) and identical runs are bit-identical.  Shots
+are drawn in fixed row chunks (`_CHUNK`) from that one stream, which
+yields the same doubles as a single draw, so a run holds its output
+columns plus one chunk of working arrays, whatever the shot count.
 
 Shots are stored column-wise (`Shots`): one numpy array per recorded
 quantity, shot i in row i, so sampling, aggregation and the CSV writer
-never build per-shot Python objects.
+never build per-shot Python objects.  The columns are bool and int8,
+5 bytes per shot.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .tomography import (
 
 BRANCH_ORDER = ((True, True), (True, False), (False, True), (False, False))
 
+# rows per chunk, both for drawing shots and for writing the CSV
+_CHUNK = 1 << 16
+
 # (click1, click2) of each branch index
 _BRANCH_CLICKS = np.array(BRANCH_ORDER)
 
@@ -47,9 +54,10 @@ class Shots:
 
     init_ok, click1 and click2 are boolean (the clicks are False when
     initialization failed).  tomo_setting (0-8) and outcome (0-3, in
-    `tomography.BASIS_ORDER`) are -1 when initialization failed: no
-    tomography result is recorded for those shots.  Compare two Shots
-    column by column; `==` is identity.
+    `tomography.BASIS_ORDER`) are int8, -1 when initialization failed: no
+    tomography result is recorded for those shots.  Values are range-checked
+    as given, before narrowing, so an out-of-range input is rejected rather
+    than wrapped.  Compare two Shots column by column; `==` is identity.
     """
 
     init_ok: np.ndarray
@@ -60,17 +68,23 @@ class Shots:
 
     def __post_init__(self):
         n = np.shape(self.init_ok)[0] if np.ndim(self.init_ok) == 1 else -1
-        for f, dtype in zip(fields(self), (bool, bool, bool, np.int64, np.int64)):
-            col = np.array(getattr(self, f.name), dtype=dtype)
+        # largest value of each column; None for the boolean ones
+        for f, top in zip(fields(self), (None, None, None, 8, 3)):
+            col = np.asarray(getattr(self, f.name))
             if col.shape != (n,):
                 raise ValidationError("shot columns must be 1-D and of equal length")
+            if top is None:
+                col = np.array(col, dtype=bool)
+            else:
+                if col.dtype.kind not in "iu":
+                    col = np.array(col, dtype=np.int64)
+                if n and (col.min() < -1 or col.max() > top):
+                    raise ValidationError(
+                        "tomo_setting must lie in -1..8 and outcome in -1..3"
+                    )
+                col = np.array(col, dtype=np.int8)
             col.setflags(write=False)
             object.__setattr__(self, f.name, col)
-        if n and (
-            self.tomo_setting.min() < -1 or self.tomo_setting.max() > 8
-            or self.outcome.min() < -1 or self.outcome.max() > 3
-        ):
-            raise ValidationError("tomo_setting must lie in -1..8 and outcome in -1..3")
         ok = self.init_ok
         if (
             np.any((self.tomo_setting >= 0) != ok) or np.any((self.outcome >= 0) != ok)
@@ -151,26 +165,34 @@ def sample_shots(
         outcome_cum[bi, :, -1] = 1.0
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = rng.random((n, 3))
+    init_ok = np.empty(n, dtype=bool)
+    click1 = np.empty(n, dtype=bool)
+    click2 = np.empty(n, dtype=bool)
+    setting_idx = np.full(n, -1, dtype=np.int8)
+    outcome_idx = np.full(n, -1, dtype=np.int8)
+    n_init = 0
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        u = rng.random((hi - lo, 3))
 
-    init_ok = u[:, 0] < config.p_init
-    branch_idx = np.searchsorted(branch_cum, u[:, 1], side="right")
-    branch_idx = np.minimum(branch_idx, 3)
+        ok = u[:, 0] < config.p_init
+        branch_idx = np.searchsorted(branch_cum, u[:, 1], side="right")
+        branch_idx = np.minimum(branch_idx, 3)
 
-    # round-robin settings over initialized shots
-    setting_idx = np.full(n, -1, dtype=np.int64)
-    which = np.flatnonzero(init_ok)
-    setting_idx[which] = np.arange(which.size) % 9
+        # round-robin settings over initialized shots, counted across chunks
+        which = np.flatnonzero(ok)
+        settings = (n_init + np.arange(which.size)) % 9
+        n_init += which.size
+        cums = outcome_cum[branch_idx[which], settings]
+        setting_idx[lo + which] = settings
+        outcome_idx[lo + which] = np.minimum((u[which, 2, None] >= cums).sum(axis=1), 3)
 
-    outcome_idx = np.full(n, -1, dtype=np.int64)
-    if which.size:
-        cums = outcome_cum[branch_idx[which], setting_idx[which]]
-        outcome_idx[which] = np.minimum(
-            (u[which, 2, None] >= cums).sum(axis=1), 3
-        )
+        clicks = _BRANCH_CLICKS[branch_idx] & ok[:, None]
+        init_ok[lo:hi] = ok
+        click1[lo:hi] = clicks[:, 0]
+        click2[lo:hi] = clicks[:, 1]
 
-    clicks = _BRANCH_CLICKS[branch_idx] & init_ok[:, None]
-    return Shots(init_ok, clicks[:, 0], clicks[:, 1], setting_idx, outcome_idx)
+    return Shots(init_ok, click1, click2, setting_idx, outcome_idx)
 
 
 def aggregate(
@@ -223,7 +245,6 @@ _ROW_SUFFIXES = np.array(
     ],
     dtype=object,
 )
-_CSV_CHUNK = 1 << 16
 
 
 def _row_codes(shots: Shots, lo: int, hi: int) -> np.ndarray:
@@ -237,7 +258,7 @@ def write_shots_csv(shots: Shots, path) -> None:
     n = len(shots)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_FIELDS) + "\r\n")
-        for lo in range(0, n, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, n)
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
             suffixes = _ROW_SUFFIXES[_row_codes(shots, lo, hi)].tolist()
             fh.write("".join([f"{i},{s}" for i, s in zip(range(lo, hi), suffixes)]))

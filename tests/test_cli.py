@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,12 @@ from hypothesis import strategies as st
 
 import heraldsim
 from heraldsim.cli import main
+from heraldsim.lindblad import (
+    CascadedSystemParams,
+    GaussianPulse,
+    IntegrationError,
+    cascaded_simulate,
+)
 from heraldsim.protocol import SWEEPABLE_AXES
 from heraldsim.qmath import DensityMatrix, PAULI_LABELS, bell_odd_plus, pauli_decompose
 from heraldsim.tomography import (
@@ -87,6 +94,21 @@ class TestProtocolCommand:
         )
         assert hashlib.sha256(shots.read_bytes()).hexdigest() == (
             "c49673facaf58f4ca65b0d661fdeb0d62c0d0c71321ffbbdc56942859c26f047"
+        )
+
+    def test_multi_chunk_output_digest(self, tmp_path):
+        # SHA-256 of both outputs as the single-draw sampler wrote them
+        # (numpy 2.4.6): 150001 shots span three sampling chunks, and at
+        # p_init 0.57 the round-robin setting crosses both chunk boundaries
+        # mid-cycle
+        out, shots = tmp_path / "mc.json", tmp_path / "shots.csv"
+        args = ["protocol", "--shots", "150001", "--seed", "11", "--control"]
+        assert main(args + ["--out", str(out), "--shots-out", str(shots)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "52bda081fbfa8628d7c47a77373ef876ade98e2c89efd493031f4d1be8acb434"
+        )
+        assert hashlib.sha256(shots.read_bytes()).hexdigest() == (
+            "0495351fa696377c7f4da69ef4d51e7248b3dea29708ade0f82c52df97dc10d9"
         )
 
     def test_negative_seed_exits_2(self, capsys):
@@ -320,6 +342,20 @@ class TestDetectorSimCommand:
             "a48b5835ba158e212289389c212507dc1af5270580b5202e0d375c00276a0fce"
         )
 
+    def test_fock_run_failure_raised_first(self, monkeypatch, capsys):
+        # an 800 MHz pulse drives RK4 at dt = 1 ns out of its stability
+        # region in both the Fock run and the dark run; the error reported is
+        # the Fock run's, as when the two ran one after the other
+        params = replace(
+            CascadedSystemParams(),
+            pulse=GaussianPulse(sigma=10.0, amplitude=800.0, start_time=0.0),
+        )
+        with pytest.raises(IntegrationError) as fock_failure:
+            cascaded_simulate(2, params, t_total=120.0)
+        monkeypatch.setattr("heraldsim.cli._detector_params", lambda args: params)
+        assert main(["detector-sim", "--fock", "2", "--t-total", "120"]) == 3
+        assert str(fock_failure.value) in capsys.readouterr().err
+
     def test_preroll_output_digest(self, tmp_path):
         # a pulse starting at -100 ns pre-rolls the drive on the empty system
         # and injects the photon at t = 0; recorded before the injection was
@@ -400,7 +436,7 @@ class TestDetectorSimCommand:
         def integrate(*args, **kwargs):
             raise AssertionError("integrated a rejected pulse")
 
-        monkeypatch.setattr("heraldsim.cli.cascaded_simulate", integrate)
+        monkeypatch.setattr("heraldsim.cli.simulate", integrate)
         monkeypatch.setattr("heraldsim.cli.pulse_sweep", integrate)
         out = tmp_path / "out"
         assert main(["detector-sim", "--out", str(out)] + extra) == 2
@@ -616,7 +652,7 @@ class TestTomoCommand:
         # each first allocation is larger than the user address space
         # (128 TiB on x86-64, 256 TiB with 48-bit arm64), so numpy refuses
         # it before touching memory under any overcommit setting
-        ["protocol", "--shots", str(10**15)],  # 10^15 x 3 float64: 21 PiB
+        ["protocol", "--shots", str(10**15)],  # 10^15 one-byte flags: 909 TiB
         ["sweep", "--axis", "phi_a", "--from", "0", "--to", "1",
          "--points", str(10**15)],  # 10^15 float64: 7.1 PiB
         ["detector-sim", "--t-total", "1e15"],  # 10^15 + 1 time steps: 7.1 PiB

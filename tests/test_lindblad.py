@@ -405,7 +405,8 @@ class TestSidebandRabi:
     def test_diverging_run_raises(self):
         # a 2000-MHz drive takes RK4 at dt = 0.5 ns far outside its stability
         # region; the final state fails the budget instead of giving NaN traces
-        with np.errstate(all="ignore"), pytest.raises(IntegrationError):
+        # and names the knob the caller has: there is no dt argument
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="slower drive"):
             sideband_rabi(2000.0, 1.0, 1.0, np.arange(0.0, 501.0))
 
     def test_nonuniform_grid_rejected(self):

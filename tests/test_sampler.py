@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from heraldsim.tomography import (
     BASIS_ORDER,
     AssignmentMatrix,
     CountsTable,
+    outcome_probabilities,
     reconstruct_pauli,
     reference_assignment,
 )
@@ -46,6 +48,35 @@ def columns(shots):
 
 def same_shots(a, b):
     return all(np.array_equal(x, y) for x, y in zip(columns(a), columns(b)))
+
+
+def single_draw_shots(config, n, seed, assignment, table):
+    """The sampler as one (n, 3) draw with int64 settings and outcomes.
+
+    This is the formula the chunked sampler replaced, kept as its reference.
+    """
+    branch_cum = np.cumsum([table.probability(*b) for b in BRANCH_ORDER])
+    branch_cum[-1] = 1.0
+    outcome_cum = np.zeros((4, 9, 4))
+    for bi, key in enumerate(BRANCH_ORDER):
+        state = table.state(*key)
+        if state is None:
+            outcome_cum[bi] = np.nan
+            continue
+        outcome_cum[bi] = np.cumsum(outcome_probabilities(state, assignment), axis=1)
+        outcome_cum[bi, :, -1] = 1.0
+
+    u = np.random.Generator(np.random.Philox(key=seed)).random((n, 3))
+    init_ok = u[:, 0] < config.p_init
+    branch_idx = np.minimum(np.searchsorted(branch_cum, u[:, 1], side="right"), 3)
+    setting_idx = np.full(n, -1, dtype=np.int64)
+    which = np.flatnonzero(init_ok)
+    setting_idx[which] = np.arange(which.size) % 9
+    outcome_idx = np.full(n, -1, dtype=np.int64)
+    cums = outcome_cum[branch_idx[which], setting_idx[which]]
+    outcome_idx[which] = np.minimum((u[which, 2, None] >= cums).sum(axis=1), 3)
+    clicks = np.array(BRANCH_ORDER)[branch_idx] & init_ok[:, None]
+    return [init_ok, clicks[:, 0], clicks[:, 1], setting_idx, outcome_idx]
 
 
 class TestSampleShots:
@@ -83,6 +114,37 @@ class TestSampleShots:
         shots = sample_shots(ProtocolConfig(), 50, seed=1)
         for col in columns(shots):
             assert not col.flags.writeable
+
+    def test_column_dtypes(self):
+        shots = sample_shots(ProtocolConfig(), 50, seed=1)
+        assert [col.dtype for col in columns(shots)] == [bool] * 3 + [np.int8] * 2
+
+    @pytest.mark.parametrize("p_init", [0.57, 1.0])
+    def test_chunked_draw_matches_single_draw(self, p_init):
+        # chunk sizes are 1 << 16: one row short of, exactly at and one row
+        # past a chunk, and three chunks
+        cfg = ProtocolConfig(p_init=p_init)
+        table = run_two_rounds(cfg)
+        a = reference_assignment()
+        for n in (1, 65535, 65536, 65537, 150001):
+            shots = sample_shots(cfg, n, seed=17, assignment=a, table=table)
+            expected = single_draw_shots(cfg, n, 17, a, table)
+            for f, ref in zip(dataclasses.fields(Shots), expected):
+                col = getattr(shots, f.name)
+                assert col.shape == ref.shape and np.all(col == ref), (n, f.name)
+
+    def test_memory_bounded_by_columns_and_one_chunk(self):
+        # 5 bytes per shot, held twice while Shots copies them, plus one
+        # chunk of working arrays; the single (n, 3) draw peaked at 94.8 MB
+        cfg = ProtocolConfig()
+        table = run_two_rounds(cfg)
+        tracemalloc.start()
+        try:
+            sample_shots(cfg, 1_000_000, seed=5, table=table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_reproducible_bit_identical(self):
         cfg = ProtocolConfig()
@@ -278,6 +340,15 @@ class TestShotsColumns:
     def test_out_of_range_setting_rejected(self):
         with pytest.raises(ValidationError):
             Shots([True], [False], [False], [9], [0])
+
+    @pytest.mark.parametrize("value", [259, -129])
+    def test_values_checked_before_narrowing(self, value):
+        # as int8, 259 would wrap to 3 and -129 to 127
+        bad = np.array([value], dtype=np.int64)
+        with pytest.raises(ValidationError):
+            Shots([True], [False], [False], bad, [0])
+        with pytest.raises(ValidationError):
+            Shots([True], [False], [False], [0], bad)
 
     def test_uninitialized_shot_with_outcome_rejected(self):
         with pytest.raises(ValidationError):
