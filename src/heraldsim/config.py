@@ -147,7 +147,7 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     if path is not None:
         try:
             doc = json.loads(Path(path).read_text())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc

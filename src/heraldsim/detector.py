@@ -17,7 +17,6 @@ exact consequence of that composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import erf, sqrt
 
 import numpy as np
 
@@ -84,65 +83,3 @@ def dark_count_fidelity(
         raise ValidationError("dark_count_fidelity undefined: zero denominator")
     return num / den
 
-
-# ---------------------------------------------------------------------------
-# readout threshold trade-off
-
-def _gaussian_tail(x: float) -> float:
-    """P(N(0,1) > x)."""
-    return 0.5 * (1.0 - erf(x / sqrt(2.0)))
-
-
-# Separation (in sigma units) of the click / no-click readout distributions.
-# Fitted once so that a mid-point threshold gives a dark-to-click ratio of
-# 0.1 with second-round base rates (0.005, 0.26); a descriptive default,
-# not a measured quantity.
-DEFAULT_SEPARATION = 4.0171
-
-
-def readout_threshold_model(
-    snr_separation: float, threshold: float, base: DetectorRoundParams
-) -> tuple[float, float, float]:
-    """Effective (p_dark, p_click, ratio) after thresholding the readout.
-
-    The detector readout is modeled as two unit-variance Gaussians: the
-    no-click population at 0 and the click population at `snr_separation`.
-    A shot is recorded as a click when its readout exceeds `threshold`
-    (same units).  Raising the threshold trades click probability for a
-    smaller dark-count ratio; the ratio is monotone decreasing in the
-    threshold.
-    """
-    if snr_separation <= 0.0:
-        raise ValidationError("snr_separation must be positive")
-    q_click = _gaussian_tail(threshold - snr_separation)
-    q_noclick = _gaussian_tail(threshold)
-
-    def mix(p_event: float) -> float:
-        return p_event * q_click + (1.0 - p_event) * q_noclick
-
-    p_dark_eff = mix(base.p_dark)
-    p_click_eff = mix(base.p_real)
-    if p_click_eff <= 0.0:
-        ratio = float("nan")
-    else:
-        ratio = p_dark_eff / p_click_eff
-    return p_dark_eff, p_click_eff, ratio
-
-
-def fit_separation(
-    base: DetectorRoundParams, target_midpoint_ratio: float = 0.1
-) -> float:
-    """Separation whose mid-point-threshold ratio equals the target.
-
-    Bisection on the (monotone in separation) mid-point ratio; used once
-    to pin DEFAULT_SEPARATION.
-    """
-    lo, hi = 0.5, 12.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        _, _, ratio = readout_threshold_model(mid, mid / 2.0, base)
-        if ratio > target_midpoint_ratio:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

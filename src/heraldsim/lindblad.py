@@ -528,7 +528,7 @@ def sideband_rabi(
     )
 
 
-def sideband_pi_time(drive_rate: float, kappa: float) -> float:
+def _sideband_pi_time(drive_rate: float, kappa: float) -> float:
     """First maximum of the |f0> -> |e1> transfer, in ns (underdamped only)."""
     omega = drive_rate * MHZ_TO_RAD_NS
     k = kappa * MHZ_TO_RAD_NS
@@ -545,7 +545,7 @@ def calibrate_sideband_drive(kappa: float, pi_time: float = 254.0) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         try:
-            t = sideband_pi_time(mid, kappa)
+            t = _sideband_pi_time(mid, kappa)
         except ValidationError:
             lo = mid
             continue

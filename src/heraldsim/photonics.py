@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .qmath import ValidationError, matrix_exponential
+from .qmath import ValidationError
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -44,12 +44,14 @@ def beam_splitter_unitary(d: int) -> np.ndarray:
     Unitary on the whole truncated space and block diagonal in total photon
     number; see module docstring for the pinned port mapping.
     """
+    from scipy.linalg import expm  # here, so commands without a splitter never load scipy
+
     a = annihilation(d)
     eye = np.eye(d, dtype=complex)
     gen = np.kron(a.conj().T, eye) @ np.kron(eye, a) - np.kron(a, eye) @ np.kron(
         eye, a.conj().T
     )
-    return matrix_exponential(-3.0 * np.pi / 4.0 * gen)
+    return expm(-3.0 * np.pi / 4.0 * gen)
 
 
 def emission_unitary(d: int) -> np.ndarray:

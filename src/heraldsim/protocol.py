@@ -317,21 +317,13 @@ def click_probabilities(table: OutcomeTable) -> tuple[float, float]:
     return p_click1, p_click2
 
 
-def success_rate(
-    config: ProtocolConfig,
-    p_click1: float | None = None,
-    p_click2: float | None = None,
-) -> SuccessRate:
+def success_rate(config: ProtocolConfig, p_click1: float, p_click2: float) -> SuccessRate:
     """Initialization x click1 x click2|click1 bookkeeping and the rate.
 
-    Click probabilities default to the propagated model's values
-    (`click_probabilities`); pass measured ones to reproduce quoted
-    numbers.  The rate is p_success / t_rep in events per second.
+    Pass the model's click probabilities (`click_probabilities` of a
+    propagated table, as the CLI does) or measured ones to reproduce
+    quoted numbers.  The rate is p_success / t_rep in events per second.
     """
-    if p_click1 is None or p_click2 is None:
-        model_p1, model_p2 = click_probabilities(run_two_rounds(config))
-        p_click1 = model_p1 if p_click1 is None else p_click1
-        p_click2 = model_p2 if p_click2 is None else p_click2
     p_success = config.p_init * p_click1 * p_click2
     rate = p_success / (config.t_rep * 1e-6)
     return SuccessRate(p_click1, p_click2, p_success, rate)

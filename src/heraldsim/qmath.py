@@ -139,11 +139,6 @@ class PauliVector:
     def component(self, label: str) -> float:
         return float(self.components[PAULI_LABELS.index(label)])
 
-    def error(self, label: str) -> float:
-        if self.sigma is None:
-            return 0.0
-        return float(self.sigma[PAULI_LABELS.index(label)])
-
 
 # ---------------------------------------------------------------------------
 # computational and Bell-state kets
@@ -236,16 +231,6 @@ def apply_kraus_matrix(mat: np.ndarray, ops) -> np.ndarray:
     for k in ops:
         out += k @ mat @ k.conj().T
     return out
-
-
-def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(M) for a square complex matrix (Pade scaling-and-squaring)."""
-    from scipy.linalg import expm  # here, so commands without a splitter never load scipy
-
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("matrix_exponential needs a square matrix")
-    return expm(m)
 
 
 def pauli_decompose(rho: DensityMatrix) -> PauliVector:

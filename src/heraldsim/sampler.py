@@ -57,7 +57,9 @@ class Shots:
     `tomography.BASIS_ORDER`) are int8, -1 when initialization failed: no
     tomography result is recorded for those shots.  Values are range-checked
     as given, before narrowing, so an out-of-range input is rejected rather
-    than wrapped.  Compare two Shots column by column; `==` is identity.
+    than wrapped.  An array that already has its column's dtype is not
+    copied: Shots takes ownership of it and makes it read-only.  Compare two
+    Shots column by column; `==` is identity.
     """
 
     init_ok: np.ndarray
@@ -74,7 +76,7 @@ class Shots:
             if col.shape != (n,):
                 raise ValidationError("shot columns must be 1-D and of equal length")
             if top is None:
-                col = np.array(col, dtype=bool)
+                col = np.array(col, dtype=bool, copy=None)
             else:
                 if col.dtype.kind not in "iu":
                     col = np.array(col, dtype=np.int64)
@@ -82,7 +84,7 @@ class Shots:
                     raise ValidationError(
                         "tomo_setting must lie in -1..8 and outcome in -1..3"
                     )
-                col = np.array(col, dtype=np.int8)
+                col = np.array(col, dtype=np.int8, copy=None)
             col.setflags(write=False)
             object.__setattr__(self, f.name, col)
         ok = self.init_ok

@@ -163,6 +163,15 @@ class TestRejectedKeys:
         with pytest.raises(ConfigError, match="config document must be a JSON object"):
             load_run_config(path)
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        # a missing file and a directory are in test_cli's invalid arguments
+        cfg, out = tmp_path / "config.json", tmp_path / "out.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "config" in err
+
 
 class TestRejectedValues:
     @pytest.mark.parametrize(

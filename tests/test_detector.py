@@ -1,16 +1,9 @@
-"""Click/no-click measurement model, closed-form fidelity, threshold model."""
+"""Click/no-click measurement model and the closed-form dark-count fidelity."""
 
 import numpy as np
 import pytest
 
-from heraldsim.detector import (
-    DEFAULT_SEPARATION,
-    DetectorRoundParams,
-    branch_matrices,
-    dark_count_fidelity,
-    fit_separation,
-    readout_threshold_model,
-)
+from heraldsim.detector import DetectorRoundParams, branch_matrices, dark_count_fidelity
 from heraldsim.qmath import (
     DensityMatrix,
     ValidationError,
@@ -173,43 +166,3 @@ class TestDarkCountFidelity:
                 DetectorRoundParams(0.0, 0.0), DetectorRoundParams(0.0, 0.0)
             )
 
-
-class TestReadoutThreshold:
-    BASE = DetectorRoundParams(0.005, 0.26)
-
-    def test_everything_clicks_at_low_threshold(self):
-        p_dark, p_click, ratio = readout_threshold_model(4.0, -30.0, self.BASE)
-        assert np.isclose(p_dark, 1.0, atol=1e-9)
-        assert np.isclose(p_click, 1.0, atol=1e-9)
-        assert np.isclose(ratio, 1.0, atol=1e-8)
-
-    def test_nothing_clicks_at_high_threshold(self):
-        _, p_click, _ = readout_threshold_model(4.0, 40.0, self.BASE)
-        assert p_click < 1e-12
-
-    def test_ratio_monotone_decreasing(self):
-        # oracle: direct Gaussian CDF evaluation over a threshold grid
-        s = DEFAULT_SEPARATION
-        thresholds = np.linspace(0.0, s, 25)
-        ratios = [
-            readout_threshold_model(s, t, self.BASE)[2] for t in thresholds
-        ]
-        clicks = [
-            readout_threshold_model(s, t, self.BASE)[1] for t in thresholds
-        ]
-        assert np.all(np.diff(ratios) < 0.0)
-        assert np.all(np.diff(clicks) < 0.0)
-
-    def test_fitted_separation_hits_midpoint_ratio(self):
-        s = fit_separation(self.BASE, target_midpoint_ratio=0.1)
-        assert np.isclose(s, DEFAULT_SEPARATION, atol=2e-3)
-        _, _, ratio = readout_threshold_model(s, s / 2.0, self.BASE)
-        assert np.isclose(ratio, 0.1, atol=1e-6)
-
-    def test_stringent_threshold_halves_ratio(self):
-        # moving from the midpoint toward the click distribution
-        s = DEFAULT_SEPARATION
-        _, click_mid, ratio_mid = readout_threshold_model(s, s / 2.0, self.BASE)
-        _, click_opt, ratio_opt = readout_threshold_model(s, s / 2.0 + 1.95, self.BASE)
-        assert ratio_opt < 0.6 * ratio_mid
-        assert click_opt < click_mid

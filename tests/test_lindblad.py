@@ -16,7 +16,6 @@ from heraldsim.lindblad import (
     cascaded_simulate,
     parameter_robustness,
     pulse_sweep,
-    sideband_pi_time,
     sideband_rabi,
 )
 from heraldsim.qmath import ValidationError
@@ -351,7 +350,7 @@ class TestSidebandRabi:
 
     def test_calibrated_pi_time(self):
         drive = calibrate_sideband_drive(0.9, pi_time=254.0)
-        assert abs(sideband_pi_time(drive, 0.9) - 254.0) < 0.5
+        assert abs(lindblad._sideband_pi_time(drive, 0.9) - 254.0) < 0.5
         times = np.arange(0.0, 501.0, 1.0)
         tr = sideband_rabi(drive, 0.9, 0.4, times)
         assert abs(times[int(np.argmax(tr.p_e1))] - 254.0) < 3.0

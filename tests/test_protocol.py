@@ -484,25 +484,27 @@ class TestSuccessRate:
         assert np.isclose(rate.rate_per_s, 1.0 / 21e-6)
 
     def test_zero_factor_kills_rate(self):
-        rate = success_rate(ProtocolConfig(p_init=0.0))
+        cfg = ProtocolConfig(p_init=0.0)
+        rate = success_rate(cfg, *click_probabilities(run_two_rounds(cfg)))
         assert rate.rate_per_s == 0.0
 
     def test_model_click_probabilities(self):
-        rate = success_rate(ProtocolConfig())
+        cfg = ProtocolConfig()
+        rate = success_rate(cfg, *click_probabilities(run_two_rounds(cfg)))
         assert abs(rate.p_click1 - 0.08) < 0.01
         assert abs(rate.p_click2_given_click1 - 0.09) < 0.01
         assert abs(rate.rate_per_s - 200.0) < 20.0
 
     def test_defaults_read_off_the_table(self):
+        # the model's click probabilities, the ones the CLI passes
         cfg = ProtocolConfig(p_init=0.8)
         table = run_two_rounds(cfg)
         p1, p2 = click_probabilities(table)
         assert p1 == table.probability(True, True) + table.probability(True, False)
         assert p2 == table.probability(True, True) / p1
-        assert success_rate(cfg) == success_rate(cfg, p1, p2)
-        # one measured value overrides only its own factor
-        assert success_rate(cfg, p_click1=0.1).p_click2_given_click1 == p2
-        assert success_rate(cfg, p_click2=0.1).p_click1 == p1
+        rate = success_rate(cfg, p1, p2)
+        assert (rate.p_click1, rate.p_click2_given_click1) == (p1, p2)
+        assert rate.p_success == 0.8 * p1 * p2
 
     def test_no_round_one_click(self):
         cfg = ProtocolConfig(

@@ -14,7 +14,6 @@ from heraldsim.qmath import (
     bell_odd_plus,
     concurrence,
     embed_operator,
-    matrix_exponential,
     partial_trace_matrix,
     pauli_decompose,
     pauli_reconstruct,
@@ -164,26 +163,6 @@ class TestKrausKernel:
         assert np.allclose(out, np.kron(a, sum(k @ b @ k.conj().T for k in local)), atol=1e-14)
 
 
-class TestMatrixExponential:
-    def test_exp_zero_is_identity(self):
-        assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3), atol=1e-14)
-
-    def test_pauli_rotation_analytic(self):
-        out = matrix_exponential(1j * np.pi / 2 * PAULI_X)
-        assert np.allclose(out, 1j * PAULI_X, atol=1e-12)
-
-    def test_anti_hermitian_gives_unitary(self):
-        for seed in range(4):
-            h = random_hermitian(5, 20 + seed)
-            u = matrix_exponential(1j * h)
-            assert np.max(np.abs(u.conj().T @ u - np.eye(5))) < 1e-10
-
-    def test_inverse_property(self):
-        m = random_hermitian(4, 33) * 0.3
-        prod = matrix_exponential(m) @ matrix_exponential(-m)
-        assert np.max(np.abs(prod - np.eye(4))) < 1e-9
-
-
 class TestPauliDecompose:
     def test_odd_bell_state_components(self):
         pauli = pauli_decompose(DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2)))
@@ -255,4 +234,4 @@ class TestPauliVector:
         comps[PAULI_LABELS.index("ZZ")] = -0.5
         pv = PauliVector(comps)
         assert pv.component("ZZ") == -0.5
-        assert pv.error("ZZ") == 0.0
+        assert pv.sigma is None

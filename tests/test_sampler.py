@@ -134,8 +134,8 @@ class TestSampleShots:
                 assert col.shape == ref.shape and np.all(col == ref), (n, f.name)
 
     def test_memory_bounded_by_columns_and_one_chunk(self):
-        # 5 bytes per shot, held twice while Shots copies them, plus one
-        # chunk of working arrays; the single (n, 3) draw peaked at 94.8 MB
+        # 5 bytes per shot plus one chunk of working arrays; the single
+        # (n, 3) draw peaked at 94.8 MB
         cfg = ProtocolConfig()
         table = run_two_rounds(cfg)
         tracemalloc.start()
@@ -206,7 +206,7 @@ class TestAggregate:
         summary, pauli = aggregate(shots, AssignmentMatrix.identity())
         assert summary.post_selected > 10_000
         zz = pauli.component("ZZ")
-        assert abs(zz + 1.0) < 5.0 * max(pauli.error("ZZ"), 1e-6)
+        assert abs(zz + 1.0) < 5.0 * max(pauli.sigma[PAULI_LABELS.index("ZZ")], 1e-6)
 
     def test_monte_carlo_matches_analytic_branch(self):
         cfg = ProtocolConfig(p_init=1.0)
@@ -349,6 +349,14 @@ class TestShotsColumns:
             Shots([True], [False], [False], bad, [0])
         with pytest.raises(ValidationError):
             Shots([True], [False], [False], [0], bad)
+
+    def test_columns_of_their_dtype_are_not_copied(self):
+        given = [np.array([True]), np.array([False]), np.array([True]),
+                 np.array([4], dtype=np.int8), np.array([2], dtype=np.int8)]
+        shots = Shots(*given)
+        for col, f in zip(given, dataclasses.fields(Shots)):
+            assert np.shares_memory(col, getattr(shots, f.name))
+            assert not col.flags.writeable
 
     def test_uninitialized_shot_with_outcome_rejected(self):
         with pytest.raises(ValidationError):

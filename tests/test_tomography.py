@@ -231,7 +231,7 @@ class TestPerSettingTotals:
             label = ax_a + ax_b
             m = pauli.component(label)
             expected = np.sqrt((1.0 - m * m) / totals[k])
-            assert pauli.error(label) == pytest.approx(expected, rel=1e-12)
+            assert pauli.sigma[PAULI_LABELS.index(label)] == pytest.approx(expected, rel=1e-12)
         assert np.allclose(table.frequencies().sum(axis=1), 1.0)
 
     def test_totals_validated(self):
