@@ -13,7 +13,9 @@ config value or sweep point that `ProtocolConfig` rejects, a non-finite
 detector pulse start or sweep bound, a pulse that ends by the photon
 release at t = 0, or a flag the chosen mode would ignore (`--shots-out`
 without `--shots`, `detector-sim --from/--to/--points` without `--sweep`,
-`--traces-out` with it), is a usage error (2).
+`--traces-out` with it), is a usage error (2).  So is an output path
+(`--out`, `--shots-out`, `--traces-out`) that is a directory or whose
+directory does not exist; a write that fails anyway exits 2 as well.
 `detector-sim` runs its sweep points as one batched integration.
 """
 
@@ -23,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from math import isfinite
 from pathlib import Path
 
@@ -57,13 +59,12 @@ from .qmath import (
 )
 from .sampler import aggregate, sample_shots, write_shots_csv
 from .tomography import (
+    SCHEMA_VERSION,
     assignment_from_json,
     counts_from_json,
     fidelity_with_errors,
     reconstruct_pauli,
 )
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,6 +107,17 @@ def _pauli_doc(pauli) -> dict:
     return doc
 
 
+def _fidelity_doc(result) -> dict:
+    """The JSON keys of a tomography `FidelityResult`."""
+    return {
+        "fidelity": result.fidelity,
+        "fidelity_sigma": result.sigma_fidelity,
+        "concurrence": result.concurrence,
+        "concurrence_sigma": result.sigma_concurrence,
+        "reconstruction_physical": result.physical,
+    }
+
+
 def cmd_protocol(args) -> int:
     if args.shots is not None:
         check_shots(args.shots, "--shots")
@@ -145,13 +157,7 @@ def cmd_protocol(args) -> int:
         doc["fidelity_theory"] = state_fidelity(heralded, odd_plus)
         doc["concurrence_theory"] = concurrence(heralded)
 
-    rate = success_rate(cfg, *click_probabilities(table))
-    doc["success"] = {
-        "p_click1": rate.p_click1,
-        "p_click2_given_click1": rate.p_click2_given_click1,
-        "p_success": rate.p_success,
-        "rate_per_s": rate.rate_per_s,
-    }
+    doc["success"] = asdict(success_rate(cfg, *click_probabilities(table)))
 
     if args.shots is not None:
         seed = run.sampling.seed if args.seed is None else args.seed
@@ -169,13 +175,8 @@ def cmd_protocol(args) -> int:
             "p_click2_sigma": summary.p_click2_hat.sigma,
         }
         if pauli is not None:
-            res = fidelity_with_errors(pauli, odd_plus)
             mc["pauli"] = _pauli_doc(pauli)
-            mc["fidelity"] = res.fidelity
-            mc["fidelity_sigma"] = res.sigma_fidelity
-            mc["concurrence"] = res.concurrence
-            mc["concurrence_sigma"] = res.sigma_concurrence
-            mc["reconstruction_physical"] = res.physical
+            mc.update(_fidelity_doc(fidelity_with_errors(pauli, odd_plus)))
         doc["monte_carlo"] = mc
         if args.shots_out:
             write_shots_csv(shots, args.shots_out)
@@ -319,16 +320,11 @@ def cmd_tomo(args) -> int:
 
     target = bell_odd_plus() if args.target == "odd_plus" else bell_odd_minus()
     pauli = reconstruct_pauli(counts, cal)
-    result = fidelity_with_errors(pauli, target)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "target": args.target,
         "pauli": _pauli_doc(pauli),
-        "fidelity": result.fidelity,
-        "fidelity_sigma": result.sigma_fidelity,
-        "concurrence": result.concurrence,
-        "concurrence_sigma": result.sigma_concurrence,
-        "reconstruction_physical": result.physical,
+        **_fidelity_doc(fidelity_with_errors(pauli, target)),
     }
     _emit(doc, args.out)
     return EXIT_OK
@@ -392,8 +388,12 @@ def main(argv=None) -> int:
         if args.start is None or args.stop is None:
             parser.error("--sweep needs --from and --to")
     try:
+        for flag in ("--out", "--shots-out", "--traces-out"):
+            path = getattr(args, flag[2:].replace("-", "_"), None)
+            if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+                raise ConfigError(f"{flag} {path!r} is not a file in an existing directory")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, ValidationError, MemoryError) as exc:

@@ -96,11 +96,7 @@ class DensityMatrix:
     @classmethod
     def from_ket(cls, ket, dims=None) -> "DensityMatrix":
         """Pure state |psi><psi| from a (normalized or not) state vector."""
-        v = np.asarray(ket, dtype=complex).ravel()
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValidationError("cannot build a state from the zero vector")
-        v = v / norm
+        v = unit_ket(ket)
         if dims is None:
             dims = (v.size,)
         return cls(tuple(dims), np.outer(v, v.conj()))
@@ -142,6 +138,18 @@ class PauliVector:
 
 # ---------------------------------------------------------------------------
 # computational and Bell-state kets
+
+def unit_ket(ket, dim: int | None = None) -> np.ndarray:
+    """`ket` as a flat complex unit vector; ValidationError for a zero or
+    non-finite norm, or for a size other than `dim` when one is given."""
+    v = np.asarray(ket, dtype=complex).ravel()
+    if dim is not None and v.size != dim:
+        raise ValidationError(f"ket has {v.size} entries, expected {dim}")
+    norm = np.linalg.norm(v)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValidationError(f"ket norm {norm} is not finite and positive")
+    return v / norm
+
 
 def basis_ket(dim: int, index: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
@@ -255,10 +263,7 @@ def pauli_reconstruct(pauli: PauliVector) -> np.ndarray:
 
 def state_fidelity(rho: DensityMatrix, target_ket) -> float:
     """<psi|rho|psi> against a pure target ket."""
-    v = np.asarray(target_ket, dtype=complex).ravel()
-    v = v / np.linalg.norm(v)
-    if v.size != rho.dim:
-        raise ValidationError("target ket dimension mismatch")
+    v = unit_ket(target_ket, rho.dim)
     return float(np.real(v.conj() @ rho.matrix @ v))
 
 

@@ -13,7 +13,8 @@ unphysical; they are flagged, never repaired.
 Tomography settings are the nine per-qubit pre-rotation pairs measuring
 the axes (Z, X, Y) x (Z, X, Y); Z is the bare readout, X and Y use the
 pi/2 pre-rotations pinned in `setting_rotation`.  Expectation values come
-from parity sums of the (corrected) outcome probabilities.
+from parity sums of the (corrected) outcome probabilities, over the
+settings and signs `_LABEL_TERMS` lists for each Pauli label.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from sys import float_info
 import numpy as np
 
 from .qmath import (
+    EIGENVALUE_TOL,
     PAULI_LABELS,
     DensityMatrix,
     PauliVector,
     ValidationError,
     concurrence_matrix,
     pauli_reconstruct,
+    unit_ket,
 )
 
 BASIS_ORDER = ("GG", "GE", "EG", "EE")
@@ -121,15 +124,16 @@ class CountsTable:
     """Outcome counts (or exact probabilities) for the nine settings.
 
     counts has shape (9, 4) in SETTING_AXES x BASIS_ORDER layout.  For
-    sampled data rows hold integers summing to shots_per_setting: one
-    shot budget shared by all settings, or nine per-setting totals (as
-    post-selected data has, since heralding is random).  For the
-    infinite-shot mode (shots_per_setting None) rows hold probabilities
-    summing to one.
+    sampled data rows hold integers summing to that setting's shot total.
+    The constructor takes one budget shared by all settings or nine
+    per-setting totals (as post-selected data has, since heralding is
+    random) and stores `shots_per_setting` as a read-only (9,) float
+    array.  For the infinite-shot mode (shots_per_setting None) rows hold
+    probabilities summing to one.
     """
 
     counts: np.ndarray
-    shots_per_setting: int | np.ndarray | None
+    shots_per_setting: np.ndarray | None
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=float)
@@ -137,41 +141,33 @@ class CountsTable:
             raise ValidationError("counts must be 9 settings x 4 outcomes")
         if not np.all(np.isfinite(c) & (c >= 0)):
             raise ValidationError("counts must be finite and non-negative")
-        if self.shots_per_setting is not None and np.ndim(self.shots_per_setting) != 0:
-            totals = np.array(self.shots_per_setting, dtype=float)
+        totals = self.shots_per_setting
+        if totals is not None:
+            totals = np.array(totals, dtype=float)
+            if totals.ndim == 0:
+                totals = np.full(9, totals)
             if totals.shape != (9,):
-                raise ValidationError("per-setting totals must have nine entries")
+                raise ValidationError("shot totals must be one budget or nine per-setting totals")
+            if not np.all(np.isfinite(totals) & (totals > 0)):
+                raise ValidationError("shot totals must be positive and finite")
+            if np.any(c != np.rint(c)) or np.any(totals != np.rint(totals)):
+                raise ValidationError(
+                    "sampled counts and shot totals must be whole numbers "
+                    "(probability rows take shots_per_setting null)"
+                )
             totals.setflags(write=False)
             object.__setattr__(self, "shots_per_setting", totals)
-        target = self.setting_totals()
-        if target is None:
-            target = np.ones(9)
-        elif not np.all(np.isfinite(target) & (target > 0)):
-            raise ValidationError("shot totals must be positive and finite")
-        elif np.any(c != np.rint(c)) or np.any(target != np.rint(target)):
-            raise ValidationError(
-                "sampled counts and shot totals must be whole numbers "
-                "(probability rows take shots_per_setting null)"
-            )
+        target = 1.0 if totals is None else totals
         if np.any(np.abs(c.sum(axis=1) - target) > 1e-6 * np.maximum(target, 1.0)):
             raise ValidationError("each setting's counts must sum to the shot budget")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
-    def setting_totals(self) -> np.ndarray | None:
-        """Shots of each setting (length 9), or None for probabilities."""
-        if self.shots_per_setting is None:
-            return None
-        if isinstance(self.shots_per_setting, np.ndarray):
-            return self.shots_per_setting
-        return np.full(9, float(self.shots_per_setting))
-
     def frequencies(self) -> np.ndarray:
-        totals = self.setting_totals()
-        if totals is None:
+        if self.shots_per_setting is None:
             return self.counts.copy()
-        return self.counts / totals[:, None]
+        return self.counts / self.shots_per_setting[:, None]
 
 
 def imperfect_projectors(a: AssignmentMatrix) -> list[np.ndarray]:
@@ -223,31 +219,17 @@ def simulate_counts(
     return CountsTable(counts, settings.shots_per_setting)
 
 
-_LABEL_TO_SETTINGS: dict[str, list[int]] = {}
-for _label in PAULI_LABELS:
-    _p, _q = _label[0], _label[1]
-    if _label == "II":
-        _LABEL_TO_SETTINGS[_label] = []
-    elif _p == "I":
-        _LABEL_TO_SETTINGS[_label] = [
-            k for k, ax in enumerate(SETTING_AXES) if ax[1] == _q
-        ]
-    elif _q == "I":
-        _LABEL_TO_SETTINGS[_label] = [
-            k for k, ax in enumerate(SETTING_AXES) if ax[0] == _p
-        ]
-    else:
-        _LABEL_TO_SETTINGS[_label] = [SETTING_AXES.index((_p, _q))]
-
-
-def _component_signs(label: str) -> np.ndarray:
-    p, q = label[0], label[1]
-    s = np.ones(4)
-    if p != "I":
-        s = s * _SIGN_A
-    if q != "I":
-        s = s * _SIGN_B
-    return s
+# Pauli label (but II) -> the settings that estimate it, in SETTING_AXES order,
+# and the outcome parity signs of its non-identity factors.
+_LABEL_TERMS: dict[str, tuple[list[int], np.ndarray]] = {
+    label: (
+        [k for k, axes in enumerate(SETTING_AXES)
+         if all(p in ("I", ax) for p, ax in zip(label, axes))],
+        np.prod([sign for p, sign in zip(label, (_SIGN_A, _SIGN_B)) if p != "I"], axis=0),
+    )
+    for label in PAULI_LABELS
+    if label != "II"
+}
 
 
 def reconstruct_pauli(
@@ -262,7 +244,7 @@ def reconstruct_pauli(
     (sigma is None in the infinite-shot mode).
     """
     freqs = counts.frequencies()
-    n_k = counts.setting_totals()
+    n_k = counts.shots_per_setting
     inv = a.inverse() if a is not None else np.eye(4)
 
     corrected = freqs @ inv.T
@@ -280,8 +262,7 @@ def reconstruct_pauli(
         if label == "II":
             comps[idx] = 1.0
             continue
-        signs = _component_signs(label)
-        ks = _LABEL_TO_SETTINGS[label]
+        ks, signs = _LABEL_TERMS[label]
         vals = [float(signs @ corrected[k]) for k in ks]
         comps[idx] = float(np.mean(vals))
         if sigma is not None:
@@ -299,6 +280,11 @@ class FidelityResult:
     physical: bool
 
 
+def _fidelity_concurrence(mat: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Fidelity with the unit ket `v` and concurrence of a reconstructed 4x4 matrix."""
+    return float(np.real(v.conj() @ mat @ v)), concurrence_matrix(mat)
+
+
 def fidelity_with_errors(pauli: PauliVector, target_ket) -> FidelityResult:
     """Fidelity and concurrence with error bars from +/-sigma perturbations.
 
@@ -307,37 +293,24 @@ def fidelity_with_errors(pauli: PauliVector, target_ket) -> FidelityResult:
     the half-spread between the +sigma and -sigma re-evaluations is taken,
     and the per-component contributions combine in quadrature.
     """
-    v = np.asarray(target_ket, dtype=complex).ravel()
-    v = v / np.linalg.norm(v)
-    if v.size != 4:
-        raise ValidationError("target must be a two-qubit ket")
-
-    def metrics(components: np.ndarray) -> tuple[float, float]:
-        mat = pauli_reconstruct(PauliVector(components))
-        fid = float(np.real(v.conj() @ mat @ v))
-        return fid, concurrence_matrix(mat)
-
+    v = unit_ket(target_ket, 4)
     central_mat = pauli_reconstruct(pauli)
-    fid, conc = metrics(pauli.components)
-    physical = bool(np.linalg.eigvalsh(central_mat).min() >= -1e-9)
+    fid, conc = _fidelity_concurrence(central_mat, v)
+    physical = bool(np.linalg.eigvalsh(central_mat).min() >= -EIGENVALUE_TOL)
 
-    sig_f = sig_c = 0.0
-    if pauli.sigma is not None and np.any(pauli.sigma > 0.0):
-        var_f = var_c = 0.0
-        for i in range(16):
+    var_f = var_c = 0.0
+    if pauli.sigma is not None:
+        for i in np.flatnonzero(pauli.sigma):
             s = pauli.sigma[i]
-            if s == 0.0:
-                continue
             up = pauli.components.copy()
             dn = pauli.components.copy()
             up[i] += s
             dn[i] -= s
-            f_up, c_up = metrics(up)
-            f_dn, c_dn = metrics(dn)
+            f_up, c_up = _fidelity_concurrence(pauli_reconstruct(PauliVector(up)), v)
+            f_dn, c_dn = _fidelity_concurrence(pauli_reconstruct(PauliVector(dn)), v)
             var_f += (0.5 * (f_up - f_dn)) ** 2
             var_c += (0.5 * (c_up - c_dn)) ** 2
-        sig_f, sig_c = float(np.sqrt(var_f)), float(np.sqrt(var_c))
-    return FidelityResult(fid, sig_f, conc, sig_c, physical)
+    return FidelityResult(fid, float(np.sqrt(var_f)), conc, float(np.sqrt(var_c)), physical)
 
 
 def bootstrap_errors(
@@ -352,22 +325,24 @@ def bootstrap_errors(
     Resamples each setting's counts from its observed frequencies,
     reconstructs, and returns the standard deviations of the fidelity and
     concurrence over the resamples.  Slower than the deterministic
-    +/-sigma propagation and kept as an optional consistency check.
+    +/-sigma propagation and kept as an optional consistency check.  A
+    spread needs at least two resamples.
     """
     if counts.shots_per_setting is None:
         raise ValidationError("bootstrap needs sampled counts, not probabilities")
-    v = np.asarray(target_ket, dtype=complex).ravel()
-    v = v / np.linalg.norm(v)
+    if n_resamples < 2:
+        raise ValidationError(f"bootstrap needs at least 2 resamples, got {n_resamples}")
+    v = unit_ket(target_ket, 4)
     freqs = counts.frequencies()
-    n_k = counts.setting_totals().astype(np.int64)
+    n_k = counts.shots_per_setting.astype(np.int64)
     fids, concs = [], []
     for i in range(n_resamples):
         rng = np.random.default_rng([int(seed), 7919, i])
         resampled = np.stack([rng.multinomial(n_k[k], freqs[k]) for k in range(9)])
         pauli = reconstruct_pauli(CountsTable(resampled, counts.shots_per_setting), a)
-        mat = pauli_reconstruct(pauli)
-        fids.append(float(np.real(v.conj() @ mat @ v)))
-        concs.append(concurrence_matrix(mat))
+        fid, conc = _fidelity_concurrence(pauli_reconstruct(pauli), v)
+        fids.append(fid)
+        concs.append(conc)
     return float(np.std(fids)), float(np.std(concs))
 
 
@@ -378,14 +353,11 @@ SCHEMA_VERSION = 1
 
 
 def counts_to_json(counts: CountsTable) -> str:
+    totals = counts.shots_per_setting
     doc = {
         "schema_version": SCHEMA_VERSION,
         "basis": list(BASIS_ORDER),
-        "shots_per_setting": (
-            counts.shots_per_setting.tolist()
-            if isinstance(counts.shots_per_setting, np.ndarray)
-            else counts.shots_per_setting
-        ),
+        "shots_per_setting": None if totals is None else totals.tolist(),
         "settings": [
             {
                 "axes": list(SETTING_AXES[k]),

@@ -682,6 +682,64 @@ def test_detector_sim_runs_without_scipy(tmp_path):
     assert run.stdout == "[]\n"
 
 
+SWEEP_ARGS = ["sweep", "--axis", "phi_b", "--from", "0", "--to", "1", "--points", "2"]
+
+
+class TestOutputPaths:
+    """An output path the run cannot write is a usage error found before the run."""
+
+    # each command's engine entry point, replaced by one that fails if called
+    ENGINE = {
+        "protocol": "run_two_rounds",
+        "sweep": "sweep_preparation",
+        "detector-sim": "simulate",
+        "tomo": "reconstruct_pauli",
+    }
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["protocol", "--analytic", "--out", "{missing}/x.json"], "--out"),
+            (["protocol", "--analytic", "--out", "{dir}"], "--out"),
+            (["protocol", "--shots", "10", "--shots-out", "{missing}/s.csv"], "--shots-out"),
+            (SWEEP_ARGS + ["--out", "{missing}/s.csv"], "--out"),
+            (["detector-sim", "--t-total", "600", "--traces-out", "{missing}/t.csv"],
+             "--traces-out"),
+            (["detector-sim", "--out", "{file}/d.json"], "--out"),
+            (["tomo", "--counts", "{dir}/c.json", "--cal", "{dir}/a.json",
+              "--out", "{missing}/t.json"], "--out"),
+        ],
+    )
+    def test_unwritable_path_exits_2_before_the_run(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        def engine(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(f"heraldsim.cli.{self.ENGINE[argv[0]]}", engine)
+        (tmp_path / "file").write_text("")
+        a = reference_assignment()
+        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        counts = simulate_counts(rho, a, TomographySettings(100), seed=1)
+        (tmp_path / "c.json").write_text(counts_to_json(counts))
+        (tmp_path / "a.json").write_text(assignment_to_json(a))
+        paths = {"missing": tmp_path / "missing", "dir": tmp_path, "file": tmp_path / "file"}
+        argv = [a.format(**paths) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_write_exits_2(self, tmp_path, monkeypatch, capsys):
+        def write_text(self, text):
+            raise PermissionError(f"[Errno 13] Permission denied: '{self}'")
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+        assert main(SWEEP_ARGS + ["--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 13] Permission denied") and err.count("\n") == 1
+
+
 class TestConfigDir:
     def test_env_config_dir_resolution(self, tmp_path, monkeypatch):
         cfg_dir = tmp_path / "configs"

@@ -1,5 +1,7 @@
 """Readout simulation, linear-inversion correction, error propagation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from heraldsim.qmath import (
     ValidationError,
     bell_odd_plus,
     pauli_decompose,
+    state_fidelity,
     two_qubit_ket,
 )
 from heraldsim.tomography import (
@@ -19,6 +22,7 @@ from heraldsim.tomography import (
     TomographySettings,
     assignment_from_json,
     assignment_to_json,
+    bootstrap_errors,
     counts_from_json,
     counts_to_json,
     fidelity_with_errors,
@@ -278,8 +282,21 @@ class TestPerSettingTotals:
         counts, totals = self.unequal_counts()
         table = CountsTable(counts, totals)
         back = counts_from_json(counts_to_json(table))
-        assert np.array_equal(back.setting_totals(), totals)
+        assert np.array_equal(back.shots_per_setting, totals)
         assert np.array_equal(back.counts, table.counts)
+
+    def test_one_budget_stored_and_written_as_nine_totals(self):
+        table = CountsTable(np.full((9, 4), 25.0), 100)
+        assert np.array_equal(table.shots_per_setting, np.full(9, 100.0))
+        with pytest.raises(ValueError):
+            table.shots_per_setting[0] = 1.0
+        assert json.loads(counts_to_json(table))["shots_per_setting"] == [100.0] * 9
+
+    def test_scalar_budget_loads_as_nine_equal_totals(self):
+        doc = json.loads(counts_to_json(CountsTable(np.full((9, 4), 25.0), 100)))
+        doc["shots_per_setting"] = 100
+        back = counts_from_json(json.dumps(doc))
+        assert np.array_equal(back.shots_per_setting, np.full(9, 100.0))
 
     def test_bootstrap_accepts_unequal_totals(self):
         from heraldsim.tomography import bootstrap_errors
@@ -342,6 +359,43 @@ class TestFidelityWithErrors:
         assert result.fidelity > 1.0  # linear functional, reported as-is
 
 
+BAD_TARGETS = {
+    "zero": np.zeros(4),
+    "inf": np.array([0.0, 1.0, np.inf, 0.0]),
+    "nan": np.array([0.0, 1.0, np.nan, 0.0]),
+    "size": np.array([1.0, 1.0]),
+}
+
+
+class TestTargetKet:
+    """Every fidelity entry point normalises its target through qmath.unit_ket."""
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        return simulate_counts(rho, reference_assignment(), TomographySettings(1000), seed=1)
+
+    @pytest.mark.parametrize("bad", BAD_TARGETS, ids=list(BAD_TARGETS))
+    def test_rejected_everywhere(self, bad, counts):
+        ket = BAD_TARGETS[bad]
+        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        a = reference_assignment()
+        with pytest.raises(ValidationError, match="ket"):
+            state_fidelity(rho, ket)
+        with pytest.raises(ValidationError, match="ket"):
+            fidelity_with_errors(reconstruct_pauli(counts, a), ket)
+        with pytest.raises(ValidationError, match="ket"):
+            bootstrap_errors(counts, a, ket, n_resamples=2)
+        with pytest.raises(ValidationError):
+            DensityMatrix.from_ket(ket, dims=(2, 2))
+
+    @pytest.mark.parametrize("n_resamples", [-1, 0, 1])
+    def test_bootstrap_needs_two_resamples(self, n_resamples, counts):
+        # one resample has spread 0.0 and none has no spread at all
+        with pytest.raises(ValidationError, match="at least 2 resamples"):
+            bootstrap_errors(counts, None, bell_odd_plus(), n_resamples=n_resamples)
+
+
 class TestSerialization:
     def test_counts_round_trip(self):
         rho = random_two_qubit_state(70)
@@ -350,7 +404,7 @@ class TestSerialization:
         )
         back = counts_from_json(counts_to_json(counts))
         assert np.array_equal(back.counts, counts.counts)
-        assert back.shots_per_setting == 1000
+        assert np.array_equal(back.shots_per_setting, np.full(9, 1000.0))
 
     def test_assignment_round_trip(self):
         a = reference_assignment()
