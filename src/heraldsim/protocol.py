@@ -174,9 +174,12 @@ class _Engine:
     """Full-space operators for one configuration, each built once.
 
     The emission, splitter and pi-pulse unitaries come from the per-`n_max`
-    cache; the offset phase, the loss Kraus operators (only when
-    eta_loss < 1) and the dephasing pairs are embedded here.  Every step
-    applies them with the one kernel `apply_kraus_matrix`.
+    cache; the loss Kraus operators (only when eta_loss < 1) are embedded
+    here.  Those and the offset phase, built with `np.diag` from its
+    36-entry diagonal, are dense matrices applied as products by
+    `apply_kraus_matrix`.  The dephasing Kraus operators are real and
+    diagonal, so they are kept as 36-entry factor vectors and applied
+    entrywise by `_apply_diagonal_kraus`.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -184,13 +187,13 @@ class _Engine:
         self.dims = config.dims
         self.u_emit, self.u_bs, self.u_pi = _unitaries(config.n_max)
         d = self.dims[RAIL_DET]
-        phase = np.diag(np.exp(1j * config.phi_off * np.arange(d)))
-        self.u_offset = embed_operator(phase, self.dims, (RAIL_DET,))
+        phase = np.exp(1j * config.phi_off * np.arange(d))
+        self.u_offset = np.diag(_subsystem_diagonal(phase, self.dims, RAIL_DET))
         self.loss = (
             [embed_operator(k, self.dims, (RAIL_DET,)) for k in loss_kraus(d, config.eta_loss)]
             if config.eta_loss < 1.0 else []
         )
-        self.dephasing = _phase_damping_kraus(self.dims, config.t_seq, config.t2e_a, config.t2e_b)
+        self.dephasing = _phase_damping_factors(self.dims, config.t_seq, config.t2e_a, config.t2e_b)
 
     def initial_matrix(self) -> np.ndarray:
         ket = np.kron(_prepared_qubits(self.config), basis_ket(self.dims[2] * self.dims[3], 0))
@@ -211,19 +214,40 @@ class _Engine:
         return branch_matrices(mat, self.dims, RAIL_DET, params)
 
 
-def _phase_damping_kraus(dims, duration: float, t2e_a: float, t2e_b: float) -> list:
-    """Embedded Kraus pairs [sqrt(alpha) I, sqrt(1-alpha) Z] for qubits A, B.
+def _subsystem_diagonal(local: np.ndarray, dims, target: int) -> np.ndarray:
+    """Full-space diagonal of the operator diag(`local`) on subsystem `target`."""
+    shape = [1] * len(dims)
+    shape[target] = dims[target]
+    return np.broadcast_to(np.reshape(local, shape), tuple(dims)).ravel()
+
+
+def _apply_diagonal_kraus(mat: np.ndarray, factors) -> np.ndarray:
+    """sum_k K mat K^dag for real diagonal K, each given by its diagonal.
+
+    Scales rows, then columns, and sums the terms in the order of
+    `apply_kraus_matrix`; the result equals that kernel's dense products
+    with the embedded matrices bit for bit.
+    """
+    out = np.zeros_like(mat)
+    for k in factors:
+        out += (k[:, None] * mat) * k[None, :]
+    return out
+
+
+def _phase_damping_factors(dims, duration: float, t2e_a: float, t2e_b: float) -> list:
+    """Diagonals of the Kraus pairs [sqrt(alpha) I, sqrt(1-alpha) Z] for qubits A, B.
 
     alpha = (1 + exp(-duration/T2E))/2; an infinite T2E means no dephasing.
-    Apply the two pairs one after the other.
+    Each operator is a real full-space diagonal (a factor vector); apply
+    the two pairs one after the other with `_apply_diagonal_kraus`.
     """
     if not (duration >= 0.0 and t2e_a > 0.0 and t2e_b > 0.0):
         raise ValidationError(f"phase damping needs t >= 0, T2E > 0: {(duration, t2e_a, t2e_b)}")
     pairs = []
     for qubit, t2e in ((QUBIT_A, t2e_a), (QUBIT_B, t2e_b)):
         alpha = 0.5 * (1.0 + np.exp(-duration / t2e))
-        local = (np.sqrt(alpha) * np.eye(2), np.sqrt(1.0 - alpha) * np.diag([1.0, -1.0]))
-        pairs.append([embed_operator(k, dims, (qubit,)) for k in local])
+        local = (np.sqrt(alpha) * np.ones(2), np.sqrt(1.0 - alpha) * np.array([1.0, -1.0]))
+        pairs.append([_subsystem_diagonal(k, dims, qubit) for k in local])
     return pairs
 
 
@@ -234,13 +258,15 @@ def apply_phase_damping(
 
     Kraus pair sqrt(alpha) I and sqrt(1-alpha) Z per qubit with
     alpha = (1 + exp(-t/T2E))/2; populations are untouched, two-qubit
-    coherences decay with the product of the single-qubit factors.
+    coherences decay with the product of the single-qubit factors.  The
+    Kraus operators are diagonal, so each is applied as a factor vector
+    scaling rows and columns, not as a dense matrix product.
     """
     if len(rho.dims) < 2 or rho.dims[0] != 2 or rho.dims[1] != 2:
         raise ValidationError("state must start with two qubit subsystems")
     mat = rho.matrix
-    for pair in _phase_damping_kraus(rho.dims, duration, t2e_a, t2e_b):
-        mat = apply_kraus_matrix(mat, pair)
+    for pair in _phase_damping_factors(rho.dims, duration, t2e_a, t2e_b):
+        mat = _apply_diagonal_kraus(mat, pair)
     return DensityMatrix(rho.dims, mat)
 
 
@@ -263,7 +289,7 @@ def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
                 branches[(c1, c2)] = Branch(max(p, 0.0), None)
                 continue
             for pair in eng.dephasing:
-                mat2 = apply_kraus_matrix(mat2, pair)
+                mat2 = _apply_diagonal_kraus(mat2, pair)
             reduced = qmath.partial_trace_matrix(mat2, config.dims, (QUBIT_A, QUBIT_B))
             branches[(c1, c2)] = Branch(p, DensityMatrix((2, 2), reduced / p))
 

@@ -267,18 +267,21 @@ def state_fidelity(rho: DensityMatrix, target_ket) -> float:
     return float(np.real(v.conj() @ rho.matrix @ v))
 
 
-def concurrence_matrix(mat: np.ndarray) -> float:
-    """Wootters construction on a bare 4x4 matrix; no physicality checks.
+def concurrence_matrix(mat: np.ndarray) -> np.ndarray:
+    """Wootters construction on a bare 4x4 matrix or a (..., 4, 4) stack;
+    no physicality checks.  Returns an array of shape mat.shape[:-2].
 
     Needed for finite-shot reconstructions, which may be slightly
-    non-positive but still have a well-defined concurrence estimate.
+    non-positive but still have a well-defined concurrence estimate.  A
+    stack gives each matrix the bits it gets alone: the products and the
+    eigenvalue call run matrix by matrix inside numpy and LAPACK.
     """
     yy = np.kron(PAULI_Y, PAULI_Y)
     m = mat @ yy @ mat.conj() @ yy
     eigs = np.linalg.eigvals(m).real
     eigs = np.sqrt(np.clip(eigs, 0.0, None))
-    eigs = np.sort(eigs)[::-1]
-    return float(max(0.0, eigs[0] - eigs[1] - eigs[2] - eigs[3]))
+    eigs = np.sort(eigs, axis=-1)[..., ::-1]
+    return np.maximum(0.0, eigs[..., 0] - eigs[..., 1] - eigs[..., 2] - eigs[..., 3])
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -290,4 +293,4 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     if rho.dims not in ((2, 2), (4,)):
         raise ValidationError("concurrence needs a two-qubit state")
-    return concurrence_matrix(rho.matrix)
+    return float(concurrence_matrix(rho.matrix))

@@ -172,6 +172,15 @@ class TestProtocolCommand:
         assert main(["protocol", "--config", str(cfg)]) == 2
         assert "no finite success rate" in capsys.readouterr().err
 
+    def test_analytic_control_digest(self, tmp_path):
+        # SHA-256 of the default analytic output with the control run
+        # (numpy 2.4.6): pins the engine and `apply_phase_damping` bytes
+        out = tmp_path / "control.json"
+        assert main(["protocol", "--analytic", "--control", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c975f74c736e0b0a27db093dfb950874babd36f208a504a7f3e4cdd00ff1e725"
+        )
+
     def test_control_block(self, tmp_path):
         out = tmp_path / "out.json"
         assert main(["protocol", "--analytic", "--control", "--out", str(out)]) == 0
@@ -180,6 +189,18 @@ class TestProtocolCommand:
         comps = doc["control"]["pauli"]["components"]
         assert abs(comps[labels.index("ZZ")]) < 1e-9
         assert doc["control"]["concurrence"] < 1e-9
+
+
+# axis -> (from, to, SHA-256 of the 5-point sweep CSV); the ranges are the
+# benchmark's (heraldbench/workloads.py SWEEP_RANGES)
+AXIS_SWEEP_DIGESTS = {
+    "theta_a": ("0.0", "3.1416", "c9d53cc94d1f051a5ed11b8eade2dd4d15835fb185fda3be9afdd75269616a2c"),
+    "phi_a": ("0.0", "6.2832", "a1e7ac0e7222c9766c2a4b9ca5fa9b5ecfaac55d140606347635061fdfc1f612"),
+    "theta_b": ("0.0", "3.1416", "6ce7a31277c8dbc0d96d78a3fb4dd84773e1a5fc8690dc13b4fc5f307abec3ce"),
+    "phi_b": ("0.0", "6.2832", "1624d369616ec8729ef388e2c3df7a8090d68e913a0dcd655c8d1f576defea52"),
+    "phi_off": ("0.0", "6.2832", "0d204cd8ff158966617ffc03f6a5365662f77d11190a7914ab296b935b93122b"),
+    "t_seq": ("0.5", "5.0", "2a1007b3319e9b83234ea07208bb0163212f6648a5248a05b1118a203cd813d3"),
+}
 
 
 class TestSweepCommand:
@@ -191,6 +212,17 @@ class TestSweepCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "c029ee7888166bdac09fd3c52f5f114ab851c742ec1f38cdda970ae844d3afec"
         )
+
+    @pytest.mark.parametrize("axis", AXIS_SWEEP_DIGESTS)
+    def test_axis_sweep_digest(self, axis, tmp_path):
+        # SHA-256 of a 5-point sweep over the benchmark's range for each axis
+        # besides eta_loss (numpy 2.4.6): t_seq moves the dephasing factors,
+        # phi_off the offset-phase diagonal, the preparations the initial state
+        lo, hi, digest = AXIS_SWEEP_DIGESTS[axis]
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--axis", axis, "--from", lo, "--to", hi, "--points", "5"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_phase_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

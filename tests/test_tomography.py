@@ -16,8 +16,10 @@ from heraldsim.qmath import (
     two_qubit_ket,
 )
 from heraldsim.tomography import (
+    _LABEL_TERMS,
     AssignmentMatrix,
     CountsTable,
+    FidelityResult,
     SETTING_AXES,
     TomographySettings,
     assignment_from_json,
@@ -201,6 +203,85 @@ class TestReconstructPauli:
         expected = pauli_decompose(rho)
         for i in range(1, 16):
             assert abs(got.components[i] - expected.components[i]) < 5.0 * got.sigma[i]
+
+
+def per_label_components(counts, a=None):
+    """Pauli components by the per-label loop of one scalar `signs @ c` dot
+    per setting and `np.mean` over the settings sharing a label: the order
+    whose bits the batched component kernel must keep."""
+    inv = a.inverse() if a is not None else np.eye(4)
+    corrected = counts.frequencies() @ inv.T
+    comps = np.zeros(16)
+    for idx, label in enumerate(PAULI_LABELS):
+        if label == "II":
+            comps[idx] = 1.0
+            continue
+        ks, signs = _LABEL_TERMS[label]
+        comps[idx] = float(np.mean([float(signs @ corrected[k]) for k in ks]))
+    return comps
+
+
+class TestComponentSummationOrder:
+    @pytest.mark.parametrize("assignment", [None, reference_assignment()], ids=["raw", "corrected"])
+    def test_bit_identical_to_per_label_loop(self, assignment):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            totals = rng.integers(20, 20000, size=9)
+            probs = rng.dirichlet(np.full(4, 0.7), size=9)
+            counts = CountsTable(
+                np.stack([rng.multinomial(n, p) for n, p in zip(totals, probs)]), totals
+            )
+            got = reconstruct_pauli(counts, assignment).components
+            assert np.array_equal(got, per_label_components(counts, assignment))
+            exact = CountsTable(probs, None)
+            got = reconstruct_pauli(exact, assignment).components
+            assert np.array_equal(got, per_label_components(exact, assignment))
+
+
+# Counts and bootstrap / error-bar outputs recorded (as reprs) with the
+# per-resample reconstruction the batched bootstrap replaced (numpy 2.4.6).
+PINNED_EQUAL = [
+    [327, 1170, 1192, 311], [742, 755, 756, 747], [760, 748, 724, 768],
+    [811, 748, 711, 730], [1239, 289, 248, 1224], [770, 742, 720, 768],
+    [749, 764, 741, 746], [786, 685, 752, 777], [1286, 279, 274, 1161],
+]
+PINNED_UNEQUAL = [
+    [168, 608, 582, 142], [436, 401, 427, 447], [456, 489, 491, 486],
+    [537, 519, 547, 530], [969, 213, 209, 953], [676, 633, 635, 611],
+    [724, 692, 643, 707], [745, 734, 757, 741], [1324, 309, 305, 1250],
+]
+PINNED_UNEQUAL_TOTALS = [1500, 1711, 1922, 2133, 2344, 2555, 2766, 2977, 3188]
+
+
+class TestPinnedErrorBars:
+    """Bootstrap and perturbation error bars keep their recorded floats."""
+
+    def test_bootstrap_reference_assignment_equal_totals(self):
+        counts = CountsTable(PINNED_EQUAL, 3000)
+        got = bootstrap_errors(counts, reference_assignment(), bell_odd_plus(), n_resamples=200, seed=1)
+        assert got == (0.0071188915311209446, 0.014178248611267404)
+
+    def test_bootstrap_unequal_totals(self):
+        counts = CountsTable(PINNED_UNEQUAL, PINNED_UNEQUAL_TOTALS)
+        got = bootstrap_errors(counts, reference_assignment(), [0, 1, 1j, 0], n_resamples=100, seed=2)
+        assert got == (0.008780483132735436, 0.016803335347949165)
+
+    def test_bootstrap_uncorrected_two_resamples(self):
+        counts = CountsTable(PINNED_EQUAL, 3000)
+        got = bootstrap_errors(counts, None, bell_odd_plus(), n_resamples=2, seed=3)
+        assert got == (0.0076666666666667105, 0.014653402145957839)
+
+    def test_fidelity_with_errors(self):
+        a = reference_assignment()
+        got = fidelity_with_errors(reconstruct_pauli(CountsTable(PINNED_EQUAL, 3000), a), bell_odd_plus())
+        assert got == FidelityResult(
+            0.7779596471515431, 0.00715773560546713, 0.5563489099242099, 0.01434041838069609, True
+        )
+        unequal = CountsTable(PINNED_UNEQUAL, PINNED_UNEQUAL_TOTALS)
+        got = fidelity_with_errors(reconstruct_pauli(unequal, a), [0, 1, 1j, 0])
+        assert got == FidelityResult(
+            0.41944614174172795, 0.009811141237233657, 0.5524714230636377, 0.017109386174614882, True
+        )
 
 
 class TestPerSettingTotals:
