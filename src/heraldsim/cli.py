@@ -16,7 +16,10 @@ without `--shots`, `detector-sim --from/--to/--points` without `--sweep`,
 `--traces-out` with it), is a usage error (2).  So is an output path
 (`--out`, `--shots-out`, `--traces-out`) that is a directory or whose
 directory does not exist; a write that fails anyway exits 2 as well.
-`detector-sim` runs its sweep points as one batched integration.
+`detector-sim` hands its sweep points, or its Fock and dark runs, to one
+`lindblad.simulate` call: on Linux they run in forked workers, one per CPU
+in the affinity mask, with results bit-identical to an in-process run,
+and in-process otherwise.
 """
 
 from __future__ import annotations
@@ -282,8 +285,11 @@ def cmd_detector_sim(args) -> int:
         return EXIT_OK
 
     _check_t_total(args.t_total, pulse_end)
-    # one batch; the Fock run is first, so its failure is the one raised
-    traces, dark = simulate([(params, args.fock), (params, 0)], t_total=args.t_total)
+    # the Fock run is first, so its failure is the one raised; with --fock 0
+    # it is the dark run too
+    systems = [(params, args.fock)] + ([(params, 0)] if args.fock else [])
+    runs = simulate(systems, t_total=args.t_total)
+    traces, dark = runs[0], runs[-1]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "backend": "numpy",  # schema version 1 field; one integrator remains

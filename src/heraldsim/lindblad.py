@@ -22,13 +22,19 @@ in MHz, times in ns.
 
 Integration is fixed-step classical RK4 (default 1 ns), deterministic by
 construction.  One numpy kernel, `_propagate`, steps a stack of
-independent systems at once: `simulate`, `pulse_sweep` and
-`parameter_robustness` integrate all their systems in one batch, and every
-member's trajectory is bit-identical to integrating it alone.
+independent systems at once, and every member's trajectory is
+bit-identical to integrating it alone.  `simulate`, `pulse_sweep` and
+`parameter_robustness` hand all their systems to one `simulate` call: on
+Linux it integrates them in forked workers, one contiguous shard per CPU
+in the affinity mask, and joins the results in input order; with one
+shard it runs the same loop in-process.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import warnings
 from dataclasses import dataclass, replace
 from math import atan, isfinite, pi, sqrt
 
@@ -292,12 +298,136 @@ def _check_budget(rho: np.ndarray, hint: str) -> float:
     return trace_error
 
 
+def _integrate_shard(systems, times_main, dt):
+    """The _BATCH loop over contiguous systems: (results, first error or None).
+
+    The error is returned, not raised, so that a forked worker can hand it
+    back with its warnings; the systems after it are not integrated.
+    """
+    results = []
+    try:
+        for lo in range(0, len(systems), _BATCH):
+            members, prerolls, failure = [], [], None
+            for params, fock in systems[lo:lo + _BATCH]:
+                ops = _CascadeOperators(params)
+                t_min = min(0.0, params.pulse.start_time)
+                if t_min < 0.0:
+                    n_pre = max(1, int(round(-t_min / dt)))
+                    times_pre = t_min + dt * np.arange(n_pre + 1)
+                    out_pre, rho_mid = _integrate(
+                        [(ops, params, ops.initial_state(0))], times_pre, dt
+                    )
+                    try:
+                        _check_budget(rho_mid[0], "reduce dt")
+                    except IntegrationError as exc:
+                        # members before this one still report their own failures first
+                        failure = exc
+                        break
+                    # swap in the freshly released Fock state; the emitter factor is
+                    # untouched vacuum up to here, so this is a tensor replacement
+                    detector = partial_trace_matrix(rho_mid[0], ops.dims, (1, 2))
+                    rho_start = ops.initial_state(fock, detector)
+                    prerolls.append((times_pre[:-1], out_pre[0][:, :-1]))
+                else:
+                    rho_start = ops.initial_state(fock)
+                    prerolls.append((np.empty(0), np.empty((len(ops.obs), 0))))
+                members.append((ops, params, rho_start))
+
+            if members:
+                out_main, rho_final = _integrate(members, times_main, dt)
+            for b, ((_, params, _), (times_pre, out_pre)) in enumerate(zip(members, prerolls)):
+                trace_error = _check_budget(rho_final[b], "reduce dt")
+                times = np.concatenate([times_pre, times_main])
+                out = np.concatenate([out_pre, out_main[b]], axis=1)
+                guard_max = float(out[3].max())
+                if not guard_max <= GUARD_TOL:
+                    raise IntegrationError(
+                        f"detector-cavity guard level reached {guard_max:.2e} "
+                        f"(budget {GUARD_TOL:.0e}); raise detector_cavity_dim"
+                    )
+                results.append(
+                    TimeTraces(
+                        times=times,
+                        n_a=out[0],
+                        n_d=out[1],
+                        p_e=out[2],
+                        pulse=params.pulse.rate_rad_ns(times),
+                        guard_max=guard_max,
+                        trace_error=trace_error,
+                    )
+                )
+            if failure is not None:
+                raise failure
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _forked_shard(systems, times_main, dt):
+    """A worker's shard: results, first error and the warnings it recorded.
+
+    The worker inherits the caller's warning filters and numpy error state
+    with the fork, so a warning turned into an error fails the shard here
+    just as it would in-process.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        results, error = _integrate_shard(systems, times_main, dt)
+    return results, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 off Linux, which never forks."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
+def _integrate_forked(systems, times_main, dt, n_shards):
+    """`_forked_shard` over n_shards contiguous shards, one forked worker each.
+
+    Returns each shard's (results, error) in input order, up to the first
+    shard with an error, after re-emitting those shards' warnings here.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    bounds = [len(systems) * k // n_shards for k in range(n_shards + 1)]
+    # fork, not spawn: a spawned worker imports numpy afresh, about 0.3 s per
+    # CLI run; a forked one starts with this process's modules and state
+    context = multiprocessing.get_context("fork")
+    # leaving the block joins every worker, whatever happened in it
+    with ProcessPoolExecutor(n_shards, mp_context=context) as pool:
+        futures = [
+            pool.submit(_forked_shard, systems[lo:hi], times_main, dt)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        try:
+            outcomes = [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            raise IntegrationError(f"a worker process died during integration: {exc}") from exc
+    shards = []
+    # the worker applied the filters; this module's registry then shows a
+    # "default" warning once per location, as an in-process run does
+    registry = globals().setdefault("__warningregistry__", {})
+    for results, error, caught in outcomes:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        shards.append((results, error))
+        if error is not None:
+            break
+    return shards
+
+
 def simulate(systems, t_total: float = 1200.0, dt: float = 1.0) -> list[TimeTraces]:
     """`cascaded_simulate` for a list of (params, initial_fock) systems.
 
-    The systems are integrated _BATCH per kernel call.  Results, and the
-    first error raised, are those of integrating the systems one by one in
-    input order.
+    On Linux the systems are split into contiguous shards, one per CPU in
+    the affinity mask and no more than there are systems, and each shard
+    is integrated in a forked worker; with one shard (one system, one CPU,
+    or another platform) the same loop runs in-process.  Each shard
+    integrates _BATCH systems per kernel call.  Results, and the first
+    error raised, are those of integrating the systems one by one in input
+    order, bit for bit; a worker that dies raises IntegrationError.  The
+    inputs and the time grid are checked and allocated before any fork.
     """
     for name, value in (("t_total", t_total), ("dt", dt)):
         if not (isfinite(value) and value > 0.0):
@@ -307,59 +437,16 @@ def simulate(systems, t_total: float = 1200.0, dt: float = 1.0) -> list[TimeTrac
             raise ValidationError(f"initial_fock {fock} outside emitter dimension")
     n_steps = max(1, int(round(t_total / dt)))
     times_main = dt * np.arange(n_steps + 1)
+    n_shards = min(len(systems), _usable_cpus())
+    if n_shards > 1:
+        shards = _integrate_forked(systems, times_main, dt, n_shards)
+    else:
+        shards = [_integrate_shard(systems, times_main, dt)]
     results = []
-    for lo in range(0, len(systems), _BATCH):
-        members, prerolls, failure = [], [], None
-        for params, fock in systems[lo:lo + _BATCH]:
-            ops = _CascadeOperators(params)
-            t_min = min(0.0, params.pulse.start_time)
-            if t_min < 0.0:
-                n_pre = max(1, int(round(-t_min / dt)))
-                times_pre = t_min + dt * np.arange(n_pre + 1)
-                out_pre, rho_mid = _integrate(
-                    [(ops, params, ops.initial_state(0))], times_pre, dt
-                )
-                try:
-                    _check_budget(rho_mid[0], "reduce dt")
-                except IntegrationError as exc:
-                    # members before this one still report their own failures first
-                    failure = exc
-                    break
-                # swap in the freshly released Fock state; the emitter factor is
-                # untouched vacuum up to here, so this is a tensor replacement
-                detector = partial_trace_matrix(rho_mid[0], ops.dims, (1, 2))
-                rho_start = ops.initial_state(fock, detector)
-                prerolls.append((times_pre[:-1], out_pre[0][:, :-1]))
-            else:
-                rho_start = ops.initial_state(fock)
-                prerolls.append((np.empty(0), np.empty((len(ops.obs), 0))))
-            members.append((ops, params, rho_start))
-
-        if members:
-            out_main, rho_final = _integrate(members, times_main, dt)
-        for b, ((_, params, _), (times_pre, out_pre)) in enumerate(zip(members, prerolls)):
-            trace_error = _check_budget(rho_final[b], "reduce dt")
-            times = np.concatenate([times_pre, times_main])
-            out = np.concatenate([out_pre, out_main[b]], axis=1)
-            guard_max = float(out[3].max())
-            if not guard_max <= GUARD_TOL:
-                raise IntegrationError(
-                    f"detector-cavity guard level reached {guard_max:.2e} "
-                    f"(budget {GUARD_TOL:.0e}); raise detector_cavity_dim"
-                )
-            results.append(
-                TimeTraces(
-                    times=times,
-                    n_a=out[0],
-                    n_d=out[1],
-                    p_e=out[2],
-                    pulse=params.pulse.rate_rad_ns(times),
-                    guard_max=guard_max,
-                    trace_error=trace_error,
-                )
-            )
-        if failure is not None:
-            raise failure
+    for shard_results, error in shards:
+        if error is not None:
+            raise error
+        results += shard_results
     return results
 
 

@@ -170,12 +170,36 @@ def _unitaries(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ops
 
 
+@cache
+def _det_rail_places(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-space (row, column) indices of each local entry of a detector-rail
+    operator: entry (n, m) sits at rows[n, 0, r], cols[0, m, r] for every
+    level r of the other subsystems.  Built once per `n_max`, read-only."""
+    d = n_max + 1
+    full = np.arange(4 * d * d).reshape(2, 2, d, d)
+    per_level = np.moveaxis(full, RAIL_DET, 0).reshape(d, 1, -1)
+    places = (per_level, per_level.transpose(1, 0, 2))
+    for index in places:
+        index.setflags(write=False)
+    return places
+
+
+def _on_det_rail(local: np.ndarray, n_max: int) -> np.ndarray:
+    """`local` (d x d) placed on the detector rail: the kron-built embedding,
+    entry for entry, of an operator whose entries are real and non-negative."""
+    rows, cols = _det_rail_places(n_max)
+    d = n_max + 1
+    full = np.zeros((4 * d * d, 4 * d * d), dtype=complex)
+    full[rows, cols] = local[:, :, None]
+    return full
+
+
 class _Engine:
     """Full-space operators for one configuration, each built once.
 
     The emission, splitter and pi-pulse unitaries come from the per-`n_max`
-    cache; the loss Kraus operators (only when eta_loss < 1) are embedded
-    here.  Those and the offset phase, built with `np.diag` from its
+    cache; the loss Kraus operators (only when eta_loss < 1) are placed
+    here through the cached per-`n_max` detector-rail index map.  Those and the offset phase, built with `np.diag` from its
     36-entry diagonal, are dense matrices applied as products by
     `apply_kraus_matrix`.  The dephasing Kraus operators are real and
     diagonal, so they are kept as 36-entry factor vectors and applied
@@ -190,7 +214,7 @@ class _Engine:
         phase = np.exp(1j * config.phi_off * np.arange(d))
         self.u_offset = np.diag(_subsystem_diagonal(phase, self.dims, RAIL_DET))
         self.loss = (
-            [embed_operator(k, self.dims, (RAIL_DET,)) for k in loss_kraus(d, config.eta_loss)]
+            [_on_det_rail(k, config.n_max) for k in loss_kraus(d, config.eta_loss)]
             if config.eta_loss < 1.0 else []
         )
         self.dephasing = _phase_damping_factors(self.dims, config.t_seq, config.t2e_a, config.t2e_b)

@@ -23,6 +23,7 @@ from heraldsim.lindblad import (
     GaussianPulse,
     IntegrationError,
     cascaded_simulate,
+    simulate,
 )
 from heraldsim.protocol import SWEEPABLE_AXES
 from heraldsim.qmath import DensityMatrix, PAULI_LABELS, bell_odd_plus, pauli_decompose
@@ -334,6 +335,43 @@ class TestDetectorSimCommand:
         assert doc["dark_count"] < 0.01
         header = traces.read_text().split("\n", 1)[0]
         assert header == "time_ns,n_A,n_D,p_e,pulse"
+
+    def test_fock_0_is_its_own_dark_run(self, tmp_path, monkeypatch):
+        # the Fock-0 run and the dark run are the same system, integrated once
+        received = []
+
+        def recording(systems, **kwargs):
+            received.append(list(systems))
+            return simulate(systems, **kwargs)
+
+        monkeypatch.setattr("heraldsim.cli.simulate", recording)
+        out = tmp_path / "det.json"
+        assert main(["detector-sim", "--fock", "0", "--t-total", "600", "--out", str(out)]) == 0
+        assert received == [[(CascadedSystemParams(), 0)]]
+        doc = json.loads(out.read_text())
+        assert doc["p_click"] == doc["dark_count"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="systems are sharded on Linux only")
+    def test_dead_worker_exits_3(self, tmp_path):
+        # a worker that dies mid-shard ends the sweep as a numerical error; a
+        # fresh interpreter keeps the forked pool out of the test process
+        code = (
+            "import os, sys\n"
+            "from heraldsim import cli, lindblad\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "lindblad._integrate_shard = lambda *args: os._exit(1)\n"
+            "sys.exit(cli.main(['detector-sim', '--sweep', 'delay', '--from', '0',\n"
+            "                   '--to', '100', '--points', '2', '--t-total', '800',\n"
+            "                   '--out', sys.argv[1]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(heraldsim.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "sweep.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 3, run.stderr
+        assert run.stderr.startswith("numerical error: a worker process died")
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_number_blindness(self, tmp_path):
         clicks = {}

@@ -1,6 +1,10 @@
 """Time-domain detector models: cascade traces, robustness, sideband Rabi."""
 
 import hashlib
+import multiprocessing
+import os
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -164,11 +168,13 @@ class TestBatchedIntegration:
         [
             (150.0, 50.0, -30.0),    # main-window failure before a pre-roll failure
             (150.0, -30.0, 50.0),    # pre-roll failure first
+            (50.0, 150.0, -30.0, 60.0),  # failures in both shards of two
         ],
     )
-    def test_failing_member_raises_first_error(self, starts):
+    def test_failing_member_raises_first_error(self, starts, monkeypatch):
         # an 800 MHz pulse drives RK4 at dt = 1 ns out of its stability region;
         # the pulse starting at 150 ns lies after the window and stays clean
+        _set_cpus(monkeypatch, 2)
         params = replace(
             CascadedSystemParams(),
             pulse=GaussianPulse(sigma=10.0, amplitude=800.0, start_time=0.0),
@@ -189,6 +195,101 @@ class TestBatchedIntegration:
         )
         with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="nan"):
             cascaded_simulate(1, params, t_total=200.0)
+
+
+def _set_cpus(monkeypatch, n):
+    """Pin the affinity mask `simulate` reads to n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+# pre-roll and main-window starts, each Fock state, and a detuned system
+SHARD_SYSTEMS = [
+    (_with_start(CascadedSystemParams(), start), fock)
+    for start, fock in [(-60.0, 1), (115.0, 0), (-10.0, 2), (40.0, 1), (-100.0, 0),
+                        (0.0, 2), (80.0, 1), (-30.0, 1), (115.0, 2), (20.0, 0)]
+]
+SHARD_SYSTEMS[3] = (replace(SHARD_SYSTEMS[3][0], detuning=0.0), 1)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="systems are sharded on Linux only")
+class TestForkedShards:
+    """Systems integrated in forked workers equal the in-process run exactly."""
+
+    def _run(self, monkeypatch, n_cpus, systems, t_total=400.0, dt=2.0):
+        """simulate on n_cpus; also how often a shard ran in this process."""
+        _set_cpus(monkeypatch, n_cpus)
+        calls = []
+        integrate_shard = lindblad._integrate_shard
+
+        def counted(*args):
+            calls.append(args)
+            return integrate_shard(*args)
+
+        monkeypatch.setattr(lindblad, "_integrate_shard", counted)
+        return lindblad.simulate(systems, t_total, dt), len(calls)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("batch", [lindblad._BATCH, 2])
+    def test_shards_equal_one_cpu(self, n, batch, monkeypatch):
+        # with a batch of 2 each shard holds more than one kernel call
+        monkeypatch.setattr(lindblad, "_BATCH", batch)
+        sharded, local_calls = self._run(monkeypatch, 3, SHARD_SYSTEMS[:n])
+        # one system runs in-process; more are integrated only in workers
+        assert local_calls == (1 if n == 1 else 0)
+        single, local_calls = self._run(monkeypatch, 1, SHARD_SYSTEMS[:n])
+        assert local_calls == 1
+        assert len(sharded) == len(single) == n
+        for a, b in zip(sharded, single):
+            for field in ("times", "n_a", "n_d", "p_e", "pulse"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+            assert a.guard_max == b.guard_max
+            assert a.trace_error == b.trace_error
+
+    def test_no_worker_outlives_the_call(self, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        lindblad.simulate(SHARD_SYSTEMS[:4], 200.0, 2.0)
+        assert multiprocessing.active_children() == []
+        diverging = replace(
+            CascadedSystemParams(),
+            pulse=GaussianPulse(sigma=10.0, amplitude=800.0, start_time=0.0),
+        )
+        with pytest.raises(IntegrationError):
+            lindblad.simulate([(diverging, 1), (diverging, 1)], 120.0, 1.0)
+        assert multiprocessing.active_children() == []
+
+    def test_floating_point_errors_and_warnings_reach_the_caller(self, monkeypatch):
+        # the first system overflows to NaN, the second stays clean
+        overflowing = replace(
+            CascadedSystemParams(),
+            pulse=GaussianPulse(sigma=10.0, amplitude=1e7, start_time=50.0),
+        )
+        systems = [(overflowing, 1), (CascadedSystemParams(), 1)]
+
+        def outcome(n_cpus):
+            _set_cpus(monkeypatch, n_cpus)
+            seen = []
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError) as exc:
+                lindblad.simulate(systems, 200.0)
+            seen.append(str(exc.value))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning) as exc:
+                    lindblad.simulate(systems, 200.0)
+            seen.append(str(exc.value))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                with pytest.raises(IntegrationError, match="nan") as exc:
+                    lindblad.simulate(systems, 200.0)
+            seen.append(str(exc.value))
+            seen.append([
+                (w.category, str(w.message), w.filename, w.lineno)
+                for w in caught if issubclass(w.category, RuntimeWarning)
+            ])
+            return seen
+
+        sharded = outcome(2)
+        assert sharded[3]  # the overflow was seen, not lost in the worker
+        assert sharded == outcome(1)
 
 
 class TestWindowValidation:
