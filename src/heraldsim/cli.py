@@ -60,7 +60,7 @@ from .qmath import (
     pauli_decompose,
     state_fidelity,
 )
-from .sampler import aggregate, sample_shots, write_shots_csv
+from .sampler import BRANCH_ORDER, aggregate, sample_shots, write_shots_csv
 from .tomography import (
     SCHEMA_VERSION,
     assignment_from_json,
@@ -73,12 +73,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-BRANCH_NAMES = {
-    (True, True): "click_click",
-    (True, False): "click_noclick",
-    (False, True): "noclick_click",
-    (False, False): "noclick_noclick",
-}
+BRANCH_NAMES = {key: "_".join("click" if c else "noclick" for c in key) for key in BRANCH_ORDER}
 
 
 def _resolve_config_path(name: str | None) -> str | None:

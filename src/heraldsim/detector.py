@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import ValidationError
+from .qmath import ValidationError, subsystem_blocks
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,10 @@ def branch_matrices(
     Each branch is sum_k w_k M_k rho M_k^dag on `rail` with the click
     weights (p_dark, p_real, p_real, ...) or their complements.  M_k = |0><k|
     moves the rail's (k, k) block onto (0, 0), so the sum is taken by
-    indexing the reshaped matrix rather than by embedded matrix products.
+    indexing `qmath.subsystem_blocks` rather than by embedded matrix products.
     """
-    d = dims[rail]
-    outer = int(np.prod(dims[:rail]))
-    shape = (outer, d, mat.shape[0] // (outer * d))
-    blocks = mat.reshape(shape + shape)
-    w_click = [params.p_dark] + [params.p_real] * (d - 1)
+    blocks = subsystem_blocks(mat, dims, rail)
+    w_click = [params.p_dark] + [params.p_real] * (dims[rail] - 1)
     branches = []
     for weights in (w_click, [1.0 - w for w in w_click]):
         out = np.zeros_like(blocks)

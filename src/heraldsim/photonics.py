@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .qmath import ValidationError
+from .qmath import ValidationError, subsystem_blocks
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -89,3 +89,23 @@ def loss_kraus(d: int, eta: float) -> list[np.ndarray]:
         ops.append(m)
     return ops
 
+
+def apply_loss(mat: np.ndarray, dims, rail: int, ops) -> np.ndarray:
+    """sum_k K_k mat K_k^dag on `rail` for the `loss_kraus` operators `ops`.
+
+    K_k moves level n to n - k with the weight c_n on its k-th
+    superdiagonal, so each term is one slice update of the
+    `qmath.subsystem_blocks` view, taken in ascending k as
+    (c_n x) conj(c_m).  That is the order and rounding of
+    `qmath.apply_kraus_matrix` over the embedded operators, whose result
+    this equals bit for bit.
+    """
+    blocks = subsystem_blocks(mat, dims, rail)
+    out = np.zeros_like(blocks)
+    d = dims[rail]
+    for k, op in enumerate(ops):
+        c = np.diagonal(op, k)
+        out[:, :d - k, :, :, :d - k, :] += (
+            c[:, None, None, None, None] * blocks[:, k:, :, :, k:, :]
+        ) * np.conj(c)[:, None]
+    return out.reshape(mat.shape)

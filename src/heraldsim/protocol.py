@@ -33,7 +33,7 @@ import numpy as np
 
 from . import qmath
 from .detector import DetectorRoundParams, branch_matrices
-from .photonics import beam_splitter_unitary, emission_unitary, loss_kraus
+from .photonics import apply_loss, beam_splitter_unitary, emission_unitary, loss_kraus
 from .qmath import (
     DensityMatrix,
     PauliVector,
@@ -170,40 +170,17 @@ def _unitaries(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ops
 
 
-@cache
-def _det_rail_places(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-space (row, column) indices of each local entry of a detector-rail
-    operator: entry (n, m) sits at rows[n, 0, r], cols[0, m, r] for every
-    level r of the other subsystems.  Built once per `n_max`, read-only."""
-    d = n_max + 1
-    full = np.arange(4 * d * d).reshape(2, 2, d, d)
-    per_level = np.moveaxis(full, RAIL_DET, 0).reshape(d, 1, -1)
-    places = (per_level, per_level.transpose(1, 0, 2))
-    for index in places:
-        index.setflags(write=False)
-    return places
-
-
-def _on_det_rail(local: np.ndarray, n_max: int) -> np.ndarray:
-    """`local` (d x d) placed on the detector rail: the kron-built embedding,
-    entry for entry, of an operator whose entries are real and non-negative."""
-    rows, cols = _det_rail_places(n_max)
-    d = n_max + 1
-    full = np.zeros((4 * d * d, 4 * d * d), dtype=complex)
-    full[rows, cols] = local[:, :, None]
-    return full
-
-
 class _Engine:
     """Full-space operators for one configuration, each built once.
 
     The emission, splitter and pi-pulse unitaries come from the per-`n_max`
-    cache; the loss Kraus operators (only when eta_loss < 1) are placed
-    here through the cached per-`n_max` detector-rail index map.  Those and the offset phase, built with `np.diag` from its
+    cache; they and the offset phase, built with `np.diag` from its
     36-entry diagonal, are dense matrices applied as products by
-    `apply_kraus_matrix`.  The dephasing Kraus operators are real and
-    diagonal, so they are kept as 36-entry factor vectors and applied
-    entrywise by `_apply_diagonal_kraus`.
+    `apply_kraus_matrix`.  The loss Kraus operators (only when eta_loss <
+    1) stay d x d and are applied on the detector rail's blocks by
+    `apply_loss`, as `branch_matrices` applies detection.  The dephasing
+    Kraus operators are real and diagonal, so they are kept as 36-entry
+    factor vectors and applied entrywise by `_apply_diagonal_kraus`.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -213,10 +190,7 @@ class _Engine:
         d = self.dims[RAIL_DET]
         phase = np.exp(1j * config.phi_off * np.arange(d))
         self.u_offset = np.diag(_subsystem_diagonal(phase, self.dims, RAIL_DET))
-        self.loss = (
-            [_on_det_rail(k, config.n_max) for k in loss_kraus(d, config.eta_loss)]
-            if config.eta_loss < 1.0 else []
-        )
+        self.loss = loss_kraus(d, config.eta_loss) if config.eta_loss < 1.0 else []
         self.dephasing = _phase_damping_factors(self.dims, config.t_seq, config.t2e_a, config.t2e_b)
 
     def initial_matrix(self) -> np.ndarray:
@@ -233,7 +207,7 @@ class _Engine:
             mat = apply_kraus_matrix(mat, [self.u_offset])
         mat = apply_kraus_matrix(mat, [self.u_bs])
         if self.loss:
-            mat = apply_kraus_matrix(mat, self.loss)
+            mat = apply_loss(mat, self.dims, RAIL_DET, self.loss)
         params = self.config.round1 if first_round else self.config.round2
         return branch_matrices(mat, self.dims, RAIL_DET, params)
 

@@ -194,6 +194,17 @@ def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
     return reshaped.reshape(kept_dim, kept_dim)
 
 
+def subsystem_blocks(mat: np.ndarray, dims, target: int) -> np.ndarray:
+    """View of a bare joint matrix as (outer, d, inner, outer, d, inner) blocks.
+
+    Axes 1 and 4 are the row and column levels of subsystem `target`, of
+    dimension d; the others group the subsystems before and after it.
+    """
+    outer = int(np.prod(dims[:target]))
+    shape = (outer, dims[target], mat.shape[0] // (outer * dims[target]))
+    return mat.reshape(shape + shape)
+
+
 def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
     """Embed an operator acting on `targets` into the full product space.
 
@@ -233,7 +244,8 @@ def apply_kraus_matrix(mat: np.ndarray, ops) -> np.ndarray:
 
     `ops` are full-space operators, already embedded by the caller (a
     unitary is a one-element list); nothing is built here.  Detector
-    clicks are applied by indexing in `detector.branch_matrices`.
+    clicks and photon loss are applied by indexing instead, in
+    `detector.branch_matrices` and `photonics.apply_loss`.
     """
     out = np.zeros_like(mat)
     for k in ops:

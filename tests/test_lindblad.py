@@ -169,12 +169,17 @@ class TestBatchedIntegration:
             (150.0, 50.0, -30.0),    # main-window failure before a pre-roll failure
             (150.0, -30.0, 50.0),    # pre-roll failure first
             (50.0, 150.0, -30.0, 60.0),  # failures in both shards of two
+            # each shard's first batch of two is clean and its second fails:
+            # in the main window before a pre-roll, then in a pre-roll first
+            (150.0, 150.0, 50.0, -30.0, 150.0, 150.0, -30.0, 150.0),
+            (150.0, 150.0, -30.0, 50.0, 150.0, 150.0, 50.0, 150.0),
         ],
     )
     def test_failing_member_raises_first_error(self, starts, monkeypatch):
         # an 800 MHz pulse drives RK4 at dt = 1 ns out of its stability region;
         # the pulse starting at 150 ns lies after the window and stays clean
         _set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(lindblad, "_BATCH", 2)
         params = replace(
             CascadedSystemParams(),
             pulse=GaussianPulse(sigma=10.0, amplitude=800.0, start_time=0.0),

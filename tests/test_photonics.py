@@ -1,14 +1,22 @@
 """Beam splitter, qubit-photon emission and loss channel.
 
-Loss is checked on the route the protocol engine runs: `loss_kraus`,
-embedded by `embed_operator`, applied by `apply_kraus_matrix`.
+Loss is checked on the kernel the protocol engine runs: `loss_kraus`
+operators applied on a rail's blocks by `apply_loss`, which equals the
+embedded Kraus sum bit for bit.
 """
 
 import numpy as np
 import pytest
+from test_detector import states_with_zeros
 
-from heraldsim.photonics import annihilation, beam_splitter_unitary, emission_unitary, loss_kraus
-from heraldsim.protocol import RAIL_DET, ProtocolConfig, _Engine
+from heraldsim.photonics import (
+    annihilation,
+    apply_loss,
+    beam_splitter_unitary,
+    emission_unitary,
+    loss_kraus,
+)
+from heraldsim.protocol import ProtocolConfig, _Engine
 from heraldsim.qmath import ValidationError, apply_kraus_matrix, basis_ket, embed_operator
 
 
@@ -28,9 +36,8 @@ def u_emit():
 
 
 def lose(mat, dims, rail, eta):
-    """Pure loss on `rail` of a bare matrix, as `_Engine` applies it."""
-    ops = [embed_operator(k, dims, (rail,)) for k in loss_kraus(dims[rail], eta)]
-    return apply_kraus_matrix(mat, ops)
+    """Pure loss on `rail` of a bare matrix, through the engine's kernel."""
+    return apply_loss(mat, dims, rail, loss_kraus(dims[rail], eta))
 
 
 def emitted(u_emit, qubit_b):
@@ -151,14 +158,6 @@ class TestLossChannel:
         assert np.allclose(reduced0, a, atol=1e-12)
         assert np.allclose(reduced1, np.diag([0.25, 0.5, 0.25]), atol=1e-12)
 
-    def test_engine_applies_this_route(self):
-        config = ProtocolConfig(eta_loss=0.6)
-        ops = [embed_operator(k, config.dims, (RAIL_DET,)) for k in loss_kraus(3, 0.6)]
-        engine_ops = _Engine(config).loss
-        assert len(engine_ops) == len(ops)
-        assert all(np.array_equal(e, k) for e, k in zip(engine_ops, ops))
-        assert _Engine(ProtocolConfig()).loss == []
-
     def test_eta_out_of_range(self):
         with pytest.raises(ValidationError):
             loss_kraus(3, 1.5)
@@ -166,3 +165,18 @@ class TestLossChannel:
     def test_annihilation_matrix(self):
         a = annihilation(3)
         assert np.allclose(a @ basis_ket(3, 2), np.sqrt(2) * basis_ket(3, 1))
+
+
+class TestLossKernel:
+    @pytest.mark.parametrize("dims", [(2, 2, 3, 3), (2, 2, 4, 4), (3, 2, 4)])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6, 0.999])
+    def test_matches_kraus_sum_bit_for_bit(self, dims, eta):
+        for mat in states_with_zeros(dims, seed=sum(dims)):
+            assert np.any(mat == 0.0)
+            for rail in range(len(dims)):
+                ops = loss_kraus(dims[rail], eta)
+                got = apply_loss(mat, dims, rail, ops)
+                ref = apply_kraus_matrix(mat, [embed_operator(k, dims, (rail,)) for k in ops])
+                assert np.array_equal(got, ref)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
