@@ -2,7 +2,8 @@
 and tomography correction, emitting JSON scalars and CSV curves.
 
 Every command is deterministic for a fixed (config, seed): repeated runs
-produce byte-identical output files.  Exit codes: 0 success, 2 for
+on one machine, numpy/scipy build and OpenBLAS kernel produce
+byte-identical output files.  Exit codes: 0 success, 2 for
 configuration or usage errors, 3 for numerical failures or unallocatable runs.
 
 Environment: HERALDSIM_CONFIG_DIR supplies the directory for bare

@@ -40,13 +40,13 @@ from math import atan, isfinite, pi, sqrt
 
 import numpy as np
 
+from . import qmath
 from .qmath import ValidationError, basis_ket, embed_operator, partial_trace_matrix
 from .photonics import annihilation
 
 MHZ_TO_RAD_NS = 2.0e-3 * np.pi  # omega [rad/ns] = 2 pi f[MHz] 1e-3
 
-TRACE_TOL = 1e-8
-HERMITICITY_TOL = 1e-10
+INTEGRATOR_TRACE_TOL = 1e-8  # RK4 final states; qmath.TRACE_TOL is 1e-10
 GUARD_TOL = 1e-3
 
 # Systems per kernel call; bounds the stacked states and traces of long
@@ -287,14 +287,13 @@ def _check_budget(rho: np.ndarray, hint: str) -> float:
     hint ends the error message and names the caller's knob for a smaller
     error.
     """
-    trace_error = abs(float(np.trace(rho).real) - 1.0)
-    herm_error = float(np.max(np.abs(rho - rho.conj().T)))
+    trace_error, herm_error = qmath.trace_error(rho), qmath.hermiticity_error(rho)
     # written so that a NaN state fails too
-    if not (trace_error <= TRACE_TOL and herm_error <= HERMITICITY_TOL):
+    if not (trace_error <= INTEGRATOR_TRACE_TOL and herm_error <= qmath.HERMITICITY_TOL):
         raise IntegrationError(
             f"integrator left tolerance: trace error {trace_error:.2e} "
-            f"(budget {TRACE_TOL:.0e}), hermiticity {herm_error:.2e} "
-            f"(budget {HERMITICITY_TOL:.0e}); {hint}"
+            f"(budget {INTEGRATOR_TRACE_TOL:.0e}), hermiticity {herm_error:.2e} "
+            f"(budget {qmath.HERMITICITY_TOL:.0e}); {hint}"
         )
     return trace_error
 

@@ -49,6 +49,9 @@ from .qmath import (
 
 QUBIT_A, QUBIT_B, RAIL_DET, RAIL_LOAD = 0, 1, 2, 3
 
+BRANCH_SUM_TOL = 1e-9  # budget of |sum of the branch probabilities - 1|
+EMPTY_BRANCH_TOL = 1e-14  # a branch of this probability or less has no state
+
 # R_y(pi) with the pinned sense |g> -> |e>, |e> -> -|g>.
 RY_PI = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
@@ -283,7 +286,7 @@ def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
         click2, noclick2 = eng.emit_and_detect(mat1, first_round=False)
         for c2, mat2 in ((True, click2), (False, noclick2)):
             p = float(np.trace(mat2).real)
-            if p <= 1e-14:
+            if p <= EMPTY_BRANCH_TOL:
                 branches[(c1, c2)] = Branch(max(p, 0.0), None)
                 continue
             for pair in eng.dephasing:
@@ -292,7 +295,7 @@ def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
             branches[(c1, c2)] = Branch(p, DensityMatrix((2, 2), reduced / p))
 
     total = sum(b.probability for b in branches.values())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= BRANCH_SUM_TOL:
         raise ValidationError(f"branch probabilities sum to {total}, not 1")
     return OutcomeTable(branches)
 
@@ -306,7 +309,7 @@ def round_one_click_weights(config: ProtocolConfig) -> dict[str, float]:
     eng = _Engine(config)
     click, _ = eng.emit_and_detect(eng.initial_matrix(), first_round=True)
     p = float(np.trace(click).real)
-    if p <= 1e-14:
+    if not p > EMPTY_BRANCH_TOL:
         raise ValidationError("round-1 click probability vanishes")
     reduced = qmath.partial_trace_matrix(click, config.dims, (QUBIT_A, QUBIT_B)) / p
     kets = (bell_odd_plus(), two_qubit_ket("ee"), two_qubit_ket("gg"), bell_odd_minus())

@@ -56,8 +56,9 @@ class DensityMatrix:
         Square complex matrix over the product space, row-major in the
         usual Kronecker ordering of `dims`.
 
-    The constructor validates Hermiticity (1e-10), unit trace (1e-10) and
-    positivity (eigenvalues >= -1e-9).  Instances are immutable; all
+    The constructor checks the residuals `hermiticity_error` and `trace_error`
+    (HERMITICITY_TOL and TRACE_TOL, 1e-10 each) and `min_eigenvalue` (at least
+    -EIGENVALUE_TOL, -1e-9).  Instances are immutable; all
     operations return new values, so they are safe to share across threads.
     """
 
@@ -75,16 +76,15 @@ class DensityMatrix:
             )
         if not np.all(np.isfinite(mat)):
             raise ValidationError("matrix contains non-finite entries")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-            raise ValidationError("matrix is not Hermitian within 1e-10")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace {tr} differs from 1 beyond 1e-10")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -EIGENVALUE_TOL:
+        # each written so that a NaN residual fails
+        if not hermiticity_error(mat) <= HERMITICITY_TOL:
+            raise ValidationError(f"matrix is not Hermitian within {HERMITICITY_TOL:.0e}")
+        if not trace_error(mat) <= TRACE_TOL:
             raise ValidationError(
-                f"negative eigenvalue {eigs.min():.3e} below -1e-9"
+                f"trace {np.trace(mat).real} differs from 1 beyond {TRACE_TOL:.0e}"
             )
+        if not min_eigenvalue(mat) >= -EIGENVALUE_TOL:
+            raise ValidationError(f"negative eigenvalue {min_eigenvalue(mat):.3e} below -1e-9")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -176,6 +176,21 @@ def bell_odd_minus() -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # core operations
+
+def trace_error(mat: np.ndarray) -> float:
+    """Trace residual |Re Tr(mat) - 1|; every trace guard checks this."""
+    return abs(float(np.trace(mat).real) - 1.0)
+
+
+def hermiticity_error(mat: np.ndarray) -> float:
+    """Hermiticity residual, the largest entry of |mat - mat^dag|."""
+    return float(np.max(np.abs(mat - mat.conj().T)))
+
+
+def min_eigenvalue(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix (its lower triangle is read)."""
+    return float(np.linalg.eigvalsh(mat).min())
+
 
 def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
     """Reduced matrix over the kept subsystems (indices in `keep`).

@@ -32,6 +32,7 @@ from .qmath import (
     PauliVector,
     ValidationError,
     concurrence_matrix,
+    min_eigenvalue,
     pauli_reconstruct,
     unit_ket,
 )
@@ -332,7 +333,7 @@ def fidelity_with_errors(pauli: PauliVector, target_ket) -> FidelityResult:
                 vectors.append(PauliVector(comps))
     mats = np.stack([pauli_reconstruct(p) for p in vectors])
     fids, concs = _fidelity_concurrence(mats, v)
-    physical = bool(np.linalg.eigvalsh(mats[0]).min() >= -EIGENVALUE_TOL)
+    physical = min_eigenvalue(mats[0]) >= -EIGENVALUE_TOL
 
     var_f = var_c = 0.0
     for j in range(1, len(vectors), 2):

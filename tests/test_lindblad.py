@@ -58,6 +58,18 @@ class TestCascade:
             assert tr.trace_error < 1e-8
             assert tr.guard_max < 1e-3
 
+    def test_guard_level_fires_on_a_short_detector_cavity(self):
+        # a three-photon emitter fills the top level of a four-level detector cavity
+        params = replace(CascadedSystemParams(), emitter_dim=4, detector_cavity_dim=4)
+        with pytest.raises(
+            IntegrationError,
+            match=r"^detector-cavity guard level reached 1\.50e-01 \(budget 1e-03\); "
+            r"raise detector_cavity_dim$",
+        ):
+            cascaded_simulate(3, params, t_total=600.0)
+        roomier = cascaded_simulate(3, replace(params, detector_cavity_dim=5), t_total=600.0)
+        assert roomier.guard_max == 0.0
+
     def test_decoupled_emitter(self):
         params = replace(CascadedSystemParams(), kappa_a=0.0)
         with_photon = cascaded_simulate(1, params, t_total=1000.0)

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heraldsim.detector import DetectorRoundParams, dark_count_fidelity
+from heraldsim import cli
+from heraldsim.detector import DetectorRoundParams, branch_matrices, dark_count_fidelity
 from heraldsim.photonics import beam_splitter_unitary, emission_unitary
 from heraldsim.protocol import (
     ProtocolConfig,
@@ -320,6 +321,18 @@ class TestRunTwoRounds:
             table = run_two_rounds(cfg)
             total = sum(b.probability for b in table.branches.values())
             assert np.isclose(total, 1.0, atol=1e-9)
+
+    def test_branch_sum_guard_fires(self, monkeypatch, capsys):
+        # a detector that loses half of every no-click branch's weight
+        def leaky(mat, dims, rail, params):
+            click, noclick = branch_matrices(mat, dims, rail, params)
+            return click, 0.5 * noclick
+
+        monkeypatch.setattr("heraldsim.protocol.branch_matrices", leaky)
+        with pytest.raises(ValidationError, match=r"^branch probabilities sum to 0\.\d+, not 1$"):
+            run_two_rounds(ProtocolConfig())
+        assert cli.main(["protocol", "--analytic"]) == cli.EXIT_NUMERICAL == 3
+        assert "numerical error: branch probabilities sum to" in capsys.readouterr().err
 
     def test_alice_in_ground_gives_separable_eg(self):
         table = run_two_rounds(ideal_config(theta_a=0.0))

@@ -37,20 +37,48 @@ def random_hermitian(d, seed):
     return g + g.conj().T
 
 
+def off_by(residual, eps):
+    """A 2x2 state off by eps in one residual: Hermiticity error eps, trace
+    error eps or minimum eigenvalue -eps; the other two are clean."""
+    if residual == "hermiticity":
+        m = np.eye(2, dtype=complex) / 2.0
+        m[0, 1] = eps
+        return m
+    if residual == "trace":
+        return np.diag([0.5, 0.5 + eps])
+    return np.diag([1.0 + eps, -eps])
+
+
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         m = np.eye(2, dtype=complex)
         m[0, 1] = 1e-6
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^matrix is not Hermitian within 1e-10$"):
             DensityMatrix((2,), m)
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^trace 1\.4 differs from 1 beyond 1e-10$"):
             DensityMatrix((2,), 0.7 * np.eye(2))
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match=r"^negative eigenvalue -5\.000e-01 below -1e-9$"
+        ):
             DensityMatrix((2,), np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize(
+        "residual, budget, message",
+        [
+            ("hermiticity", 1e-10, r"^matrix is not Hermitian within 1e-10$"),
+            ("trace", 1e-10, r"^trace 1\.0000000002 differs from 1 beyond 1e-10$"),
+            ("eigenvalue", 1e-9, r"^negative eigenvalue -2\.000e-09 below -1e-9$"),
+        ],
+    )
+    def test_budget_edges(self, residual, budget, message):
+        # half the budget passes; twice the budget fails with the exact message
+        DensityMatrix((2,), off_by(residual, 0.5 * budget))
+        with pytest.raises(ValidationError, match=message):
+            DensityMatrix((2,), off_by(residual, 2.0 * budget))
 
     def test_matrix_is_readonly(self):
         rho = random_density((2, 2), seed=0)
