@@ -43,7 +43,7 @@ from .config import (
     load_run_config,
     resolved_config_doc,
 )
-from .lindblad import CascadedSystemParams, IntegrationError, pulse_sweep, simulate
+from .lindblad import T_TOTAL, CascadedSystemParams, IntegrationError, pulse_sweep, simulate
 from .protocol import (
     SWEEPABLE_AXES,
     click_probabilities,
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float)
     p.add_argument("--points", type=int)
     p.add_argument("--pulse-start", type=float, help="override pulse start time (ns)")
-    p.add_argument("--t-total", type=float, default=1500.0)
+    p.add_argument("--t-total", type=float, default=T_TOTAL)
     p.add_argument("--traces-out", help="write the time-trace CSV here")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_detector_sim)

@@ -23,10 +23,10 @@ in MHz, times in ns.
 Integration is fixed-step classical RK4 (default 1 ns), deterministic by
 construction.  One numpy kernel, `_propagate`, steps a stack of
 independent systems at once, and every member's trajectory is
-bit-identical to integrating it alone.  `simulate`, `pulse_sweep` and
-`parameter_robustness` hand all their systems to one `simulate` call: on
-Linux it integrates them in forked workers, one contiguous shard per CPU
-in the affinity mask, and joins the results in input order; with one
+bit-identical to integrating it alone.  `cascaded_simulate`, `pulse_sweep`
+and `parameter_robustness` hand all their systems to one `simulate` call:
+on Linux it integrates them in forked workers, one contiguous shard per
+CPU in the affinity mask, and joins the results in input order; with one
 shard it runs the same loop in-process.
 """
 
@@ -48,6 +48,7 @@ MHZ_TO_RAD_NS = 2.0e-3 * np.pi  # omega [rad/ns] = 2 pi f[MHz] 1e-3
 
 INTEGRATOR_TRACE_TOL = 1e-8  # RK4 final states; qmath.TRACE_TOL is 1e-10
 GUARD_TOL = 1e-3
+T_TOTAL = 1500.0  # ns, the default main window from the photon release
 
 # Systems per kernel call; bounds the stacked states and traces of long
 # sweeps.  Timed at 4, 8, 16 and 32 systems (1500 ns, 2 cores): 8 was the
@@ -305,10 +306,11 @@ def _integrate_shard(systems, times_main, dt) -> list[TimeTraces]:
         members, prerolls, failure = [], [], None
         for params, fock in systems[lo:lo + _BATCH]:
             ops = _CascadeOperators(params)
-            t_min = min(0.0, params.pulse.start_time)
-            if t_min < 0.0:
-                n_pre = max(1, int(round(-t_min / dt)))
-                times_pre = t_min + dt * np.arange(n_pre + 1)
+            if params.pulse.start_time < 0.0:
+                # whole steps from at or before the pulse start to t = 0; the drive
+                # is zero before the start, so leading steps leave the vacuum as is
+                n_pre = int(np.ceil(-params.pulse.start_time / dt))
+                times_pre = dt * np.arange(-n_pre, 1)
                 out_pre, rho_mid = _integrate(
                     [(ops, params, ops.initial_state(0))], times_pre, dt
                 )
@@ -416,7 +418,7 @@ def _integrate_forked(systems, times_main, dt, n_shards):
     return joined
 
 
-def simulate(systems, t_total: float = 1200.0, dt: float = 1.0) -> list[TimeTraces]:
+def simulate(systems, t_total: float = T_TOTAL, dt: float = 1.0) -> list[TimeTraces]:
     """`cascaded_simulate` for a list of (params, initial_fock) systems.
 
     On Linux the systems are split into contiguous shards, one per CPU in
@@ -426,7 +428,8 @@ def simulate(systems, t_total: float = 1200.0, dt: float = 1.0) -> list[TimeTrac
     integrates _BATCH systems per kernel call.  Results, and the first
     error raised, are those of integrating the systems one by one in input
     order, bit for bit; a worker that dies raises IntegrationError.  The
-    inputs and the time grid are checked and allocated before any fork.
+    systems must share emitter_dim and detector_cavity_dim.  The inputs and
+    the time grid are checked and allocated before any fork.
     """
     for name, value in (("t_total", t_total), ("dt", dt)):
         if not (isfinite(value) and value > 0.0):
@@ -434,6 +437,8 @@ def simulate(systems, t_total: float = 1200.0, dt: float = 1.0) -> list[TimeTrac
     for params, fock in systems:
         if fock not in range(params.emitter_dim):
             raise ValidationError(f"initial_fock {fock} outside emitter dimension")
+    if len({(params.emitter_dim, params.detector_cavity_dim) for params, _ in systems}) > 1:
+        raise ValidationError("systems of one call need one emitter_dim, detector_cavity_dim")
     n_steps = max(1, int(round(t_total / dt)))
     times_main = dt * np.arange(n_steps + 1)
     n_shards = min(len(systems), _usable_cpus())
@@ -445,7 +450,7 @@ def simulate(systems, t_total: float = 1200.0, dt: float = 1.0) -> list[TimeTrac
 def cascaded_simulate(
     initial_fock: int,
     params: CascadedSystemParams,
-    t_total: float = 1200.0,
+    t_total: float = T_TOTAL,
     dt: float = 1.0,
 ) -> TimeTraces:
     """Integrate the cascaded master equation for one emitter Fock state.
@@ -470,7 +475,7 @@ class RobustnessReport:
 def parameter_robustness(
     params: CascadedSystemParams,
     variation: float,
-    t_total: float = 1200.0,
+    t_total: float = T_TOTAL,
     dt: float = 1.0,
 ) -> RobustnessReport:
     """Fock-1 click probability under +/-variation of the matching knobs.
@@ -519,7 +524,7 @@ def pulse_sweep(
     axis: str,
     values,
     initial_fock: int = 1,
-    t_total: float = 1200.0,
+    t_total: float = T_TOTAL,
     dt: float = 1.0,
 ) -> np.ndarray:
     """Click probability versus pulse detuning (MHz) or delay (ns).

@@ -1,9 +1,9 @@
 """Dual-rail flying-photon Fock space: beam splitter, emission, loss.
 
-The two flying channels are truncated harmonic oscillators with n_max
-photons each (n_max >= 2: the doubly-excited qubit branch interferes into
-a two-photon state, so at least |2> must exist; `ProtocolConfig` checks
-it).  Every builder here takes the rail dimension d = n_max + 1.
+The two flying channels are truncated harmonic oscillators; the protocol
+keeps `protocol.N_MAX` = 2 photons per rail (the doubly-excited qubit
+branch interferes into a two-photon state, and none holds more).  Every
+operator here is built for a rail dimension d, so larger d can be tested too.
 
 Port/phase convention, pinned once and tested: the 50/50 beam splitter is
 the exponential of -(3*pi/4) * (a^dag b - a b^dag) on the truncated space.
@@ -16,7 +16,7 @@ It maps, exactly,
 
 The branch signs are what the generator actually produces; they are
 unobservable downstream because the heralding measurement separates the
-branches incoherently.  States of total photon number <= n_max are closed
+branches incoherently.  States of total photon number <= d - 1 are closed
 under the truncated generator, so the truncation is exact for every state
 the protocol produces.
 """

@@ -1,7 +1,10 @@
 """Two-round heralded-entanglement protocol on the 36-dimensional joint space.
 
 State layout: (qubit A, qubit B, detector rail, load rail) with dims
-(2, 2, n_max+1, n_max+1).  The rail slots are the two modes the beam
+`DIMS` = (2, 2, 3, 3).  Truncating each rail at `N_MAX` = 2 photons is
+exact: the pi pulses between the rounds swap which qubit state emits, so
+each qubit sends one photon over the two rounds and the rails never hold
+more than two together.  The rail slots are the two modes the beam
 splitter mixes; photon emission drops qubit B's photon into the slot that
 ends up wired to the detector and qubit A's photon into the slot ending in
 the cold load.  This pairing, together with the beam-splitter convention
@@ -48,6 +51,8 @@ from .qmath import (
 )
 
 QUBIT_A, QUBIT_B, RAIL_DET, RAIL_LOAD = 0, 1, 2, 3
+N_MAX = 2  # photons per rail; exact, as the module docstring explains
+DIMS = (2, 2, N_MAX + 1, N_MAX + 1)
 
 BRANCH_SUM_TOL = 1e-9  # budget of |sum of the branch probabilities - 1|
 EMPTY_BRANCH_TOL = 1e-14  # a branch of this probability or less has no state
@@ -86,7 +91,6 @@ class ProtocolConfig:
     )
     eta_loss: float = 1.0
     phi_off: float = 0.3 * np.pi
-    n_max: int = 2
     p_init: float = 0.57
     t_rep: float = 21.0          # us
 
@@ -100,18 +104,12 @@ class ProtocolConfig:
         for name in ("theta_a", "phi_a", "theta_b", "phi_b", "phi_off"):
             if not np.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-        if not np.isfinite(self.phi_off * self.n_max):
+        # the offset phase of the top rail level, phi_off * N_MAX
+        if not np.isfinite(self.phi_off * N_MAX):
             raise ValidationError("phi_off * n_max must be finite")
         for name in ("eta_loss", "p_init"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"{name} outside [0, 1]")
-        if self.n_max < 2:
-            raise ValidationError("n_max must be >= 2")
-
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        d = self.n_max + 1
-        return (2, 2, d, d)
 
 
 @dataclass(frozen=True)
@@ -156,17 +154,15 @@ def _prepared_qubits(config: ProtocolConfig) -> np.ndarray:
 
 
 @cache
-def _unitaries(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unitaries() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full-space emission, splitter and pi-pulse unitaries, read-only and
-    embedded once per process: they depend on `n_max` alone."""
-    d = n_max + 1
-    dims = (2, 2, d, d)
-    emit = emission_unitary(d)
+    embedded once per process, on first use (the splitter imports scipy)."""
+    emit = emission_unitary(N_MAX + 1)
     ops = (
-        embed_operator(emit, dims, (QUBIT_A, RAIL_LOAD))
-        @ embed_operator(emit, dims, (QUBIT_B, RAIL_DET)),
-        embed_operator(beam_splitter_unitary(d), dims, (RAIL_DET, RAIL_LOAD)),
-        embed_operator(np.kron(RY_PI, RY_PI), dims, (QUBIT_A, QUBIT_B)),
+        embed_operator(emit, DIMS, (QUBIT_A, RAIL_LOAD))
+        @ embed_operator(emit, DIMS, (QUBIT_B, RAIL_DET)),
+        embed_operator(beam_splitter_unitary(N_MAX + 1), DIMS, (RAIL_DET, RAIL_LOAD)),
+        embed_operator(np.kron(RY_PI, RY_PI), DIMS, (QUBIT_A, QUBIT_B)),
     )
     for op in ops:
         op.setflags(write=False)
@@ -176,11 +172,11 @@ def _unitaries(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Engine:
     """Full-space operators for one configuration, each built once.
 
-    The emission, splitter and pi-pulse unitaries come from the per-`n_max`
-    cache; they and the offset phase, built with `np.diag` from its
-    36-entry diagonal, are dense matrices applied as products by
+    The emission, splitter and pi-pulse unitaries come from the
+    process-wide cache; they and the offset phase, built with `np.diag`
+    from its 36-entry diagonal, are dense matrices applied as products by
     `apply_kraus_matrix`.  The loss Kraus operators (only when eta_loss <
-    1) stay d x d and are applied on the detector rail's blocks by
+    1) stay 3 x 3 and are applied on the detector rail's blocks by
     `apply_loss`, as `branch_matrices` applies detection.  The dephasing
     Kraus operators are real and diagonal, so they are kept as 36-entry
     factor vectors and applied entrywise by `_apply_diagonal_kraus`.
@@ -188,16 +184,14 @@ class _Engine:
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
-        self.dims = config.dims
-        self.u_emit, self.u_bs, self.u_pi = _unitaries(config.n_max)
-        d = self.dims[RAIL_DET]
-        phase = np.exp(1j * config.phi_off * np.arange(d))
-        self.u_offset = np.diag(_subsystem_diagonal(phase, self.dims, RAIL_DET))
-        self.loss = loss_kraus(d, config.eta_loss) if config.eta_loss < 1.0 else []
-        self.dephasing = _phase_damping_factors(self.dims, config.t_seq, config.t2e_a, config.t2e_b)
+        self.u_emit, self.u_bs, self.u_pi = _unitaries()
+        phase = np.exp(1j * config.phi_off * np.arange(N_MAX + 1))
+        self.u_offset = np.diag(_subsystem_diagonal(phase, DIMS, RAIL_DET))
+        self.loss = loss_kraus(N_MAX + 1, config.eta_loss) if config.eta_loss < 1.0 else []
+        self.dephasing = _phase_damping_factors(DIMS, config.t_seq, config.t2e_a, config.t2e_b)
 
     def initial_matrix(self) -> np.ndarray:
-        ket = np.kron(_prepared_qubits(self.config), basis_ket(self.dims[2] * self.dims[3], 0))
+        ket = np.kron(_prepared_qubits(self.config), basis_ket(DIMS[RAIL_DET] * DIMS[RAIL_LOAD], 0))
         return np.outer(ket, ket.conj())
 
     def emit_and_detect(self, mat: np.ndarray, first_round: bool):
@@ -210,9 +204,9 @@ class _Engine:
             mat = apply_kraus_matrix(mat, [self.u_offset])
         mat = apply_kraus_matrix(mat, [self.u_bs])
         if self.loss:
-            mat = apply_loss(mat, self.dims, RAIL_DET, self.loss)
+            mat = apply_loss(mat, DIMS, RAIL_DET, self.loss)
         params = self.config.round1 if first_round else self.config.round2
-        return branch_matrices(mat, self.dims, RAIL_DET, params)
+        return branch_matrices(mat, DIMS, RAIL_DET, params)
 
 
 def _subsystem_diagonal(local: np.ndarray, dims, target: int) -> np.ndarray:
@@ -291,7 +285,7 @@ def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
                 continue
             for pair in eng.dephasing:
                 mat2 = _apply_diagonal_kraus(mat2, pair)
-            reduced = qmath.partial_trace_matrix(mat2, config.dims, (QUBIT_A, QUBIT_B))
+            reduced = qmath.partial_trace_matrix(mat2, DIMS, (QUBIT_A, QUBIT_B))
             branches[(c1, c2)] = Branch(p, DensityMatrix((2, 2), reduced / p))
 
     total = sum(b.probability for b in branches.values())
@@ -311,7 +305,7 @@ def round_one_click_weights(config: ProtocolConfig) -> dict[str, float]:
     p = float(np.trace(click).real)
     if not p > EMPTY_BRANCH_TOL:
         raise ValidationError("round-1 click probability vanishes")
-    reduced = qmath.partial_trace_matrix(click, config.dims, (QUBIT_A, QUBIT_B)) / p
+    reduced = qmath.partial_trace_matrix(click, DIMS, (QUBIT_A, QUBIT_B)) / p
     kets = (bell_odd_plus(), two_qubit_ket("ee"), two_qubit_ket("gg"), bell_odd_minus())
     names = ("odd_plus", "ee", "gg", "odd_minus")
     return {name: float(np.real(k.conj() @ reduced @ k)) for name, k in zip(names, kets)}

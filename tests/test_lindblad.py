@@ -115,6 +115,24 @@ def _with_start(params, start):
     return replace(params, pulse=replace(params.pulse, start_time=float(start)))
 
 
+class TestPreRoll:
+    """A pulse that starts before the photon release is pre-rolled on the
+    empty system from the first whole step at or before its start."""
+
+    def test_off_grid_start_converges(self):
+        params = _with_start(CascadedSystemParams(), -10.5)
+        coarse = cascaded_simulate(1, params, t_total=800.0, dt=1.0)
+        fine = cascaded_simulate(1, params, t_total=800.0, dt=0.25)
+        assert abs(coarse.p_click - fine.p_click) < 1e-6
+
+    @pytest.mark.parametrize("start, dt", [(-10.5, 1.0), (-0.3, 1.0), (-100.0, 1.0), (-7.0, 2.0)])
+    def test_trace_times_are_uniform_through_zero(self, start, dt):
+        tr = cascaded_simulate(1, _with_start(CascadedSystemParams(), start), 300.0, dt)
+        assert np.array_equal(np.diff(tr.times), np.full(len(tr.times) - 1, dt))
+        assert tr.times[0] <= start < tr.times[0] + dt
+        assert 0.0 in tr.times
+
+
 class TestBatchedIntegration:
     """Batched sweeps and robustness equal one-by-one integration exactly."""
 
@@ -261,6 +279,16 @@ class TestForkedShards:
                 assert np.array_equal(getattr(a, field), getattr(b, field))
             assert a.guard_max == b.guard_max
             assert a.trace_error == b.trace_error
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_systems_of_different_spaces_rejected(self, n_cpus, monkeypatch):
+        # one kernel call stacks its systems; the check comes before any fork
+        _set_cpus(monkeypatch, n_cpus)
+        params = CascadedSystemParams()
+        for other in (replace(params, detector_cavity_dim=5), replace(params, emitter_dim=4)):
+            with pytest.raises(ValidationError, match="one emitter_dim, detector_cavity_dim"):
+                lindblad.simulate([(params, 1), (other, 1)], 100.0)
+        assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_the_call(self, monkeypatch):
         _set_cpus(monkeypatch, 2)

@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heraldsim import cli
+from heraldsim import cli, protocol, qmath
 from heraldsim.detector import DetectorRoundParams, branch_matrices, dark_count_fidelity
 from heraldsim.photonics import beam_splitter_unitary, emission_unitary
 from heraldsim.protocol import (
+    DIMS,
+    N_MAX,
     ProtocolConfig,
     RY_PI,
     _Engine,
@@ -212,10 +214,10 @@ class TestPhaseDampingInputs:
 
 
 class TestOperatorCache:
-    """Unitaries that depend on n_max alone are built once and shared."""
+    """The unitaries of the one protocol space are built once and shared."""
 
     def test_cached_unitaries_are_read_only(self):
-        for op in _unitaries(2):
+        for op in _unitaries():
             with pytest.raises(ValueError):
                 op[0, 0] = 2.0
 
@@ -224,17 +226,54 @@ class TestOperatorCache:
         b = _Engine(measured_config(phi_off=1.1))
         for name in ("u_emit", "u_bs", "u_pi"):
             assert getattr(a, name) is getattr(b, name)
-        assert _Engine(ProtocolConfig(n_max=3)).u_bs is not a.u_bs
+        assert all(x is y for x, y in zip((a.u_emit, a.u_bs, a.u_pi), _unitaries()))
 
-    def test_alternating_n_max_matches_fresh_runs(self):
-        cfgs = [ProtocolConfig(n_max=n, eta_loss=0.7, theta_a=1.0) for n in (2, 3, 2)]
-        first = [run_two_rounds(c) for c in cfgs]
-        for cfg, old in zip(cfgs, first):
-            _unitaries.cache_clear()
-            fresh = run_two_rounds(cfg)
-            for key, branch in fresh.branches.items():
-                assert branch.probability == old.branches[key].probability
-                assert np.array_equal(branch.state.matrix, old.branches[key].state.matrix)
+
+# rows/columns of the joint space whose rails hold more than N_MAX photons
+_OVER_BOUND = (np.indices(DIMS)[2] + np.indices(DIMS)[3] > N_MAX).ravel()
+
+
+class TestTwoPhotonBound:
+    """Truncating each rail at N_MAX = 2 photons is exact for this protocol.
+
+    The pi pulses swap which qubit state emits, so each qubit sends one
+    photon over the two rounds and the rails together never hold more than
+    two; the splitter then never sees, and never needs, a higher level.
+    """
+
+    @pytest.mark.parametrize("eta_loss", [1.0, 0.6, 0.0])
+    def test_rails_never_hold_more_than_two_photons(self, monkeypatch, eta_loss):
+        u_bs = _unitaries()[1]
+        partial_trace = qmath.partial_trace_matrix
+        at_splitter, final = [], []
+
+        def spy_kraus(mat, ops):
+            if ops[0] is u_bs:
+                at_splitter.append(mat)
+            return qmath.apply_kraus_matrix(mat, ops)
+
+        def spy_trace(mat, dims, keep):
+            final.append(mat)
+            return partial_trace(mat, dims, keep)
+
+        monkeypatch.setattr(protocol, "apply_kraus_matrix", spy_kraus)
+        monkeypatch.setattr(qmath, "partial_trace_matrix", spy_trace)
+        cfg = ProtocolConfig(theta_a=1.1, theta_b=2.0, phi_a=0.4, eta_loss=eta_loss)
+        table = run_two_rounds(cfg)
+        # round 1, then round 2 after each round-1 branch
+        assert len(at_splitter) == 3
+        assert len(final) == sum(b.state is not None for b in table.branches.values())
+        for mat in at_splitter + final:
+            assert np.all(mat[_OVER_BOUND, :] == 0.0)
+            assert np.all(mat[:, _OVER_BOUND] == 0.0)
+
+    def test_splitter_block_is_truncation_independent(self):
+        def low_block(d):
+            n_det, n_load = np.divmod(np.arange(d * d), d)
+            keep = n_det + n_load <= N_MAX
+            return beam_splitter_unitary(d)[np.ix_(keep, keep)]
+
+        assert np.max(np.abs(low_block(N_MAX + 1) - low_block(N_MAX + 2))) <= 1e-15
 
 
 def brute_force_click_click(config):
@@ -361,7 +400,7 @@ class TestRunTwoRounds:
         eng = _Engine(cfg)
         _, noclick = eng.emit_and_detect(eng.initial_matrix(), first_round=True)
         p = np.trace(noclick).real
-        reduced = partial_trace_matrix(noclick / p, cfg.dims, (0, 1))
+        reduced = partial_trace_matrix(noclick / p, DIMS, (0, 1))
         overlap = np.real(bell_odd_plus().conj() @ reduced @ bell_odd_plus())
         assert abs(overlap) < 1e-12
 
@@ -576,7 +615,3 @@ class TestConfigValidation:
     def test_probability_range(self):
         with pytest.raises(ValidationError):
             ProtocolConfig(p_init=1.5)
-
-    def test_n_max_minimum(self):
-        with pytest.raises(ValidationError):
-            ProtocolConfig(n_max=1)
