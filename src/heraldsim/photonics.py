@@ -2,8 +2,9 @@
 
 The two flying channels are truncated harmonic oscillators; the protocol
 keeps `protocol.N_MAX` = 2 photons per rail (the doubly-excited qubit
-branch interferes into a two-photon state, and none holds more).  Every
-operator here is built for a rail dimension d, so larger d can be tested too.
+branch interferes into a two-photon state, and none holds more).  The
+emission and loss operators are built for a rail dimension d; the beam
+splitter exists only for d = 3, the protocol's one space.
 
 Port/phase convention, pinned once and tested: the 50/50 beam splitter is
 the exponential of -(3*pi/4) * (a^dag b - a b^dag) on the truncated space.
@@ -16,9 +17,18 @@ It maps, exactly,
 
 The branch signs are what the generator actually produces; they are
 unobservable downstream because the heralding measurement separates the
-branches incoherently.  States of total photon number <= d - 1 are closed
+branches incoherently.  States of total photon number <= 2 are closed
 under the truncated generator, so the truncation is exact for every state
-the protocol produces.
+the protocol produces; the blocks of three and four photons are
+truncation artefacts that no protocol state reaches.
+
+The splitter is a recorded table, `_SPLITTER_REAL`, not computed at run
+time: the output of `scipy.linalg.expm` (Al-Mohy & Higham scaling and
+squaring, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) on that generator
+at d = 3, from scipy 1.17.1 and numpy 2.4.6 on OpenBLAS 0.3.31's SkylakeX
+kernel, written out with `float.hex`.  Its bits therefore do not depend
+on the scipy build or BLAS kernel that runs.  The tests rebuild the
+splitter with `expm` for d = 3-5 as the reference it must match.
 """
 
 from __future__ import annotations
@@ -38,20 +48,48 @@ def annihilation(dim: int) -> np.ndarray:
     return a
 
 
-def beam_splitter_unitary(d: int) -> np.ndarray:
-    """50/50 beam splitter on the two-rail space, exp(-3pi/4 (a^dag b - a b^dag)).
+# Real parts of the splitter, (row, column) -> float.hex, where the index of
+# |n_det, n_load> is 3 * n_det + n_load.  Every entry not listed, and every
+# imaginary part, is +0.0; the four -0.0 entries are part of the record.
+_SPLITTER_REAL = {
+    (0, 0): "0x1.0000000000000p+0",
+    (1, 1): "-0x1.6a09e667f3bccp-1",
+    (1, 3): "0x1.6a09e667f3bcdp-1",
+    (1, 8): "-0x0.0p+0",
+    (2, 2): "0x1.ffffffffffffap-2",
+    (2, 4): "-0x1.6a09e667f3bcdp-1",
+    (2, 6): "0x1.0000000000003p-1",
+    (3, 1): "-0x1.6a09e667f3bcdp-1",
+    (3, 3): "-0x1.6a09e667f3bcdp-1",
+    (3, 8): "-0x0.0p+0",
+    (4, 2): "0x1.6a09e667f3bd0p-1",
+    (4, 4): "-0x1.c000000000000p-52",
+    (4, 6): "-0x1.6a09e667f3bd0p-1",
+    (5, 5): "0x1.140fc6a79d44ap-50",
+    (5, 7): "-0x1.0000000000001p+0",
+    (5, 8): "-0x0.0p+0",
+    (6, 2): "0x1.0000000000002p-1",
+    (6, 4): "0x1.6a09e667f3bcap-1",
+    (6, 6): "0x1.ffffffffffffdp-2",
+    (7, 5): "0x1.0000000000001p+0",
+    (7, 7): "0x1.0b77a62659890p-50",
+    (7, 8): "-0x0.0p+0",
+    (8, 8): "0x1.0000000000000p+0",
+}
+
+
+def beam_splitter_unitary() -> np.ndarray:
+    """50/50 beam splitter on the two-rail space of 2 photons per rail,
+    exp(-3pi/4 (a^dag b - a b^dag)), as a new (9, 9) complex array.
 
     Unitary on the whole truncated space and block diagonal in total photon
-    number; see module docstring for the pinned port mapping.
+    number; see module docstring for the pinned port mapping and for where
+    the recorded bits come from.
     """
-    from scipy.linalg import expm  # here, so commands without a splitter never load scipy
-
-    a = annihilation(d)
-    eye = np.eye(d, dtype=complex)
-    gen = np.kron(a.conj().T, eye) @ np.kron(eye, a) - np.kron(a, eye) @ np.kron(
-        eye, a.conj().T
-    )
-    return expm(-3.0 * np.pi / 4.0 * gen)
+    u = np.zeros((9, 9), dtype=complex)
+    for (row, col), bits in _SPLITTER_REAL.items():
+        u[row, col] = float.fromhex(bits)
+    return u
 
 
 def emission_unitary(d: int) -> np.ndarray:

@@ -106,7 +106,7 @@ class ProtocolConfig:
                 raise ValidationError(f"{name} must be finite")
         # the offset phase of the top rail level, phi_off * N_MAX
         if not np.isfinite(self.phi_off * N_MAX):
-            raise ValidationError("phi_off * n_max must be finite")
+            raise ValidationError("the two-photon level's offset phase 2 * phi_off must be finite")
         for name in ("eta_loss", "p_init"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"{name} outside [0, 1]")
@@ -156,12 +156,12 @@ def _prepared_qubits(config: ProtocolConfig) -> np.ndarray:
 @cache
 def _unitaries() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full-space emission, splitter and pi-pulse unitaries, read-only and
-    embedded once per process, on first use (the splitter imports scipy)."""
+    embedded once per process, on first use."""
     emit = emission_unitary(N_MAX + 1)
     ops = (
         embed_operator(emit, DIMS, (QUBIT_A, RAIL_LOAD))
         @ embed_operator(emit, DIMS, (QUBIT_B, RAIL_DET)),
-        embed_operator(beam_splitter_unitary(N_MAX + 1), DIMS, (RAIL_DET, RAIL_LOAD)),
+        embed_operator(beam_splitter_unitary(), DIMS, (RAIL_DET, RAIL_LOAD)),
         embed_operator(np.kron(RY_PI, RY_PI), DIMS, (QUBIT_A, QUBIT_B)),
     )
     for op in ops:

@@ -160,7 +160,7 @@ def test_c06_success_rate():
 
 
 def test_c07_two_photon_interference():
-    u = beam_splitter_unitary(3)
+    u = beam_splitter_unitary()
 
     def rail(n, m):
         return np.kron(basis_ket(3, n), basis_ket(3, m))

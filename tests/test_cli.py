@@ -734,18 +734,34 @@ def test_unallocatable_run_exits_3(argv, capsys):
     assert err.startswith("numerical error: Unable to allocate") and err.count("\n") == 1
 
 
-def test_detector_sim_runs_without_scipy(tmp_path):
-    # scipy is loaded only to build the beam splitter, which the detector
-    # simulation never needs; a fresh interpreter shows what the CLI imports
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["protocol", "--shots", "20000", "--seed", "1", "--shots-out", "{tmp}/shots.csv"],
+        ["protocol", "--analytic", "--control"],
+        ["sweep", "--axis", "phi_b", "--from", "0", "--to", "6.2832", "--points", "5"],
+        ["tomo", "--counts", "{tmp}/counts.json", "--cal", "{tmp}/cal.json"],
+        ["detector-sim"],
+    ],
+    ids=["protocol-shots", "protocol-control", "sweep", "tomo", "detector-sim"],
+)
+def test_no_command_loads_scipy(argv, tmp_path):
+    # the beam splitter is a recorded table, so no command needs scipy; a
+    # fresh interpreter shows what one command imports
+    a = reference_assignment()
+    rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+    counts = simulate_counts(rho, a, TomographySettings(10000), seed=1)
+    (tmp_path / "counts.json").write_text(counts_to_json(counts))
+    (tmp_path / "cal.json").write_text(assignment_to_json(a))
     code = (
         "import sys, heraldsim.cli as cli\n"
-        "assert 'scipy' not in sys.modules\n"
-        "assert cli.main(['detector-sim', '--out', sys.argv[1]]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
+    args = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
     env = dict(os.environ, PYTHONPATH=str(Path(heraldsim.__file__).parents[1]))
     run = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "d.json")],
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
@@ -926,7 +942,7 @@ TIME = st.floats(min_value=1e-300, allow_infinity=False)
 PROBABILITY = st.floats(0.0, 1.0)
 VALID_VALUE = {
     "angle": ANGLE,
-    # phi_off * n_max (2 by default) must be finite too
+    # the two-photon level's offset phase 2 * phi_off must be finite too
     "offset": st.floats(-8.9e307, 8.9e307),
     "time": TIME,
     "probability": PROBABILITY,

@@ -212,7 +212,7 @@ class TestRejectedValues:
     def test_overflowing_offset_phase_exits_2(self, phi_off, tmp_path, capsys):
         # the two-photon level picks up 2 phi_off, which is not finite
         assert run_protocol(tmp_path, nest({"preparation.phi_off": phi_off})) == (2, None)
-        assert "phi_off * n_max" in capsys.readouterr().err
+        assert "offset phase 2 * phi_off must be finite" in capsys.readouterr().err
 
     def test_round_range_error_names_the_round(self, tmp_path, capsys):
         rc, _ = run_protocol(tmp_path, nest({"detector.round2.p_real": 1.5}))

@@ -1,12 +1,17 @@
 """Beam splitter, qubit-photon emission and loss channel.
 
+The splitter is a recorded table; `expm_reference` rebuilds it from its
+generator with `scipy.linalg.expm` for any rail dimension, as the oracle.
 Loss is checked on the kernel the protocol engine runs: `loss_kraus`
 operators applied on a rail's blocks by `apply_loss`, which equals the
 embedded Kraus sum bit for bit.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from test_detector import states_with_zeros
 
 from heraldsim.photonics import (
@@ -18,6 +23,21 @@ from heraldsim.photonics import (
 )
 from heraldsim.protocol import ProtocolConfig, _Engine
 from heraldsim.qmath import ValidationError, apply_kraus_matrix, basis_ket, embed_operator
+
+
+# SHA-256 of beam_splitter_unitary().tobytes(), recorded from expm_reference(3)
+# before the table replaced expm; the table's bits are the same on every kernel
+SPLITTER_SHA256 = "153d78480d7218ad357e7f951e7029d58a845f8b1264a69d71d169c272a85a82"
+
+
+def expm_reference(d):
+    """The splitter for rail dimension d: expm(-3pi/4 (a^dag b - a b^dag))."""
+    a = annihilation(d)
+    eye = np.eye(d, dtype=complex)
+    gen = np.kron(a.conj().T, eye) @ np.kron(eye, a) - np.kron(a, eye) @ np.kron(
+        eye, a.conj().T
+    )
+    return expm(-3.0 * np.pi / 4.0 * gen)
 
 
 def rail_ket(n, m, dim=3):
@@ -54,12 +74,22 @@ def b_ket(q, n):
 
 
 class TestBeamSplitter:
+    def test_recorded_bits(self):
+        assert hashlib.sha256(beam_splitter_unitary().tobytes()).hexdigest() == SPLITTER_SHA256
+
+    def test_matches_expm_reference(self):
+        assert np.max(np.abs(beam_splitter_unitary() - expm_reference(3))) <= 1e-15
+
+    def test_recorded_splitter_is_unitary(self):
+        u = beam_splitter_unitary()
+        assert np.max(np.abs(u.conj().T @ u - np.eye(9))) <= 1e-15
+
     def test_vacuum_invariant(self):
-        u = beam_splitter_unitary(3)
+        u = beam_splitter_unitary()
         assert np.allclose(u @ rail_ket(0, 0), rail_ket(0, 0), atol=1e-12)
 
     def test_odd_photon_states_route_to_single_rails(self):
-        u = beam_splitter_unitary(3)
+        u = beam_splitter_unitary()
         o_plus = (rail_ket(1, 0) + rail_ket(0, 1)) / np.sqrt(2)
         o_minus = (rail_ket(1, 0) - rail_ket(0, 1)) / np.sqrt(2)
         # first rail up to global phase, second rail up to global phase
@@ -67,7 +97,7 @@ class TestBeamSplitter:
         assert np.isclose(abs(rail_ket(0, 1) @ u @ o_minus), 1.0, atol=1e-10)
 
     def test_two_photon_interference(self):
-        u = beam_splitter_unitary(3)
+        u = beam_splitter_unitary()
         out = u @ rail_ket(1, 1)
         assert abs(rail_ket(1, 1) @ out) ** 2 < 1e-12
         # all weight in the two-photon single-rail pair
@@ -77,7 +107,7 @@ class TestBeamSplitter:
     @pytest.mark.parametrize("n_max", [2, 3, 4])
     def test_unitary_and_number_conserving(self, n_max):
         d = n_max + 1
-        u = beam_splitter_unitary(d)
+        u = expm_reference(d)
         eye = np.eye(d * d)
         assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-10
         n_total = np.kron(number_op(d), np.eye(d)) + np.kron(np.eye(d), number_op(d))

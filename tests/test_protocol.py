@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_photonics import expm_reference
 
 from heraldsim import cli, protocol, qmath
 from heraldsim.detector import DetectorRoundParams, branch_matrices, dark_count_fidelity
@@ -268,12 +269,14 @@ class TestTwoPhotonBound:
             assert np.all(mat[:, _OVER_BOUND] == 0.0)
 
     def test_splitter_block_is_truncation_independent(self):
-        def low_block(d):
+        def low_block(u, d):
             n_det, n_load = np.divmod(np.arange(d * d), d)
             keep = n_det + n_load <= N_MAX
-            return beam_splitter_unitary(d)[np.ix_(keep, keep)]
+            return u[np.ix_(keep, keep)]
 
-        assert np.max(np.abs(low_block(N_MAX + 1) - low_block(N_MAX + 2))) <= 1e-15
+        recorded = low_block(beam_splitter_unitary(), N_MAX + 1)
+        for d in (N_MAX + 2, N_MAX + 3):
+            assert np.max(np.abs(recorded - low_block(expm_reference(d), d))) <= 1e-15
 
 
 def brute_force_click_click(config):
@@ -289,7 +292,7 @@ def brute_force_click_click(config):
     emit = embed_operator(emission_unitary(3), dims, (1, 2)) @ embed_operator(
         emission_unitary(3), dims, (0, 3)
     )
-    bs = embed_operator(beam_splitter_unitary(3), dims, (2, 3))
+    bs = embed_operator(beam_splitter_unitary(), dims, (2, 3))
     phase = np.diag(np.exp(1j * config.phi_off * np.arange(3)))
     offset = embed_operator(phase, dims, (2,))
     pi2 = embed_operator(np.kron(RY_PI, RY_PI), dims, (0, 1))
