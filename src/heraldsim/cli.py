@@ -43,7 +43,8 @@ from .config import (
     load_run_config,
     resolved_config_doc,
 )
-from .lindblad import T_TOTAL, CascadedSystemParams, IntegrationError, pulse_sweep, simulate
+from .lindblad import FOCK_STATES, T_TOTAL, CascadedSystemParams, IntegrationError
+from .lindblad import pulse_sweep, simulate, window_steps
 from .protocol import (
     SWEEPABLE_AXES,
     click_probabilities,
@@ -99,6 +100,13 @@ def _emit(doc: dict, out: str | None) -> None:
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
+def _check_allocatable(n: int, what: str) -> None:
+    # numpy refuses 2^63 bytes or more with a ValueError, not a MemoryError;
+    # more than 2^59 elements is beyond any memory already
+    if n > 2**59:
+        raise MemoryError(f"Unable to allocate {n} {what}: more than any address space holds")
+
+
 def _pauli_doc(pauli) -> dict:
     doc = {"labels": list(PAULI_LABELS), "components": [float(c) for c in pauli.components]}
     if pauli.sigma is not None:
@@ -120,6 +128,7 @@ def _fidelity_doc(result) -> dict:
 def cmd_protocol(args) -> int:
     if args.shots is not None:
         check_shots(args.shots, "--shots")
+        _check_allocatable(args.shots, "shots")
     elif args.shots_out:
         raise ConfigError("--shots-out needs --shots")
     elif args.seed is not None:
@@ -194,6 +203,7 @@ def cmd_protocol(args) -> int:
 def _sweep_values(start: float, stop: float, points: int) -> np.ndarray:
     if not (isfinite(start) and isfinite(stop) and isfinite(stop - start)):
         raise ConfigError(f"--from {start!r} and --to {stop!r} must be finite")
+    _check_allocatable(points, "sweep points")
     return np.linspace(start, stop, points)
 
 
@@ -240,14 +250,17 @@ def _detector_params(args) -> CascadedSystemParams:
 
 
 def _check_t_total(t_total: float, pulse_end: float) -> None:
-    # p_click is the excited population after the pulse, so the window must
-    # hold the whole pulse
+    # p_click is the excited population at the end of the window, which is
+    # --t-total rounded to whole 1-ns steps, so the window must hold the pulse
     if not (isfinite(t_total) and t_total > 0.0):
         raise ConfigError(f"--t-total must be a positive number of ns, got {t_total!r}")
-    if t_total < pulse_end:
+    steps = window_steps(t_total)
+    if steps < pulse_end:
         raise ConfigError(
-            f"--t-total {t_total!r} ns ends before the pulse does ({pulse_end!r} ns)"
+            f"--t-total {t_total!r} ns: the run window ends at {float(steps)!r} ns, "
+            f"before the pulse does ({pulse_end!r} ns)"
         )
+    _check_allocatable(steps + 1, "time points")
 
 
 def cmd_detector_sim(args) -> int:
@@ -362,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("detector-sim", help="time-domain detector simulation")
-    p.add_argument("--fock", type=int, choices=(0, 1, 2), default=1)
+    p.add_argument("--fock", type=int, choices=FOCK_STATES, default=1)
     p.add_argument("--sweep", choices=("detuning", "delay"))
     p.add_argument("--from", dest="start", type=float)
     p.add_argument("--to", dest="stop", type=float)

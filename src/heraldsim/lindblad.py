@@ -36,6 +36,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache
 from math import atan, isfinite, pi, sqrt
 
 import numpy as np
@@ -49,6 +50,13 @@ MHZ_TO_RAD_NS = 2.0e-3 * np.pi  # omega [rad/ns] = 2 pi f[MHz] 1e-3
 INTEGRATOR_TRACE_TOL = 1e-8  # RK4 final states; qmath.TRACE_TOL is 1e-10
 GUARD_TOL = 1e-3
 T_TOTAL = 1500.0  # ns, the default main window from the photon release
+
+# The one space (emitter cavity, detector qubit, detector cavity) is exact:
+# H conserves N = n_A + n_D and the collapse operator lowers it, so no cavity
+# ever holds more than the initial Fock state's photons.  The detector
+# cavity's top level, the guard level, stays exactly empty (GUARD_TOL).
+FOCK_STATES = (0, 1, 2)
+DIMS = (len(FOCK_STATES), 2, len(FOCK_STATES) + 1)
 
 # Systems per kernel call; bounds the stacked states and traces of long
 # sweeps.  Timed at 4, 8, 16 and 32 systems (1500 ns, 2 cores): 8 was the
@@ -128,8 +136,6 @@ class CascadedSystemParams:
     kappa_a: float = 0.9
     kappa_d: float = 0.9
     chi_d: float = 3.0
-    emitter_dim: int = 3
-    detector_cavity_dim: int = 4
     # Default pulse timing puts the pulse center on the intra-cavity
     # population maximum (2/kappa after release), the detection-optimal
     # delay; `pulse_sweep` over delay reproduces this optimum.
@@ -141,10 +147,6 @@ class CascadedSystemParams:
                         chi_d=self.chi_d, detuning=self.detuning)
         if self.kappa_a < 0.0 or self.kappa_d <= 0.0:
             raise ValidationError("cavity rates must be positive (kappa_a may be 0)")
-        if self.emitter_dim < 3:
-            raise ValidationError("emitter_dim must be >= 3")
-        if self.detector_cavity_dim < 4:
-            raise ValidationError("detector_cavity_dim must be >= 4")
 
 
 @dataclass(frozen=True)
@@ -171,42 +173,43 @@ class TimeTraces:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-class _CascadeOperators:
-    """Hilbert space (emitter cavity, detector qubit, detector cavity)."""
+@cache
+def _operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """a, d, sigma+, p_e and the diagonals of n_A, n_D, p_e and the guard
+    level, embedded in DIMS once per process, on first use; read-only."""
+    a = embed_operator(annihilation(DIMS[0]), DIMS, (0,))
+    d = embed_operator(annihilation(DIMS[2]), DIMS, (2,))
+    sp = embed_operator(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex), DIMS, (1,))
+    pe = embed_operator(np.diag([0.0, 1.0]).astype(complex), DIMS, (1,))
+    guard_op = embed_operator(np.diag(np.eye(DIMS[2])[-1]).astype(complex), DIMS, (2,))
+    obs = np.stack(
+        [np.diagonal(op).real for op in (a.conj().T @ a, d.conj().T @ d, pe, guard_op)]
+    )
+    ops = (a, d, sp, pe, obs)
+    for op in ops:
+        op.setflags(write=False)
+    return ops
 
-    def __init__(self, params: CascadedSystemParams):
-        dims = (params.emitter_dim, 2, params.detector_cavity_dim)
-        self.dims = dims
-        a = embed_operator(annihilation(params.emitter_dim), dims, (0,))
-        d = embed_operator(annihilation(params.detector_cavity_dim), dims, (2,))
-        sp = embed_operator(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex), dims, (1,))
-        pe = embed_operator(np.diag([0.0, 1.0]).astype(complex), dims, (1,))
 
-        ka = params.kappa_a * MHZ_TO_RAD_NS
-        kd = params.kappa_d * MHZ_TO_RAD_NS
-        chi = params.chi_d * MHZ_TO_RAD_NS
+def _system_operators(params: CascadedSystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """One system's h0 and collapse operator c_op."""
+    a, d, _, pe, _ = _operators()
+    ka = params.kappa_a * MHZ_TO_RAD_NS
+    kd = params.kappa_d * MHZ_TO_RAD_NS
+    chi = params.chi_d * MHZ_TO_RAD_NS
 
-        h_casc = 0.5j * sqrt(ka * kd) * (a.conj().T @ d - a @ d.conj().T)
-        h_disp = -chi * pe @ (d.conj().T @ d)
-        self.h0 = h_casc + h_disp
-        self.hp = sp
-        self.c_op = sqrt(ka) * a + sqrt(kd) * d
+    h_casc = 0.5j * sqrt(ka * kd) * (a.conj().T @ d - a @ d.conj().T)
+    h_disp = -chi * pe @ (d.conj().T @ d)
+    return h_casc + h_disp, sqrt(ka) * a + sqrt(kd) * d
 
-        guard = np.zeros(params.detector_cavity_dim)
-        guard[-1] = 1.0
-        guard_op = embed_operator(np.diag(guard).astype(complex), dims, (2,))
-        # n_A, n_D, p_e and the guard level, all diagonal: rows of diagonals
-        self.obs = np.stack(
-            [np.diagonal(op).real for op in (a.conj().T @ a, d.conj().T @ d, pe, guard_op)]
-        )
 
-    def initial_state(self, emitter_fock: int, detector=None) -> np.ndarray:
-        """|n><n| on the emitter times `detector`, by default |g, 0><g, 0|."""
-        ket = basis_ket(self.dims[0], emitter_fock)
-        if detector is None:
-            ground = np.kron(basis_ket(2, 0), basis_ket(self.dims[2], 0))
-            detector = np.outer(ground, ground.conj())
-        return np.kron(np.outer(ket, ket.conj()), detector)
+def _initial_state(emitter_fock: int, detector=None) -> np.ndarray:
+    """|n><n| on the emitter times `detector`, by default |g, 0><g, 0|."""
+    ket = basis_ket(DIMS[0], emitter_fock)
+    if detector is None:
+        ground = np.kron(basis_ket(2, 0), basis_ket(DIMS[2], 0))
+        detector = np.outer(ground, ground.conj())
+    return np.kron(np.outer(ket, ket.conj()), detector)
 
 
 def _propagate(rho0, h0, hp, c_op, coeffs, dt, obs):
@@ -269,16 +272,18 @@ def _drive_coefficients(params: CascadedSystemParams, times, dt) -> np.ndarray:
 
 
 def _integrate(members, times, dt):
-    """One kernel call over a shared window for (ops, params, rho0) members."""
-    ops, params, rho0 = zip(*members)
+    """One kernel call over a shared window for (params, rho0) members."""
+    params, rho0 = zip(*members)
+    h0, c_op = zip(*map(_system_operators, params))
+    _, _, sp, _, obs = _operators()
     return _propagate(
         np.stack(rho0),
-        np.stack([o.h0 for o in ops]),
-        np.stack([o.hp for o in ops]),
-        np.stack([o.c_op for o in ops]),
+        np.stack(h0),
+        np.stack([sp] * len(params)),
+        np.stack(c_op),
         np.stack([_drive_coefficients(p, times, dt) for p in params]),
         float(dt),
-        ops[0].obs,
+        obs,
     )
 
 
@@ -301,19 +306,18 @@ def _check_budget(rho: np.ndarray, hint: str) -> float:
 
 def _integrate_shard(systems, times_main, dt) -> list[TimeTraces]:
     """The _BATCH loop over contiguous systems; raises the first error."""
+    no_preroll = (np.empty(0), np.empty((len(_operators()[-1]), 0)))
     results = []
     for lo in range(0, len(systems), _BATCH):
         members, prerolls, failure = [], [], None
         for params, fock in systems[lo:lo + _BATCH]:
-            ops = _CascadeOperators(params)
+            detector, preroll = None, no_preroll
             if params.pulse.start_time < 0.0:
                 # whole steps from at or before the pulse start to t = 0; the drive
                 # is zero before the start, so leading steps leave the vacuum as is
                 n_pre = int(np.ceil(-params.pulse.start_time / dt))
                 times_pre = dt * np.arange(-n_pre, 1)
-                out_pre, rho_mid = _integrate(
-                    [(ops, params, ops.initial_state(0))], times_pre, dt
-                )
+                out_pre, rho_mid = _integrate([(params, _initial_state(0))], times_pre, dt)
                 try:
                     _check_budget(rho_mid[0], "reduce dt")
                 except IntegrationError as exc:
@@ -322,17 +326,14 @@ def _integrate_shard(systems, times_main, dt) -> list[TimeTraces]:
                     break
                 # swap in the freshly released Fock state; the emitter factor is
                 # untouched vacuum up to here, so this is a tensor replacement
-                detector = partial_trace_matrix(rho_mid[0], ops.dims, (1, 2))
-                rho_start = ops.initial_state(fock, detector)
-                prerolls.append((times_pre[:-1], out_pre[0][:, :-1]))
-            else:
-                rho_start = ops.initial_state(fock)
-                prerolls.append((np.empty(0), np.empty((len(ops.obs), 0))))
-            members.append((ops, params, rho_start))
+                detector = partial_trace_matrix(rho_mid[0], DIMS, (1, 2))
+                preroll = (times_pre[:-1], out_pre[0][:, :-1])
+            prerolls.append(preroll)
+            members.append((params, _initial_state(fock, detector)))
 
         if members:
             out_main, rho_final = _integrate(members, times_main, dt)
-        for b, ((_, params, _), (times_pre, out_pre)) in enumerate(zip(members, prerolls)):
+        for b, ((params, _), (times_pre, out_pre)) in enumerate(zip(members, prerolls)):
             trace_error = _check_budget(rho_final[b], "reduce dt")
             times = np.concatenate([times_pre, times_main])
             out = np.concatenate([out_pre, out_main[b]], axis=1)
@@ -340,7 +341,7 @@ def _integrate_shard(systems, times_main, dt) -> list[TimeTraces]:
             if not guard_max <= GUARD_TOL:
                 raise IntegrationError(
                     f"detector-cavity guard level reached {guard_max:.2e} "
-                    f"(budget {GUARD_TOL:.0e}); raise detector_cavity_dim"
+                    f"(budget {GUARD_TOL:.0e}); the model no longer conserves n_A + n_D"
                 )
             results.append(
                 TimeTraces(
@@ -418,6 +419,11 @@ def _integrate_forked(systems, times_main, dt, n_shards):
     return joined
 
 
+def window_steps(t_total: float, dt: float = 1.0) -> int:
+    """RK4 steps of the main window; it ends at dt * window_steps(t_total, dt)."""
+    return max(1, int(round(t_total / dt)))
+
+
 def simulate(systems, t_total: float = T_TOTAL, dt: float = 1.0) -> list[TimeTraces]:
     """`cascaded_simulate` for a list of (params, initial_fock) systems.
 
@@ -428,19 +434,17 @@ def simulate(systems, t_total: float = T_TOTAL, dt: float = 1.0) -> list[TimeTra
     integrates _BATCH systems per kernel call.  Results, and the first
     error raised, are those of integrating the systems one by one in input
     order, bit for bit; a worker that dies raises IntegrationError.  The
-    systems must share emitter_dim and detector_cavity_dim.  The inputs and
-    the time grid are checked and allocated before any fork.
+    inputs (initial_fock in FOCK_STATES) and the time grid are checked,
+    and the operators embedded, before any fork.
     """
     for name, value in (("t_total", t_total), ("dt", dt)):
         if not (isfinite(value) and value > 0.0):
             raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-    for params, fock in systems:
-        if fock not in range(params.emitter_dim):
-            raise ValidationError(f"initial_fock {fock} outside emitter dimension")
-    if len({(params.emitter_dim, params.detector_cavity_dim) for params, _ in systems}) > 1:
-        raise ValidationError("systems of one call need one emitter_dim, detector_cavity_dim")
-    n_steps = max(1, int(round(t_total / dt)))
-    times_main = dt * np.arange(n_steps + 1)
+    for _, fock in systems:
+        if fock not in FOCK_STATES:
+            raise ValidationError(f"initial_fock {fock!r} is not one of {FOCK_STATES}")
+    times_main = dt * np.arange(window_steps(t_total, dt) + 1)
+    _operators()  # embedded here, so that forked workers inherit them
     n_shards = min(len(systems), _usable_cpus())
     if n_shards > 1:
         return _integrate_forked(systems, times_main, dt, n_shards)
@@ -458,9 +462,9 @@ def cascaded_simulate(
     The emitter releases its photon(s) from t = 0.  A pulse with negative
     start_time is honored by pre-rolling the drive on the empty system and
     injecting the Fock state at t = 0 (exact: nothing entangles with the
-    emitter before its photon exists).  Raises ValidationError for a
-    non-positive or non-finite t_total or dt, and IntegrationError when the
-    trace or guard-level budget is exceeded.
+    emitter before its photon exists).  Raises ValidationError for an
+    initial_fock outside FOCK_STATES or a bad t_total or dt, and
+    IntegrationError when the trace or guard-level budget is exceeded.
     """
     return simulate([(params, initial_fock)], t_total, dt)[0]
 

@@ -478,6 +478,35 @@ class TestDetectorSimCommand:
     @pytest.mark.parametrize(
         "extra",
         [
+            # the 1-ns grid of a 595.4-ns window ends at 595 ns, before the
+            # pulse that starts at 115.3 ns ends
+            ["--pulse-start", "115.3", "--t-total", "595.4"],
+            ["--sweep", "delay", "--from", "0", "--to", "115.3", "--points", "2",
+             "--t-total", "595.4"],
+        ],
+    )
+    def test_window_grid_ending_before_the_pulse_exits_2(
+        self, extra, tmp_path, monkeypatch, capsys
+    ):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated a window that misses the pulse end")
+
+        monkeypatch.setattr("heraldsim.cli.simulate", integrate)
+        monkeypatch.setattr("heraldsim.cli.pulse_sweep", integrate)
+        out = tmp_path / "out"
+        assert main(["detector-sim", "--out", str(out)] + extra) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --t-total 595.4 ns: the run window ends at 595.0 ns, before the pulse does"
+        )
+        assert not out.exists()
+
+    def test_fock_outside_the_exact_space_exits_2(self, capsys):
+        assert exit_code(["detector-sim", "--fock", "3"]) == 2
+        assert "--fock: invalid choice: 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
             ["--pulse-start", "nan"],
             ["--pulse-start=-inf"],
             ["--sweep", "delay", "--from", "nan", "--to", "100", "--points", "2"],
@@ -729,6 +758,24 @@ class TestTomoCommand:
     ],
 )
 def test_unallocatable_run_exits_3(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: Unable to allocate") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 10^19 elements, 2^63 or more: numpy refuses such an array with a
+        # ValueError rather than a MemoryError, so the CLI reports the run
+        ["protocol", "--shots", str(10**19)],
+        ["sweep", "--axis", "phi_a", "--from", "0", "--to", "1", "--points", str(10**19)],
+        ["detector-sim", "--t-total", "1e20"],  # 10^20 + 1 time points
+        ["detector-sim", "--sweep", "delay", "--from", "0", "--to", "100",
+         "--points", str(10**19)],
+    ],
+)
+def test_unindexable_run_exits_3(argv, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error: Unable to allocate") and err.count("\n") == 1

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heraldsim import lindblad
+from heraldsim import cli, lindblad
 from heraldsim.lindblad import (
     MHZ_TO_RAD_NS,
     CascadedSystemParams,
@@ -58,17 +58,26 @@ class TestCascade:
             assert tr.trace_error < 1e-8
             assert tr.guard_max < 1e-3
 
-    def test_guard_level_fires_on_a_short_detector_cavity(self):
-        # a three-photon emitter fills the top level of a four-level detector cavity
-        params = replace(CascadedSystemParams(), emitter_dim=4, detector_cavity_dim=4)
+    def test_guard_level_fires_when_n_is_not_conserved(self, monkeypatch, capsys):
+        # a coherent drive on the detector cavity adds photons the emitter never held
+        d = lindblad._operators()[1]
+        system_operators = lindblad._system_operators
+
+        def driven(params):
+            h0, c_op = system_operators(params)
+            return h0 + 0.1 * (d + d.conj().T), c_op
+
+        monkeypatch.setattr(lindblad, "_system_operators", driven)
         with pytest.raises(
             IntegrationError,
-            match=r"^detector-cavity guard level reached 1\.50e-01 \(budget 1e-03\); "
-            r"raise detector_cavity_dim$",
+            match=r"^detector-cavity guard level reached \d\.\d\de-\d\d \(budget 1e-03\); "
+            r"the model no longer conserves n_A \+ n_D$",
         ):
-            cascaded_simulate(3, params, t_total=600.0)
-        roomier = cascaded_simulate(3, replace(params, detector_cavity_dim=5), t_total=600.0)
-        assert roomier.guard_max == 0.0
+            cascaded_simulate(1, CascadedSystemParams(), t_total=600.0)
+        assert cli.main(["detector-sim", "--t-total", "600"]) == cli.EXIT_NUMERICAL == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical error: detector-cavity guard level reached"
+        )
 
     def test_decoupled_emitter(self):
         params = replace(CascadedSystemParams(), kappa_a=0.0)
@@ -91,14 +100,69 @@ class TestCascade:
         assert np.all(np.diff(total) < 1e-10)
 
     def test_invalid_fock_rejected(self):
-        with pytest.raises(ValidationError):
-            cascaded_simulate(5, CascadedSystemParams())
+        # -1 and 3 are the first values outside the exact space
+        for fock in (-1, 3, 5):
+            with pytest.raises(ValidationError, match=rf"^initial_fock {fock} is not one of"):
+                cascaded_simulate(fock, CascadedSystemParams())
 
     def test_csv_columns(self, tmp_path, default_traces):
         path = tmp_path / "traces.csv"
         default_traces[1].write_csv(path)
         header = path.read_text().split("\n", 1)[0]
         assert header == "time_ns,n_A,n_D,p_e,pulse"
+
+
+class TestExactSpace:
+    """The fixed space (emitter 3, qubit 2, detector cavity 4) is exact.
+
+    H conserves N = n_A + n_D and the collapse operator lowers it, so no
+    state ever holds more photons than the emitter released, and the
+    detector cavity's top level stays exactly empty.
+    """
+
+    @pytest.mark.parametrize("start", [None, -10.5], ids=["default-start", "pre-roll"])
+    @pytest.mark.parametrize("fock", lindblad.FOCK_STATES)
+    def test_no_state_gains_photons(self, fock, start, monkeypatch):
+        _set_cpus(monkeypatch, 1)
+        propagate = lindblad._propagate
+        calls = []
+
+        def spy(rho0, *args):
+            out, rho = propagate(rho0, *args)
+            calls.append((rho0[0], rho[0]))
+            return out, rho
+
+        monkeypatch.setattr(lindblad, "_propagate", spy)
+        params = CascadedSystemParams()
+        if start is not None:
+            params = _with_start(params, start)
+        tr = cascaded_simulate(fock, params, t_total=800.0)
+        assert tr.guard_max == 0.0
+        n_a, _, n_d = np.unravel_index(np.arange(np.prod(lindblad.DIMS)), lindblad.DIMS)
+        photons = n_a + n_d
+        initial = [photons[np.diagonal(rho0) != 0.0].max() for rho0, _ in calls]
+        # a pre-roll starts from the vacuum, the main window from the Fock state
+        assert initial == ([0] if start is not None else []) + [fock]
+        for n, (_, rho) in zip(initial, calls):
+            assert np.all(rho[photons > n, :] == 0.0)
+            assert np.all(rho[:, photons > n] == 0.0)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_second_call_embeds_no_operator(self, n_cpus, monkeypatch):
+        _set_cpus(monkeypatch, n_cpus)
+        systems = [(CascadedSystemParams(), 1), (_with_start(CascadedSystemParams(), -10.0), 2)]
+        first = lindblad.simulate(systems, 300.0)
+
+        def refuse(*args):
+            raise AssertionError("embedded a cascade operator")
+
+        monkeypatch.setattr(lindblad, "embed_operator", refuse)
+        second = lindblad.simulate(systems, 300.0)
+        assert [tr.p_click for tr in second] == [tr.p_click for tr in first]
+
+    def test_operators_are_read_only(self):
+        for op in lindblad._operators():
+            assert not op.flags.writeable
 
 
 def _first_failure(params_list, initial_fock, t_total, dt):
@@ -279,16 +343,6 @@ class TestForkedShards:
                 assert np.array_equal(getattr(a, field), getattr(b, field))
             assert a.guard_max == b.guard_max
             assert a.trace_error == b.trace_error
-
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_systems_of_different_spaces_rejected(self, n_cpus, monkeypatch):
-        # one kernel call stacks its systems; the check comes before any fork
-        _set_cpus(monkeypatch, n_cpus)
-        params = CascadedSystemParams()
-        for other in (replace(params, detector_cavity_dim=5), replace(params, emitter_dim=4)):
-            with pytest.raises(ValidationError, match="one emitter_dim, detector_cavity_dim"):
-                lindblad.simulate([(params, 1), (other, 1)], 100.0)
-        assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_the_call(self, monkeypatch):
         _set_cpus(monkeypatch, 2)
