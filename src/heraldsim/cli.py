@@ -58,6 +58,7 @@ from .qmath import (
     ValidationError,
     bell_odd_minus,
     bell_odd_plus,
+    check_allocatable,
     concurrence,
     pauli_decompose,
     state_fidelity,
@@ -100,13 +101,6 @@ def _emit(doc: dict, out: str | None) -> None:
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
-def _check_allocatable(n: int, what: str) -> None:
-    # numpy refuses 2^63 bytes or more with a ValueError, not a MemoryError;
-    # more than 2^59 elements is beyond any memory already
-    if n > 2**59:
-        raise MemoryError(f"Unable to allocate {n} {what}: more than any address space holds")
-
-
 def _pauli_doc(pauli) -> dict:
     doc = {"labels": list(PAULI_LABELS), "components": [float(c) for c in pauli.components]}
     if pauli.sigma is not None:
@@ -128,7 +122,7 @@ def _fidelity_doc(result) -> dict:
 def cmd_protocol(args) -> int:
     if args.shots is not None:
         check_shots(args.shots, "--shots")
-        _check_allocatable(args.shots, "shots")
+        check_allocatable(args.shots, "shots")
     elif args.shots_out:
         raise ConfigError("--shots-out needs --shots")
     elif args.seed is not None:
@@ -203,7 +197,7 @@ def cmd_protocol(args) -> int:
 def _sweep_values(start: float, stop: float, points: int) -> np.ndarray:
     if not (isfinite(start) and isfinite(stop) and isfinite(stop - start)):
         raise ConfigError(f"--from {start!r} and --to {stop!r} must be finite")
-    _check_allocatable(points, "sweep points")
+    check_allocatable(points, "sweep points")
     return np.linspace(start, stop, points)
 
 
@@ -260,7 +254,6 @@ def _check_t_total(t_total: float, pulse_end: float) -> None:
             f"--t-total {t_total!r} ns: the run window ends at {float(steps)!r} ns, "
             f"before the pulse does ({pulse_end!r} ns)"
         )
-    _check_allocatable(steps + 1, "time points")
 
 
 def cmd_detector_sim(args) -> int:

@@ -313,10 +313,9 @@ def _integrate_shard(systems, times_main, dt) -> list[TimeTraces]:
         for params, fock in systems[lo:lo + _BATCH]:
             detector, preroll = None, no_preroll
             if params.pulse.start_time < 0.0:
-                # whole steps from at or before the pulse start to t = 0; the drive
-                # is zero before the start, so leading steps leave the vacuum as is
-                n_pre = int(np.ceil(-params.pulse.start_time / dt))
-                times_pre = dt * np.arange(-n_pre, 1)
+                # the drive is zero before the start, so leading steps leave the
+                # vacuum as is
+                times_pre = dt * np.arange(-_preroll_steps(params, dt), 1)
                 out_pre, rho_mid = _integrate([(params, _initial_state(0))], times_pre, dt)
                 try:
                     _check_budget(rho_mid[0], "reduce dt")
@@ -424,6 +423,11 @@ def window_steps(t_total: float, dt: float = 1.0) -> int:
     return max(1, int(round(t_total / dt)))
 
 
+def _preroll_steps(params: CascadedSystemParams, dt: float) -> int:
+    """RK4 steps of the pre-roll, from at or before the pulse start to t = 0."""
+    return int(np.ceil(-params.pulse.start_time / dt))
+
+
 def simulate(systems, t_total: float = T_TOTAL, dt: float = 1.0) -> list[TimeTraces]:
     """`cascaded_simulate` for a list of (params, initial_fock) systems.
 
@@ -434,16 +438,22 @@ def simulate(systems, t_total: float = T_TOTAL, dt: float = 1.0) -> list[TimeTra
     integrates _BATCH systems per kernel call.  Results, and the first
     error raised, are those of integrating the systems one by one in input
     order, bit for bit; a worker that dies raises IntegrationError.  The
-    inputs (initial_fock in FOCK_STATES) and the time grid are checked,
-    and the operators embedded, before any fork.
+    inputs (initial_fock in FOCK_STATES) and the time grids are checked
+    (a grid of more than 2^59 points is a MemoryError, as numpy would
+    otherwise refuse it with a ValueError), and the operators embedded,
+    before any fork.
     """
     for name, value in (("t_total", t_total), ("dt", dt)):
         if not (isfinite(value) and value > 0.0):
             raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-    for _, fock in systems:
+    for params, fock in systems:
         if fock not in FOCK_STATES:
             raise ValidationError(f"initial_fock {fock!r} is not one of {FOCK_STATES}")
-    times_main = dt * np.arange(window_steps(t_total, dt) + 1)
+        if params.pulse.start_time < 0.0:
+            qmath.check_allocatable(_preroll_steps(params, dt) + 1, "pre-roll time points")
+    steps = window_steps(t_total, dt)
+    qmath.check_allocatable(steps + 1, "time points")
+    times_main = dt * np.arange(steps + 1)
     _operators()  # embedded here, so that forked workers inherit them
     n_shards = min(len(systems), _usable_cpus())
     if n_shards > 1:

@@ -257,12 +257,10 @@ def apply_phase_damping(
     Kraus operators are diagonal, so each is applied as a factor vector
     scaling rows and columns, not as a dense matrix product.
     """
-    if len(rho.dims) < 2 or rho.dims[0] != 2 or rho.dims[1] != 2:
-        raise ValidationError("state must start with two qubit subsystems")
     mat = rho.matrix
-    for pair in _phase_damping_factors(rho.dims, duration, t2e_a, t2e_b):
+    for pair in _phase_damping_factors((2, 2), duration, t2e_a, t2e_b):
         mat = _apply_diagonal_kraus(mat, pair)
-    return DensityMatrix(rho.dims, mat)
+    return DensityMatrix(mat)
 
 
 def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
@@ -286,7 +284,7 @@ def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
             for pair in eng.dephasing:
                 mat2 = _apply_diagonal_kraus(mat2, pair)
             reduced = qmath.partial_trace_matrix(mat2, DIMS, (QUBIT_A, QUBIT_B))
-            branches[(c1, c2)] = Branch(p, DensityMatrix((2, 2), reduced / p))
+            branches[(c1, c2)] = Branch(p, DensityMatrix(reduced / p))
 
     total = sum(b.probability for b in branches.values())
     if not abs(total - 1.0) <= BRANCH_SUM_TOL:
@@ -319,7 +317,7 @@ def run_control(config: ProtocolConfig) -> DensityMatrix:
     """
     # one joint pi pulse between the two (photonless) rounds
     ket = np.kron(RY_PI, RY_PI) @ _prepared_qubits(config)
-    rho = DensityMatrix((2, 2), np.outer(ket, ket.conj()))
+    rho = DensityMatrix(np.outer(ket, ket.conj()))
     return apply_phase_damping(rho, config.t_seq, config.t2e_a, config.t2e_b)
 
 

@@ -45,35 +45,22 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Density matrix over a tensor product of finite subsystems.
+    """Two-qubit density matrix, the state the protocol heralds.
 
-    Parameters
-    ----------
-    dims : tuple of int
-        Dimension of each subsystem, e.g. ``(2, 2, 3, 3)`` for two qubits
-        and two photon rails.
-    matrix : ndarray
-        Square complex matrix over the product space, row-major in the
-        usual Kronecker ordering of `dims`.
-
-    The constructor checks the residuals `hermiticity_error` and `trace_error`
+    `matrix` is a 4x4 complex matrix in the computational order (gg, ge,
+    eg, ee); any other shape is rejected before the residual checks.  The
+    constructor checks the residuals `hermiticity_error` and `trace_error`
     (HERMITICITY_TOL and TRACE_TOL, 1e-10 each) and `min_eigenvalue` (at least
     -EIGENVALUE_TOL, -1e-9).  Instances are immutable; all
     operations return new values, so they are safe to share across threads.
     """
 
-    dims: tuple[int, ...]
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
         mat = np.asarray(self.matrix, dtype=complex)
-        dim = int(np.prod(dims))
-        if mat.shape != (dim, dim):
-            raise ValidationError(
-                f"matrix shape {mat.shape} does not match dims {dims}"
-            )
+        if mat.shape != (4, 4):
+            raise ValidationError(f"matrix shape {mat.shape} is not the two-qubit (4, 4)")
         if not np.all(np.isfinite(mat)):
             raise ValidationError("matrix contains non-finite entries")
         # each written so that a NaN residual fails
@@ -89,17 +76,11 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
-
     @classmethod
-    def from_ket(cls, ket, dims=None) -> "DensityMatrix":
-        """Pure state |psi><psi| from a (normalized or not) state vector."""
+    def from_ket(cls, ket) -> "DensityMatrix":
+        """Pure state |psi><psi| from a (normalized or not) two-qubit ket."""
         v = unit_ket(ket)
-        if dims is None:
-            dims = (v.size,)
-        return cls(tuple(dims), np.outer(v, v.conj()))
+        return cls(np.outer(v, v.conj()))
 
 
 @dataclass(frozen=True)
@@ -139,12 +120,12 @@ class PauliVector:
 # ---------------------------------------------------------------------------
 # computational and Bell-state kets
 
-def unit_ket(ket, dim: int | None = None) -> np.ndarray:
-    """`ket` as a flat complex unit vector; ValidationError for a zero or
-    non-finite norm, or for a size other than `dim` when one is given."""
+def unit_ket(ket) -> np.ndarray:
+    """Two-qubit `ket` as a flat complex unit vector; ValidationError for a
+    size other than 4 or a zero or non-finite norm."""
     v = np.asarray(ket, dtype=complex).ravel()
-    if dim is not None and v.size != dim:
-        raise ValidationError(f"ket has {v.size} entries, expected {dim}")
+    if v.size != 4:
+        raise ValidationError(f"ket has {v.size} entries, expected 4")
     norm = np.linalg.norm(v)
     if not (np.isfinite(norm) and norm > 0.0):
         raise ValidationError(f"ket norm {norm} is not finite and positive")
@@ -176,6 +157,14 @@ def bell_odd_minus() -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # core operations
+
+def check_allocatable(n: int, what: str) -> None:
+    """MemoryError for an array of `n` elements that no address space holds."""
+    # numpy refuses 2^63 bytes or more with a ValueError, not a MemoryError;
+    # more than 2^59 elements is beyond any memory already
+    if n > 2**59:
+        raise MemoryError(f"Unable to allocate {n} {what}: more than any address space holds")
+
 
 def trace_error(mat: np.ndarray) -> float:
     """Trace residual |Re Tr(mat) - 1|; every trace guard checks this."""
@@ -273,8 +262,6 @@ def pauli_decompose(rho: DensityMatrix) -> PauliVector:
 
     The inverse is `pauli_reconstruct`; the round trip is exact to 1e-12.
     """
-    if rho.dims not in ((2, 2), (4,)):
-        raise ValidationError("pauli_decompose needs a two-qubit state")
     comps = np.einsum("kij,ji->k", TWO_QUBIT_PAULIS, rho.matrix).real
     return PauliVector(comps)
 
@@ -290,7 +277,7 @@ def pauli_reconstruct(pauli: PauliVector) -> np.ndarray:
 
 def state_fidelity(rho: DensityMatrix, target_ket) -> float:
     """<psi|rho|psi> against a pure target ket."""
-    v = unit_ket(target_ket, rho.dim)
+    v = unit_ket(target_ket)
     return float(np.real(v.conj() @ rho.matrix @ v))
 
 
@@ -318,6 +305,4 @@ def concurrence(rho: DensityMatrix) -> float:
     eigenvalues of rho (Y x Y) rho* (Y x Y).  Tiny negative eigenvalues
     from rounding are clamped to zero here (and only here).
     """
-    if rho.dims not in ((2, 2), (4,)):
-        raise ValidationError("concurrence needs a two-qubit state")
     return float(concurrence_matrix(rho.matrix))

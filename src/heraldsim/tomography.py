@@ -181,8 +181,6 @@ def imperfect_projectors(a: AssignmentMatrix) -> list[np.ndarray]:
 
 def outcome_probabilities(rho: DensityMatrix, a: AssignmentMatrix) -> np.ndarray:
     """Exact (9, 4) outcome probabilities P[k, j] = Tr(Pi_j R_k rho R_k^dag)."""
-    if rho.dims not in ((2, 2), (4,)):
-        raise ValidationError("tomography needs a two-qubit state")
     projectors = imperfect_projectors(a)
     probs = np.empty((9, 4))
     for k, (ax_a, ax_b) in enumerate(SETTING_AXES):
@@ -323,7 +321,7 @@ def fidelity_with_errors(pauli: PauliVector, target_ket) -> FidelityResult:
     the half-spread between the +sigma and -sigma re-evaluations is taken,
     and the per-component contributions combine in quadrature.
     """
-    v = unit_ket(target_ket, 4)
+    v = unit_ket(target_ket)
     vectors = [pauli]
     if pauli.sigma is not None:
         for i in np.flatnonzero(pauli.sigma):
@@ -365,7 +363,7 @@ def bootstrap_errors(
         raise ValidationError("bootstrap needs sampled counts, not probabilities")
     if n_resamples < 2:
         raise ValidationError(f"bootstrap needs at least 2 resamples, got {n_resamples}")
-    v = unit_ket(target_ket, 4)
+    v = unit_ket(target_ket)
     freqs = counts.frequencies()
     totals = counts.shots_per_setting
     n_k = totals.astype(np.int64)
@@ -421,8 +419,18 @@ def _json_object(doc, what: str, *keys: str) -> dict:
     return doc
 
 
+def _check_declared(doc: dict, **declared) -> None:
+    """Each `declared` key that `doc` carries holds exactly its value here;
+    a document may leave it out, and is then read as if it held it."""
+    for key, value in declared.items():
+        got = doc.get(key, value)
+        if type(got) is not type(value) or got != value:
+            raise ValidationError(f"{key} must be {json.dumps(value)}, got {json.dumps(got)}")
+
+
 def counts_from_json(text: str) -> CountsTable:
     doc = _json_object(json.loads(text), "counts document", "basis", "settings")
+    _check_declared(doc, schema_version=SCHEMA_VERSION)
     if doc["basis"] != list(BASIS_ORDER):
         raise ValidationError(f"counts basis must be {list(BASIS_ORDER)}")
     settings = doc["settings"]
@@ -457,6 +465,8 @@ def assignment_to_json(a: AssignmentMatrix) -> str:
 
 def assignment_from_json(text: str) -> AssignmentMatrix:
     doc = _json_object(json.loads(text), "calibration document", "basis", "matrix")
+    # rows_are_recorded_outcomes false would declare the transposed matrix
+    _check_declared(doc, schema_version=SCHEMA_VERSION, rows_are_recorded_outcomes=True)
     if doc["basis"] != list(BASIS_ORDER):
         raise ValidationError(f"assignment basis must be {list(BASIS_ORDER)}")
     return AssignmentMatrix(json_numbers(doc["matrix"], "matrix"))

@@ -131,7 +131,7 @@ def test_c03_round_one_heralded_weights():
 
 
 def test_c04_dephasing_fidelity():
-    rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+    rho = DensityMatrix.from_ket(bell_odd_plus())
     out = apply_phase_damping(rho, 2.5, 10.0, 16.0)
     f = state_fidelity(out, bell_odd_plus())
     ok = abs(f - 0.830) <= 0.005

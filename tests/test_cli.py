@@ -601,7 +601,7 @@ class TestTomoCommand:
         return str(path)
 
     def test_identity_calibration_noop(self, tmp_path):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         counts = self.make_counts_file(tmp_path, rho, AssignmentMatrix.identity())
         cal = self.make_cal_file(tmp_path, AssignmentMatrix.identity())
         out = tmp_path / "tomo.json"
@@ -614,7 +614,7 @@ class TestTomoCommand:
         rng = np.random.default_rng(5)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g @ g.conj().T
-        rho = DensityMatrix((2, 2), m / np.trace(m))
+        rho = DensityMatrix(m / np.trace(m))
         a = reference_assignment()
         counts = self.make_counts_file(tmp_path, rho, a, shots=200_000, seed=13)
         cal = self.make_cal_file(tmp_path, a)
@@ -630,7 +630,7 @@ class TestTomoCommand:
             assert abs(comps[i] - truth.components[i]) < 3.0 * sigmas[i] + 1e-12
 
     def test_singular_calibration_exits_2(self, tmp_path):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         counts = self.make_counts_file(tmp_path, rho, AssignmentMatrix.identity())
         cal_path = tmp_path / "cal.json"
         doc = json.loads(assignment_to_json(AssignmentMatrix.identity()))
@@ -644,7 +644,7 @@ class TestTomoCommand:
     )
     def test_malformed_file_exits_2(self, fault, tmp_path, capsys):
         # valid JSON of the wrong shape is a usage error, not a traceback
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         counts = self.make_counts_file(tmp_path, rho, AssignmentMatrix.identity())
         cal = self.make_cal_file(tmp_path, AssignmentMatrix.identity())
         path = Path(cal if fault == "cal_without_matrix" else counts)
@@ -719,6 +719,52 @@ class TestTomoCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {file} file: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "file, key, raw, message",
+        [
+            ("counts", "schema_version", "7", "schema_version must be 1, got 7"),
+            ("counts", "schema_version", "true", "schema_version must be 1, got true"),
+            ("calibration", "schema_version", "2", "schema_version must be 1, got 2"),
+            # false declares the transposed matrix, which the reader would misapply
+            ("calibration", "rows_are_recorded_outcomes", "false",
+             "rows_are_recorded_outcomes must be true, got false"),
+            ("calibration", "rows_are_recorded_outcomes", "1",
+             "rows_are_recorded_outcomes must be true, got 1"),
+        ],
+    )
+    def test_declaration_the_reader_cannot_honour_exits_2(
+        self, file, key, raw, message, tmp_path, capsys
+    ):
+        docs = {
+            "counts": literal_counts_doc(),
+            "calibration": json.loads(assignment_to_json(reference_assignment())),
+        }
+        docs[file][key] = "@FAULT@"
+        paths = {name: tmp_path / f"{name}.json" for name in docs}
+        for name, doc in docs.items():
+            paths[name].write_text(json.dumps(doc).replace('"@FAULT@"', raw))
+        argv = ["tomo", "--counts", str(paths["counts"]), "--cal", str(paths["calibration"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {file} file: {message}\n"
+
+    def test_documents_without_declarations_load(self, tmp_path):
+        # a missing schema_version or rows_are_recorded_outcomes reads as today
+        counts = literal_counts_doc()
+        cal = json.loads(assignment_to_json(reference_assignment()))
+        outputs = []
+        for strip in (False, True):
+            if strip:
+                del counts["schema_version"], cal["schema_version"]
+                del cal["rows_are_recorded_outcomes"]
+            (tmp_path / "counts.json").write_text(json.dumps(counts))
+            (tmp_path / "cal.json").write_text(json.dumps(cal))
+            out = tmp_path / f"tomo_{strip}.json"
+            argv = ["tomo", "--counts", str(tmp_path / "counts.json"),
+                    "--cal", str(tmp_path / "cal.json"), "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_calibration_path_without_matrix_exits_2(self, tmp_path, capsys):
         cal = tmp_path / "cal.json"
         doc = json.loads(assignment_to_json(AssignmentMatrix.identity()))
@@ -731,7 +777,7 @@ class TestTomoCommand:
     def test_odd_minus_target(self, tmp_path):
         from heraldsim.qmath import bell_odd_minus
 
-        rho = DensityMatrix.from_ket(bell_odd_minus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_minus())
         counts = self.make_counts_file(tmp_path, rho, AssignmentMatrix.identity())
         cal = self.make_cal_file(tmp_path, AssignmentMatrix.identity())
         out = tmp_path / "tomo.json"
@@ -796,7 +842,7 @@ def test_no_command_loads_scipy(argv, tmp_path):
     # the beam splitter is a recorded table, so no command needs scipy; a
     # fresh interpreter shows what one command imports
     a = reference_assignment()
-    rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+    rho = DensityMatrix.from_ket(bell_odd_plus())
     counts = simulate_counts(rho, a, TomographySettings(10000), seed=1)
     (tmp_path / "counts.json").write_text(counts_to_json(counts))
     (tmp_path / "cal.json").write_text(assignment_to_json(a))
@@ -852,7 +898,7 @@ class TestOutputPaths:
         monkeypatch.setattr(f"heraldsim.cli.{self.ENGINE[argv[0]]}", engine)
         (tmp_path / "file").write_text("")
         a = reference_assignment()
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         counts = simulate_counts(rho, a, TomographySettings(100), seed=1)
         (tmp_path / "c.json").write_text(counts_to_json(counts))
         (tmp_path / "a.json").write_text(assignment_to_json(a))

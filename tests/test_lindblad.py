@@ -409,6 +409,23 @@ class TestWindowValidation:
         with pytest.raises(ValidationError):
             parameter_robustness(params, 0.1, dt=0.0)
 
+    def test_unindexable_window_is_a_memory_error(self, monkeypatch):
+        # numpy refuses a grid of 2^63 bytes or more with a bare ValueError;
+        # simulate raises the CLI's one-line MemoryError before integrating
+        def integrated(*args):
+            raise AssertionError("a system was integrated")
+
+        monkeypatch.setattr(lindblad, "_integrate_shard", integrated)
+        monkeypatch.setattr(lindblad, "_integrate_forked", integrated)
+        params = CascadedSystemParams()
+        too_many = "Unable to allocate 100000000000000000001"
+        with pytest.raises(
+            MemoryError, match=rf"^{too_many} time points: more than any address space holds$"
+        ):
+            lindblad.simulate([(params, 1), (params, 0)], 1e20)
+        with pytest.raises(MemoryError, match=rf"^{too_many} pre-roll time points: "):
+            lindblad.simulate([(params, 1), (_with_start(params, -1e20), 1)])
+
 
 NAN, INF = float("nan"), float("inf")
 

@@ -140,12 +140,12 @@ class TestBeamSplitterStep:
 
 class TestPhaseDamping:
     def test_zero_duration_identity(self):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         out = apply_phase_damping(rho, 0.0, 10.0, 16.0)
         assert np.allclose(out.matrix, rho.matrix, atol=1e-14)
 
     def test_long_time_kills_coherence(self):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         out = apply_phase_damping(rho, 1e6, 10.0, 16.0)
         off = out.matrix - np.diag(np.diag(out.matrix))
         assert np.max(np.abs(off)) < 1e-12
@@ -154,14 +154,14 @@ class TestPhaseDamping:
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g @ g.conj().T
-        rho = DensityMatrix((2, 2), m / np.trace(m))
+        rho = DensityMatrix(m / np.trace(m))
         out = apply_phase_damping(rho, 2.5, 10.0, 16.0)
         assert np.allclose(np.diag(out.matrix), np.diag(rho.matrix), atol=1e-12)
 
     def test_bell_fidelity_after_damping(self):
         # oracle: direct Kraus application built inline
         t, ta, tb = 2.5, 10.0, 16.0
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         mat = rho.matrix
         for t2e, which in ((ta, 0), (tb, 1)):
             alpha = 0.5 * (1 + np.exp(-t / t2e))
@@ -200,7 +200,7 @@ class TestPhaseDampingInputs:
         ],
     )
     def test_rejected(self, duration, t2e_a, t2e_b):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning on the way
             with pytest.raises(ValidationError, match="phase damping"):
@@ -208,7 +208,7 @@ class TestPhaseDampingInputs:
 
     @pytest.mark.parametrize("t2e", [1e300, INF])
     def test_infinite_coherence_time_is_no_dephasing(self, t2e):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         out = apply_phase_damping(rho, 2.5, t2e, t2e)
         assert np.array_equal(out.matrix, apply_phase_damping(rho, 0.0, 10.0, 16.0).matrix)
         assert np.allclose(out.matrix, rho.matrix, atol=1e-15)
@@ -580,7 +580,7 @@ class TestSweep:
             ket = (
                 two_qubit_ket("ge") + np.exp(1j * (v + 0.3)) * two_qubit_ket("eg")
             ) / np.sqrt(2)
-            expected = pauli_decompose(DensityMatrix.from_ket(ket, dims=(2, 2)))
+            expected = pauli_decompose(DensityMatrix.from_ket(ket))
             assert np.max(
                 np.abs(pt.pauli.components - expected.components)
             ) < 1e-10
@@ -601,7 +601,7 @@ class TestSweep:
             from heraldsim.qmath import pauli_reconstruct
 
             mat = pauli_reconstruct(pt.pauli)
-            concs.append(concurrence(DensityMatrix((2, 2), mat)))
+            concs.append(concurrence(DensityMatrix(mat)))
         assert np.argmax(concs) == 2
         assert concs[0] < 1e-9 and concs[-1] < 1e-9
 

@@ -1,8 +1,11 @@
 """Core linear-algebra primitives against independent oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
+from heraldsim import qmath
 from heraldsim.qmath import (
     PAULI_LABELS,
     PAULI_X,
@@ -23,12 +26,13 @@ from heraldsim.qmath import (
 
 
 def random_density(dims, seed):
-    """Ginibre-random full-rank state."""
+    """Ginibre-random full-rank state over the product space of `dims`, as a
+    bare matrix; wrap a two-qubit one in DensityMatrix to validate it."""
     rng = np.random.default_rng(seed)
     d = int(np.prod(dims))
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
-    return DensityMatrix(tuple(dims), m / np.trace(m))
+    return m / np.trace(m)
 
 
 def random_hermitian(d, seed):
@@ -38,33 +42,51 @@ def random_hermitian(d, seed):
 
 
 def off_by(residual, eps):
-    """A 2x2 state off by eps in one residual: Hermiticity error eps, trace
+    """A 4x4 state off by eps in one residual: Hermiticity error eps, trace
     error eps or minimum eigenvalue -eps; the other two are clean."""
     if residual == "hermiticity":
-        m = np.eye(2, dtype=complex) / 2.0
+        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         m[0, 1] = eps
         return m
     if residual == "trace":
-        return np.diag([0.5, 0.5 + eps])
-    return np.diag([1.0 + eps, -eps])
+        return np.diag([0.5, 0.5 + eps, 0.0, 0.0])
+    return np.diag([1.0 + eps, -eps, 0.0, 0.0])
 
 
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
-        m = np.eye(2, dtype=complex)
+        m = np.eye(4, dtype=complex) / 4.0
         m[0, 1] = 1e-6
         with pytest.raises(ValidationError, match=r"^matrix is not Hermitian within 1e-10$"):
-            DensityMatrix((2,), m)
+            DensityMatrix(m)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValidationError, match=r"^trace 1\.4 differs from 1 beyond 1e-10$"):
-            DensityMatrix((2,), 0.7 * np.eye(2))
+            DensityMatrix(0.35 * np.eye(4))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(
             ValidationError, match=r"^negative eigenvalue -5\.000e-01 below -1e-9$"
         ):
-            DensityMatrix((2,), np.diag([1.5, -0.5]))
+            DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.eye(2) / 2.0, np.eye(36) / 36.0, np.full(4, 0.25)],
+        ids=["2x2", "36x36", "flat-4"],
+    )
+    def test_rejects_a_space_other_than_two_qubits(self, matrix):
+        # each would pass the residual checks on its own space
+        shape = re.escape(str(matrix.shape))
+        with pytest.raises(
+            ValidationError, match=rf"^matrix shape {shape} is not the two-qubit \(4, 4\)$"
+        ):
+            DensityMatrix(matrix)
+
+    @pytest.mark.parametrize("size", [2, 6])
+    def test_from_ket_rejects_a_ket_other_than_two_qubits(self, size):
+        with pytest.raises(ValidationError, match=rf"^ket has {size} entries, expected 4$"):
+            DensityMatrix.from_ket(np.ones(size))
 
     @pytest.mark.parametrize(
         "residual, budget, message",
@@ -76,19 +98,19 @@ class TestDensityMatrix:
     )
     def test_budget_edges(self, residual, budget, message):
         # half the budget passes; twice the budget fails with the exact message
-        DensityMatrix((2,), off_by(residual, 0.5 * budget))
+        DensityMatrix(off_by(residual, 0.5 * budget))
         with pytest.raises(ValidationError, match=message):
-            DensityMatrix((2,), off_by(residual, 2.0 * budget))
+            DensityMatrix(off_by(residual, 2.0 * budget))
 
     def test_matrix_is_readonly(self):
-        rho = random_density((2, 2), seed=0)
+        rho = DensityMatrix(random_density((2, 2), seed=0))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
 
 
-def conjugate(u, rho):
-    """U rho U^dag on a bare matrix, the way the protocol engine applies U."""
-    return u @ rho.matrix @ u.conj().T
+def conjugate(u, mat):
+    """U mat U^dag on a bare matrix, the way the protocol engine applies U."""
+    return u @ mat @ u.conj().T
 
 
 class TestTensor:
@@ -117,24 +139,24 @@ class TestTensor:
 
 class TestPartialTrace:
     def test_bell_reduction_is_maximally_mixed(self):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
-        reduced = partial_trace_matrix(rho.matrix, rho.dims, [0])
+        rho = DensityMatrix.from_ket(bell_odd_plus())
+        reduced = partial_trace_matrix(rho.matrix, (2, 2), [0])
         assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     def test_product_state_recovered(self):
         a = random_density((2,), 3)
         b = random_density((3,), 4)
-        joint = np.kron(a.matrix, b.matrix)
-        assert np.allclose(partial_trace_matrix(joint, (2, 3), [0]), a.matrix, atol=1e-12)
-        assert np.allclose(partial_trace_matrix(joint, (2, 3), [1]), b.matrix, atol=1e-12)
+        joint = np.kron(a, b)
+        assert np.allclose(partial_trace_matrix(joint, (2, 3), [0]), a, atol=1e-12)
+        assert np.allclose(partial_trace_matrix(joint, (2, 3), [1]), b, atol=1e-12)
 
     def test_trace_preserved_on_36_dim_states(self):
         # oracle: direct summation over the traced indices
         for seed in range(3):
             rho = random_density((2, 2, 3, 3), seed)
-            reduced = partial_trace_matrix(rho.matrix, rho.dims, [0, 1])
+            reduced = partial_trace_matrix(rho, (2, 2, 3, 3), [0, 1])
             direct = np.zeros((4, 4), dtype=complex)
-            full = rho.matrix.reshape(2, 2, 3, 3, 2, 2, 3, 3)
+            full = rho.reshape(2, 2, 3, 3, 2, 2, 3, 3)
             for i in range(2):
                 for j in range(2):
                     for k in range(2):
@@ -153,13 +175,13 @@ class TestApplyUnitary:
 
     def test_identity_leaves_state(self):
         rho = random_density((2, 2), 6)
-        out = conjugate(embed_operator(np.eye(4), rho.dims, (0, 1)), rho)
-        assert np.allclose(out, rho.matrix, atol=1e-14)
+        out = conjugate(embed_operator(np.eye(4), (2, 2), (0, 1)), rho)
+        assert np.allclose(out, rho, atol=1e-14)
 
     def test_xx_flips_gg_to_ee(self):
-        rho = DensityMatrix.from_ket(two_qubit_ket("gg"), dims=(2, 2))
-        xx = embed_operator(np.kron(PAULI_X, PAULI_X), rho.dims, (0, 1))
-        out = DensityMatrix(rho.dims, conjugate(xx, rho))
+        rho = DensityMatrix.from_ket(two_qubit_ket("gg"))
+        xx = embed_operator(np.kron(PAULI_X, PAULI_X), (2, 2), (0, 1))
+        out = DensityMatrix(conjugate(xx, rho.matrix))
         assert np.isclose(state_fidelity(out, two_qubit_ket("ee")), 1.0, atol=1e-12)
 
     def test_purity_invariant(self):
@@ -168,9 +190,13 @@ class TestApplyUnitary:
             np.random.default_rng(8).normal(size=(3, 3))
             + 1j * np.random.default_rng(9).normal(size=(3, 3))
         )[0]
-        out = DensityMatrix(rho.dims, conjugate(embed_operator(u, rho.dims, (1,)), rho))
+        out = conjugate(embed_operator(u, (2, 3), (1,)), rho)
+        # the conjugated (2, 3) state stays within the DensityMatrix budgets
+        assert qmath.hermiticity_error(out) <= qmath.HERMITICITY_TOL
+        assert qmath.trace_error(out) <= qmath.TRACE_TOL
+        assert qmath.min_eigenvalue(out) >= -qmath.EIGENVALUE_TOL
         purity = lambda m: np.trace(m @ m).real
-        assert np.isclose(purity(out.matrix), purity(rho.matrix), atol=1e-11)
+        assert np.isclose(purity(out), purity(rho), atol=1e-11)
 
 
 class TestKrausKernel:
@@ -178,12 +204,12 @@ class TestKrausKernel:
 
     def test_one_element_list_is_unitary_conjugation(self):
         rho = random_density((2, 3), 10)
-        u = embed_operator(np.kron(PAULI_X, np.eye(3)), rho.dims, (0, 1))
-        assert np.array_equal(apply_kraus_matrix(rho.matrix, [u]), conjugate(u, rho))
+        u = embed_operator(np.kron(PAULI_X, np.eye(3)), (2, 3), (0, 1))
+        assert np.array_equal(apply_kraus_matrix(rho, [u]), conjugate(u, rho))
 
     def test_channel_matches_kernel_on_embedded_operators(self):
         # oracle: on a product state the embedded channel acts on its factor alone
-        a, b = random_density((2,), 11).matrix, random_density((3,), 12).matrix
+        a, b = random_density((2,), 11), random_density((3,), 12)
         p = 0.3
         local = [np.sqrt(1 - p) * np.eye(3), np.sqrt(p) * np.diag([1.0, -1.0, 1.0])]
         full = [embed_operator(k, (2, 3), (1,)) for k in local]
@@ -193,7 +219,7 @@ class TestKrausKernel:
 
 class TestPauliDecompose:
     def test_odd_bell_state_components(self):
-        pauli = pauli_decompose(DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2)))
+        pauli = pauli_decompose(DensityMatrix.from_ket(bell_odd_plus()))
         assert np.isclose(pauli.component("XX"), 1.0, atol=1e-12)
         assert np.isclose(pauli.component("YY"), 1.0, atol=1e-12)
         assert np.isclose(pauli.component("ZZ"), -1.0, atol=1e-12)
@@ -203,24 +229,24 @@ class TestPauliDecompose:
             assert abs(pauli.component(label)) < 1e-12
 
     def test_maximally_mixed(self):
-        pauli = pauli_decompose(DensityMatrix((2, 2), np.eye(4) / 4))
+        pauli = pauli_decompose(DensityMatrix(np.eye(4) / 4))
         assert np.isclose(pauli.component("II"), 1.0)
         assert np.max(np.abs(pauli.components[1:])) < 1e-14
 
     def test_round_trip(self):
         for seed in range(5):
-            rho = random_density((2, 2), 40 + seed)
+            rho = DensityMatrix(random_density((2, 2), 40 + seed))
             back = pauli_reconstruct(pauli_decompose(rho))
             assert np.max(np.abs(back - rho.matrix)) < 1e-12
 
 
 class TestStateFidelity:
     def test_self_fidelity(self):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         assert np.isclose(state_fidelity(rho, bell_odd_plus()), 1.0, atol=1e-14)
 
     def test_maximally_mixed_quarter(self):
-        rho = DensityMatrix((2, 2), np.eye(4) / 4)
+        rho = DensityMatrix(np.eye(4) / 4)
         assert np.isclose(state_fidelity(rho, bell_odd_plus()), 0.25, atol=1e-14)
 
     def test_ideal_heralded_mixture_two_thirds(self):
@@ -230,24 +256,24 @@ class TestStateFidelity:
         mat = (2.0 / 3.0) * np.outer(op, op.conj()) + (1.0 / 3.0) * np.outer(
             ee, ee.conj()
         )
-        rho = DensityMatrix((2, 2), mat)
+        rho = DensityMatrix(mat)
         assert np.isclose(state_fidelity(rho, op), 2.0 / 3.0, atol=1e-12)
 
 
 class TestConcurrence:
     def test_bell_state_is_one(self):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         assert np.isclose(concurrence(rho), 1.0, atol=1e-10)
 
     def test_maximally_mixed_is_zero(self):
-        assert concurrence(DensityMatrix((2, 2), np.eye(4) / 4)) == 0.0
+        assert concurrence(DensityMatrix(np.eye(4) / 4)) == 0.0
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_werner_states_analytic(self, p):
         # oracle: analytic Werner concurrence max(0, (3p-1)/2)
         op = bell_odd_plus()
         mat = p * np.outer(op, op.conj()) + (1.0 - p) * np.eye(4) / 4
-        got = concurrence(DensityMatrix((2, 2), mat))
+        got = concurrence(DensityMatrix(mat))
         assert np.isclose(got, max(0.0, (3.0 * p - 1.0) / 2.0), atol=1e-10)
 
 

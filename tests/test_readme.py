@@ -68,7 +68,7 @@ def test_example_runs(line, tmp_path, monkeypatch):
     if argv[0] == "tomo":
         # the counts and calibration files the example corrects
         a = reference_assignment()
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         counts = simulate_counts(rho, a, TomographySettings(10_000), seed=1)
         Path(argv[argv.index("--counts") + 1]).write_text(counts_to_json(counts))
         Path(argv[argv.index("--cal") + 1]).write_text(assignment_to_json(a))
@@ -128,7 +128,7 @@ def fidelity_with(tmp_path, preparation):
 def runs(tmp_path_factory):
     """The runs behind the quoted figures; the cascade runs once."""
     cfg = ProtocolConfig()
-    bell = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+    bell = DensityMatrix.from_ket(bell_odd_plus())
     worst = 0.0
     for p_dark in (0.0, 0.005, 0.05, 0.2, 1.0):
         for p_real in (0.0, 0.005, 0.05, 0.2, 1.0):

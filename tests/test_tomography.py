@@ -40,7 +40,7 @@ def random_two_qubit_state(seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = g @ g.conj().T
-    return DensityMatrix((2, 2), m / np.trace(m))
+    return DensityMatrix(m / np.trace(m))
 
 
 class TestAssignmentMatrix:
@@ -81,7 +81,7 @@ class TestImperfectProjectors:
 
 class TestSimulateCounts:
     def test_ideal_assignment_pure_gg(self):
-        rho = DensityMatrix.from_ket(two_qubit_ket("gg"), dims=(2, 2))
+        rho = DensityMatrix.from_ket(two_qubit_ket("gg"))
         counts = simulate_counts(
             rho, AssignmentMatrix.identity(), TomographySettings(1000), seed=0
         )
@@ -102,7 +102,7 @@ class TestSimulateCounts:
                 assert abs(probs[k, j] - direct) < 1e-12
 
     def test_reference_assignment_gg_distribution(self):
-        rho = DensityMatrix.from_ket(two_qubit_ket("gg"), dims=(2, 2))
+        rho = DensityMatrix.from_ket(two_qubit_ket("gg"))
         probs = simulate_counts(rho, reference_assignment(), settings=None).counts
         zz = SETTING_AXES.index(("Z", "Z"))
         assert np.allclose(probs[zz], [0.941, 0.031, 0.027, 0.001], atol=1e-12)
@@ -148,7 +148,7 @@ class TestCorrectCounts:
 
 class TestReconstructPauli:
     def test_exact_probabilities_of_bell_state(self):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         counts = simulate_counts(rho, AssignmentMatrix.identity(), settings=None)
         pauli = reconstruct_pauli(counts)
         assert np.isclose(pauli.component("XX"), 1.0, atol=1e-12)
@@ -174,7 +174,7 @@ class TestReconstructPauli:
             assert np.max(np.abs(corrected.components - clean.components)) < 1e-9
 
     def test_sigma_scale_at_quoted_shots(self):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         counts = simulate_counts(
             rho, reference_assignment(), TomographySettings(200_000), seed=2
         )
@@ -391,7 +391,7 @@ class TestPerSettingTotals:
 
 class TestFidelityWithErrors:
     def test_zero_sigma_gives_zero_error(self):
-        pauli = pauli_decompose(DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2)))
+        pauli = pauli_decompose(DensityMatrix.from_ket(bell_odd_plus()))
         result = fidelity_with_errors(pauli, bell_odd_plus())
         assert result.fidelity == pytest.approx(1.0, abs=1e-12)
         assert result.sigma_fidelity == 0.0
@@ -400,7 +400,7 @@ class TestFidelityWithErrors:
 
     def test_bell_state_error_scale(self):
         comps = pauli_decompose(
-            DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+            DensityMatrix.from_ket(bell_odd_plus())
         ).components
         sigma = np.full(16, 0.01)
         sigma[0] = 0.0
@@ -421,7 +421,7 @@ class TestFidelityWithErrors:
         # the two error estimates should agree at the tens-of-percent level
         from heraldsim.tomography import bootstrap_errors
 
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         a = reference_assignment()
         counts = simulate_counts(rho, a, TomographySettings(20_000), seed=4)
         pauli = reconstruct_pauli(counts, a)
@@ -453,13 +453,13 @@ class TestTargetKet:
 
     @pytest.fixture(scope="class")
     def counts(self):
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         return simulate_counts(rho, reference_assignment(), TomographySettings(1000), seed=1)
 
     @pytest.mark.parametrize("bad", BAD_TARGETS, ids=list(BAD_TARGETS))
     def test_rejected_everywhere(self, bad, counts):
         ket = BAD_TARGETS[bad]
-        rho = DensityMatrix.from_ket(bell_odd_plus(), dims=(2, 2))
+        rho = DensityMatrix.from_ket(bell_odd_plus())
         a = reference_assignment()
         with pytest.raises(ValidationError, match="ket"):
             state_fidelity(rho, ket)
@@ -468,7 +468,7 @@ class TestTargetKet:
         with pytest.raises(ValidationError, match="ket"):
             bootstrap_errors(counts, a, ket, n_resamples=2)
         with pytest.raises(ValidationError):
-            DensityMatrix.from_ket(ket, dims=(2, 2))
+            DensityMatrix.from_ket(ket)
 
     @pytest.mark.parametrize("n_resamples", [-1, 0, 1])
     def test_bootstrap_needs_two_resamples(self, n_resamples, counts):
