@@ -23,10 +23,14 @@ in MHz, times in ns.
 Integration is fixed-step classical RK4 (default 1 ns), deterministic by
 construction.  One numpy kernel, `_propagate`, steps a stack of
 independent systems at once, and every member's trajectory is
-bit-identical to integrating it alone.  `cascaded_simulate`, `pulse_sweep`
-and `parameter_robustness` hand all their systems to one `simulate` call:
-on Linux it integrates them in forked workers, one contiguous shard per
-CPU in the affinity mask, and joins the results in input order; with one
+bit-identical to integrating it alone.  A cascade system is integrated
+only in the box its emitter Fock state n reaches (n_A <= n, n_D <= n + 1:
+4, 12 or 24 of the 24 states of DIMS); its observable sums and its final
+state are taken at the full width of DIMS, so the published floats are
+those of the full space.  `cascaded_simulate`, `pulse_sweep` and
+`parameter_robustness` hand all their systems to one `simulate` call: on
+Linux it integrates them in forked workers, one contiguous shard per CPU
+in the affinity mask, and joins the results in input order; with one
 shard it runs the same loop in-process.
 """
 
@@ -36,8 +40,8 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from functools import cache
-from math import atan, isfinite, pi, sqrt
+from functools import cache, cached_property
+from math import atan, ceil, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -57,11 +61,20 @@ T_TOTAL = 1500.0  # ns, the default main window from the photon release
 # cavity's top level, the guard level, stays exactly empty (GUARD_TOL).
 FOCK_STATES = (0, 1, 2)
 DIMS = (len(FOCK_STATES), 2, len(FOCK_STATES) + 1)
+# Each system is integrated in the box of its Fock state n, the states with
+# n_A <= n and n_D <= n + 1 in DIMS's kron order: (n + 1, 2, n + 2), 4, 12 or
+# 24 states.  It holds the sector n_A + n_D <= n that H and the collapse
+# operator never leave, and the guard level n_D = n + 1.  A zgemm on the box
+# reproduces the DIMS product bit for bit (OpenBLAS SkylakeX kernel; the
+# Haswell kernel moves the last bit of the 4-state box), and a sector-only
+# space (2 or 6 states) does not.
 
 # Systems per kernel call; bounds the stacked states and traces of long
-# sweeps.  Timed at 4, 8, 16 and 32 systems (1500 ns, 2 cores): 8 was the
-# fastest per system, 0.21 s against 0.23-0.29 s; 96 systems in one call
-# took 0.39 s per system against 0.22 s in batches of 8.
+# sweeps.  Timed in the boxes at 8, 16 and 32 systems per call (32 systems,
+# 1500 ns, one CPU; median CPU time per system of 5 runs, busy 2-core host):
+# Fock 0 (4 states) 43, 30 and 27 ms, Fock 1 (12) 78, 70 and 66 ms, Fock 2
+# (24) 260, 288 and 282 ms.  Only the cheap 4-state runs gain clearly from
+# larger calls, and the 24-state ones are fastest at 8, so 8 stays.
 _BATCH = 8
 
 
@@ -109,18 +122,35 @@ class GaussianPulse:
         inside = (t >= self.start_time) & (t <= self.start_time + self.total_length)
         return np.where(inside, np.clip(env, 0.0, None), 0.0)
 
+    @cached_property
     def peak_rate_rad_ns(self) -> float:
-        """Peak Rabi rate in rad/ns, calibrating pi area when amplitude is None."""
+        """Peak Rabi rate in rad/ns, calibrating pi area when amplitude is None.
+
+        Computed once per pulse.  Raises ValidationError when the
+        calibration grid cannot resolve the pulse: its area is not finite
+        and positive, or computing it overflows or divides by zero.
+        """
         if self.amplitude is not None:
             return float(self.amplitude) * MHZ_TO_RAD_NS
         grid = np.linspace(
             self.start_time, self.start_time + self.total_length, 20001
         )
-        area_unit = np.trapezoid(self.unit_envelope(grid), grid)
-        return pi / area_unit
+        # an envelope tail that underflows to 0 is no error
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                area_unit = np.trapezoid(self.unit_envelope(grid), grid)
+                if isfinite(area_unit) and area_unit > 0.0:
+                    return pi / area_unit
+        except (FloatingPointError, OverflowError):
+            pass
+        raise ValidationError(
+            f"pulse of sigma {self.sigma!r} ns and length {self.total_length!r} ns "
+            f"from {self.start_time!r} ns has no finite, positive area on its "
+            "calibration grid"
+        )
 
     def rate_rad_ns(self, t: np.ndarray) -> np.ndarray:
-        return self.peak_rate_rad_ns() * self.unit_envelope(t)
+        return self.peak_rate_rad_ns * self.unit_envelope(t)
 
 
 @dataclass(frozen=True)
@@ -173,22 +203,35 @@ class TimeTraces:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 @cache
 def _operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """a, d, sigma+, p_e and the diagonals of n_A, n_D, p_e and the guard
-    level, embedded in DIMS once per process, on first use; read-only."""
+    """a, d, sigma+, p_e and the diagonals of n_A, n_D and p_e, embedded in
+    DIMS once per process, on first use; read-only."""
     a = embed_operator(annihilation(DIMS[0]), DIMS, (0,))
     d = embed_operator(annihilation(DIMS[2]), DIMS, (2,))
     sp = embed_operator(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex), DIMS, (1,))
     pe = embed_operator(np.diag([0.0, 1.0]).astype(complex), DIMS, (1,))
-    guard_op = embed_operator(np.diag(np.eye(DIMS[2])[-1]).astype(complex), DIMS, (2,))
-    obs = np.stack(
-        [np.diagonal(op).real for op in (a.conj().T @ a, d.conj().T @ d, pe, guard_op)]
-    )
-    ops = (a, d, sp, pe, obs)
-    for op in ops:
-        op.setflags(write=False)
-    return ops
+    obs = np.stack([np.diagonal(op).real for op in (a.conj().T @ a, d.conj().T @ d, pe)])
+    return _read_only(a, d, sp, pe, obs)
+
+
+@cache
+def _box(fock: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The box of emitter Fock state `fock`: its states' indices into DIMS,
+    sigma+ on it, and the full-width diagonals of n_A, n_D, p_e and its
+    guard level n_D = fock + 1.  Built once per process, on first use;
+    read-only."""
+    _, _, sp, _, obs = _operators()
+    n_a, _, n_d = np.unravel_index(np.arange(len(sp)), DIMS)
+    index = np.flatnonzero((n_a <= fock) & (n_d <= fock + 1))
+    guard = (n_d == fock + 1).astype(float)
+    return _read_only(index, sp[np.ix_(index, index)], np.vstack([obs, guard]))
 
 
 def _system_operators(params: CascadedSystemParams) -> tuple[np.ndarray, np.ndarray]:
@@ -212,13 +255,14 @@ def _initial_state(emitter_fock: int, detector=None) -> np.ndarray:
     return np.kron(np.outer(ket, ket.conj()), detector)
 
 
-def _propagate(rho0, h0, hp, c_op, coeffs, dt, obs):
+def _propagate(rho0, h0, hp, c_op, coeffs, dt, obs, index):
     """Classical RK4 over a stack of B independent systems.
 
     rho0, h0, hp and c_op are (B, n, n); coeffs is (B, 2*n_steps + 1), each
     system's drive coefficient c on the half-step grid, with
     H = h0 + c hp + c* hp^dag and the single collapse operator c_op.  obs
-    holds the diagonals (n_obs, n) of diagonal observables.  Returns the
+    holds the diagonals (n_obs, N) of diagonal observables on a space of N
+    states, of which the systems' n states are `index`.  Returns the
     (B, n_obs, n_steps + 1) real expectation traces and the (B, n, n) final
     states.  Each slice gets the same arithmetic in the same order as a
     stack of one.
@@ -242,8 +286,13 @@ def _propagate(rho0, h0, hp, c_op, coeffs, dt, obs):
             - 0.5 * (cdc @ rho + rho @ cdc)
         )
 
+    # the diagonal is scattered to the observables' full width, so that each
+    # sum adds the same floats in the same order as on the full space
+    diag = np.zeros((rho0.shape[0], obs.shape[1]), dtype=complex)
+
     def expect(rho):
-        return (obs * np.diagonal(rho, axis1=1, axis2=2)[:, None, :]).sum(-1).real
+        diag[:, index] = np.diagonal(rho, axis1=1, axis2=2)
+        return (obs * diag[:, None, :]).sum(-1).real
 
     out = np.empty((n_steps + 1, rho0.shape[0], obs.shape[0]))
     rho = rho0.copy()
@@ -271,20 +320,26 @@ def _drive_coefficients(params: CascadedSystemParams, times, dt) -> np.ndarray:
     )
 
 
-def _integrate(members, times, dt):
-    """One kernel call over a shared window for (params, rho0) members."""
+def _integrate(fock, members, times, dt):
+    """One kernel call over a shared window for (params, rho0) members, in
+    the box of Fock state `fock`; rho0 and the final states are DIMS matrices."""
+    index, sp, obs = _box(fock)
+    rows, cols = np.ix_(index, index)
     params, rho0 = zip(*members)
-    h0, c_op = zip(*map(_system_operators, params))
-    _, _, sp, _, obs = _operators()
-    return _propagate(
-        np.stack(rho0),
-        np.stack(h0),
+    h0, c_op = map(np.stack, zip(*map(_system_operators, params)))
+    out, rho = _propagate(
+        np.stack(rho0)[:, rows, cols],
+        h0[:, rows, cols],
         np.stack([sp] * len(params)),
-        np.stack(c_op),
+        c_op[:, rows, cols],
         np.stack([_drive_coefficients(p, times, dt) for p in params]),
         float(dt),
         obs,
+        index,
     )
+    rho_full = np.zeros(h0.shape, dtype=complex)
+    rho_full[:, rows, cols] = rho
+    return out, rho_full
 
 
 def _check_budget(rho: np.ndarray, hint: str) -> float:
@@ -305,18 +360,19 @@ def _check_budget(rho: np.ndarray, hint: str) -> float:
 
 
 def _integrate_shard(systems, times_main, dt) -> list[TimeTraces]:
-    """The _BATCH loop over contiguous systems; raises the first error."""
-    no_preroll = (np.empty(0), np.empty((len(_operators()[-1]), 0)))
+    """The _BATCH loop over contiguous systems, one kernel call per Fock state
+    in a batch; raises the first error."""
+    no_preroll = (np.empty(0), np.empty((len(_box(0)[-1]), 0)))
     results = []
     for lo in range(0, len(systems), _BATCH):
-        members, prerolls, failure = [], [], None
+        members, focks, prerolls, failure = [], [], [], None
         for params, fock in systems[lo:lo + _BATCH]:
             detector, preroll = None, no_preroll
             if params.pulse.start_time < 0.0:
                 # the drive is zero before the start, so leading steps leave the
                 # vacuum as is
                 times_pre = dt * np.arange(-_preroll_steps(params, dt), 1)
-                out_pre, rho_mid = _integrate([(params, _initial_state(0))], times_pre, dt)
+                out_pre, rho_mid = _integrate(0, [(params, _initial_state(0))], times_pre, dt)
                 try:
                     _check_budget(rho_mid[0], "reduce dt")
                 except IntegrationError as exc:
@@ -329,13 +385,22 @@ def _integrate_shard(systems, times_main, dt) -> list[TimeTraces]:
                 preroll = (times_pre[:-1], out_pre[0][:, :-1])
             prerolls.append(preroll)
             members.append((params, _initial_state(fock, detector)))
+            focks.append(fock)
 
-        if members:
-            out_main, rho_final = _integrate(members, times_main, dt)
-        for b, ((params, _), (times_pre, out_pre)) in enumerate(zip(members, prerolls)):
-            trace_error = _check_budget(rho_final[b], "reduce dt")
+        # each Fock state's members in one call, so that a box never depends
+        # on batch-mates
+        mains = [None] * len(members)
+        for fock in dict.fromkeys(focks):
+            group = [b for b, f in enumerate(focks) if f == fock]
+            outs = _integrate(fock, [members[b] for b in group], times_main, dt)
+            for b, out_main, rho_final in zip(group, *outs):
+                mains[b] = out_main, rho_final
+        for (params, _), (times_pre, out_pre), (out_main, rho_final) in zip(
+            members, prerolls, mains
+        ):
+            trace_error = _check_budget(rho_final, "reduce dt")
             times = np.concatenate([times_pre, times_main])
-            out = np.concatenate([out_pre, out_main[b]], axis=1)
+            out = np.concatenate([out_pre, out_main], axis=1)
             guard_max = float(out[3].max())
             if not guard_max <= GUARD_TOL:
                 raise IntegrationError(
@@ -419,13 +484,26 @@ def _integrate_forked(systems, times_main, dt, n_shards):
 
 
 def window_steps(t_total: float, dt: float = 1.0) -> int:
-    """RK4 steps of the main window; it ends at dt * window_steps(t_total, dt)."""
-    return max(1, int(round(t_total / dt)))
+    """RK4 steps of the main window; it ends at dt * window_steps(t_total, dt).
+
+    A window of more than 2^59 time points, an infinite one included, is a
+    MemoryError (qmath.check_allocatable).
+    """
+    steps = t_total / dt
+    if isfinite(steps):
+        steps = max(1, int(round(steps)))
+    qmath.check_allocatable(steps + 1, "time points")
+    return steps
 
 
 def _preroll_steps(params: CascadedSystemParams, dt: float) -> int:
-    """RK4 steps of the pre-roll, from at or before the pulse start to t = 0."""
-    return int(np.ceil(-params.pulse.start_time / dt))
+    """RK4 steps of the pre-roll, from at or before the pulse start to t = 0;
+    more than 2^59 time points is a MemoryError, as in `window_steps`."""
+    steps = -params.pulse.start_time / dt
+    if isfinite(steps):
+        steps = ceil(steps)
+    qmath.check_allocatable(steps + 1, "pre-roll time points")
+    return steps
 
 
 def simulate(systems, t_total: float = T_TOTAL, dt: float = 1.0) -> list[TimeTraces]:
@@ -438,10 +516,10 @@ def simulate(systems, t_total: float = T_TOTAL, dt: float = 1.0) -> list[TimeTra
     integrates _BATCH systems per kernel call.  Results, and the first
     error raised, are those of integrating the systems one by one in input
     order, bit for bit; a worker that dies raises IntegrationError.  The
-    inputs (initial_fock in FOCK_STATES) and the time grids are checked
-    (a grid of more than 2^59 points is a MemoryError, as numpy would
-    otherwise refuse it with a ValueError), and the operators embedded,
-    before any fork.
+    inputs (initial_fock in FOCK_STATES, the pulse calibrations) and the
+    time grids are checked (a grid of more than 2^59 points is a
+    MemoryError, as numpy would otherwise refuse it with a ValueError), and
+    the operators embedded, before any fork.
     """
     for name, value in (("t_total", t_total), ("dt", dt)):
         if not (isfinite(value) and value > 0.0):
@@ -450,11 +528,12 @@ def simulate(systems, t_total: float = T_TOTAL, dt: float = 1.0) -> list[TimeTra
         if fock not in FOCK_STATES:
             raise ValidationError(f"initial_fock {fock!r} is not one of {FOCK_STATES}")
         if params.pulse.start_time < 0.0:
-            qmath.check_allocatable(_preroll_steps(params, dt) + 1, "pre-roll time points")
-    steps = window_steps(t_total, dt)
-    qmath.check_allocatable(steps + 1, "time points")
-    times_main = dt * np.arange(steps + 1)
-    _operators()  # embedded here, so that forked workers inherit them
+            _preroll_steps(params, dt)
+        params.pulse.peak_rate_rad_ns  # calibrated here, once, for the workers too
+    times_main = dt * np.arange(window_steps(t_total, dt) + 1)
+    # built here, so that forked workers inherit them
+    for fock in FOCK_STATES:
+        _box(fock)
     n_shards = min(len(systems), _usable_cpus())
     if n_shards > 1:
         return _integrate_forked(systems, times_main, dt, n_shards)
@@ -502,7 +581,7 @@ def parameter_robustness(
     if not (variation >= 0.0 and isfinite(variation)):
         raise ValidationError(f"variation must be non-negative and finite, got {variation!r}")
     base_pulse = replace(params.pulse, amplitude=None)
-    frozen_amp = base_pulse.peak_rate_rad_ns() / MHZ_TO_RAD_NS
+    frozen_amp = base_pulse.peak_rate_rad_ns / MHZ_TO_RAD_NS
     baseline_params = replace(params, pulse=replace(base_pulse, amplitude=frozen_amp))
     pulse = baseline_params.pulse
     length = pulse.total_length
@@ -612,7 +691,7 @@ def sideband_rabi(
     rho0 = np.zeros((1, 3, 3), dtype=complex)
     rho0[0, 0, 0] = 1.0
     out, rho = _propagate(
-        rho0, h0[None], np.zeros_like(rho0), c_op[None], coeffs, dt, np.eye(3)
+        rho0, h0[None], np.zeros_like(rho0), c_op[None], coeffs, dt, np.eye(3), np.arange(3)
     )
     _check_budget(rho[0], "use a slower drive (smaller drive_rate)")
     p_f0, p_e1, p_e0 = out[0, 0, ::sub], out[0, 1, ::sub], out[0, 2, ::sub]

@@ -112,27 +112,48 @@ class TestCascade:
         assert header == "time_ns,n_A,n_D,p_e,pulse"
 
 
+def _spy_propagate(monkeypatch):
+    """Record each kernel call's first initial and final state."""
+    propagate = lindblad._propagate
+    calls = []
+
+    def spy(rho0, *args):
+        out, rho = propagate(rho0, *args)
+        calls.append((rho0[0], rho[0]))
+        return out, rho
+
+    monkeypatch.setattr(lindblad, "_propagate", spy)
+    return calls
+
+
+def _in_full_space(monkeypatch):
+    """Integrate every system in all of DIMS, as before the per-Fock boxes."""
+    full = lindblad._box(max(lindblad.FOCK_STATES))
+    assert len(full[0]) == np.prod(lindblad.DIMS)
+    monkeypatch.setattr(lindblad, "_box", lambda fock: full)
+
+
+# the default pulse start, and one before the photon release (a pre-roll)
+STARTS = pytest.mark.parametrize("start", [None, -10.5], ids=["default-start", "pre-roll"])
+
+
 class TestExactSpace:
     """The fixed space (emitter 3, qubit 2, detector cavity 4) is exact.
 
     H conserves N = n_A + n_D and the collapse operator lowers it, so no
     state ever holds more photons than the emitter released, and the
-    detector cavity's top level stays exactly empty.
+    detector cavity's top level stays exactly empty.  Each system is
+    integrated in the box of its Fock state n (n_A <= n, n_D <= n + 1),
+    which holds every state it reaches and its guard level.
     """
 
-    @pytest.mark.parametrize("start", [None, -10.5], ids=["default-start", "pre-roll"])
+    @STARTS
     @pytest.mark.parametrize("fock", lindblad.FOCK_STATES)
     def test_no_state_gains_photons(self, fock, start, monkeypatch):
+        # on the full space, so that a photon past the box would show
         _set_cpus(monkeypatch, 1)
-        propagate = lindblad._propagate
-        calls = []
-
-        def spy(rho0, *args):
-            out, rho = propagate(rho0, *args)
-            calls.append((rho0[0], rho[0]))
-            return out, rho
-
-        monkeypatch.setattr(lindblad, "_propagate", spy)
+        _in_full_space(monkeypatch)
+        calls = _spy_propagate(monkeypatch)
         params = CascadedSystemParams()
         if start is not None:
             params = _with_start(params, start)
@@ -146,6 +167,39 @@ class TestExactSpace:
         for n, (_, rho) in zip(initial, calls):
             assert np.all(rho[photons > n, :] == 0.0)
             assert np.all(rho[:, photons > n] == 0.0)
+
+    @STARTS
+    @pytest.mark.parametrize("fock", lindblad.FOCK_STATES)
+    def test_kernel_runs_in_the_box(self, fock, start, monkeypatch):
+        _set_cpus(monkeypatch, 1)
+        calls = _spy_propagate(monkeypatch)
+        params = CascadedSystemParams()
+        if start is not None:
+            params = _with_start(params, start)
+        cascaded_simulate(fock, params, t_total=300.0)
+        # (n + 1, 2, n + 2) states; a pre-roll runs on the vacuum's box
+        sizes = [len(rho0) for rho0, _ in calls]
+        assert sizes == ([4] if start is not None else []) + [[4, 12, 24][fock]]
+        n_a, _, n_d = np.unravel_index(np.arange(np.prod(lindblad.DIMS)), lindblad.DIMS)
+        index, sp, obs = lindblad._box(fock)
+        assert index.tolist() == np.flatnonzero((n_a <= fock) & (n_d <= fock + 1)).tolist()
+        assert np.array_equal(obs[3], n_d == fock + 1)
+        for array in (index, sp, obs):
+            assert not array.flags.writeable
+
+    def test_box_equals_full_space(self, monkeypatch):
+        _set_cpus(monkeypatch, 1)
+        systems = [
+            (_with_start(CascadedSystemParams(), start), fock)
+            for start in (115.0, -10.5) for fock in lindblad.FOCK_STATES
+        ]
+        boxed = lindblad.simulate(systems, 800.0)
+        _in_full_space(monkeypatch)
+        full = lindblad.simulate(systems, 800.0)
+        for a, b in zip(boxed, full):
+            for field in ("n_a", "n_d", "p_e"):
+                assert np.max(np.abs(getattr(a, field) - getattr(b, field))) <= 1e-15
+            assert a.guard_max == b.guard_max == 0.0
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_second_call_embeds_no_operator(self, n_cpus, monkeypatch):
@@ -163,6 +217,37 @@ class TestExactSpace:
     def test_operators_are_read_only(self):
         for op in lindblad._operators():
             assert not op.flags.writeable
+
+
+class TestPulseCalibration:
+    def test_calibrated_once_per_pulse(self, monkeypatch):
+        trapezoid, calls = np.trapezoid, []
+
+        def counted(*args):
+            calls.append(args)
+            return trapezoid(*args)
+
+        monkeypatch.setattr(np, "trapezoid", counted)
+        pulse = GaussianPulse(start_time=115.0)
+        first, second = pulse.peak_rate_rad_ns, pulse.peak_rate_rad_ns
+        pulse.rate_rad_ns(np.arange(0.0, 600.0))
+        assert len(calls) == 1
+        fresh = GaussianPulse(start_time=115.0).peak_rate_rad_ns
+        assert first.hex() == second.hex() == fresh.hex()
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"sigma": 1e-300}, {"sigma": 1e300}, {"start_time": 1e300}]
+    )
+    def test_unresolvable_pulse_rejected(self, kwargs):
+        # sigma**2 underflows to 0, (t - t0)**2 overflows, or the calibration
+        # grid collapses to one point
+        params = replace(CascadedSystemParams(), pulse=GaussianPulse(**kwargs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="no finite, positive area"):
+                params.pulse.peak_rate_rad_ns
+            with pytest.raises(ValidationError, match="no finite, positive area"):
+                lindblad.simulate([(params, 1)], 100.0)
 
 
 def _first_failure(params_list, initial_fock, t_total, dt):
@@ -230,7 +315,7 @@ class TestBatchedIntegration:
         params = CascadedSystemParams()
         report = parameter_robustness(params, 0.2, t_total=800.0, dt=2.0)
         # the baseline and six variants, as the docstring defines them
-        amp = params.pulse.peak_rate_rad_ns() / MHZ_TO_RAD_NS
+        amp = params.pulse.peak_rate_rad_ns / MHZ_TO_RAD_NS
         base = replace(params, pulse=replace(params.pulse, amplitude=amp))
         variants = []
         for sign in (+1.0, -1.0):
@@ -425,6 +510,18 @@ class TestWindowValidation:
             lindblad.simulate([(params, 1), (params, 0)], 1e20)
         with pytest.raises(MemoryError, match=rf"^{too_many} pre-roll time points: "):
             lindblad.simulate([(params, 1), (_with_start(params, -1e20), 1)])
+
+    def test_infinite_step_count_is_a_memory_error(self, monkeypatch):
+        # t_total / dt and -start / dt overflow to inf, which no int holds
+        def integrated(*args):
+            raise AssertionError("a system was integrated")
+
+        monkeypatch.setattr(lindblad, "_integrate_shard", integrated)
+        params = CascadedSystemParams()
+        with pytest.raises(MemoryError, match=r"^Unable to allocate inf time points: "):
+            lindblad.simulate([(params, 1)], 1e300, 1e-300)
+        with pytest.raises(MemoryError, match=r"^Unable to allocate inf pre-roll time points: "):
+            lindblad.simulate([(_with_start(params, -1e300), 1)], 100.0, 1e-300)
 
 
 NAN, INF = float("nan"), float("inf")
