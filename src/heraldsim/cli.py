@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, lindblad
 from .config import (
     ConfigError,
     check_seed,
@@ -245,13 +245,13 @@ def _detector_params(args) -> CascadedSystemParams:
 
 def _check_t_total(t_total: float, pulse_end: float) -> None:
     # p_click is the excited population at the end of the window, which is
-    # --t-total rounded to whole 1-ns steps, so the window must hold the pulse
+    # --t-total rounded to whole lindblad.DT steps, so the window must hold the pulse
     if not (isfinite(t_total) and t_total > 0.0):
         raise ConfigError(f"--t-total must be a positive number of ns, got {t_total!r}")
-    steps = window_steps(t_total)
-    if steps < pulse_end:
+    window_end = lindblad.DT * window_steps(t_total)
+    if window_end < pulse_end:
         raise ConfigError(
-            f"--t-total {t_total!r} ns: the run window ends at {float(steps)!r} ns, "
+            f"--t-total {t_total!r} ns: the run window ends at {window_end!r} ns, "
             f"before the pulse does ({pulse_end!r} ns)"
         )
 

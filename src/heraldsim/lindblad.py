@@ -20,9 +20,10 @@ the bare qubit frequency, so the only time dependence is the drive
 envelope times exp(-i Delta t).  Frequencies are quoted as f = omega/2pi
 in MHz, times in ns.
 
-Integration is fixed-step classical RK4 (default 1 ns), deterministic by
-construction.  One numpy kernel, `_propagate`, steps a stack of
-independent systems at once, and every member's trajectory is
+Integration is fixed-step classical RK4, deterministic by construction:
+every cascade run steps by DT = 1 ns, and the sideband model sub-steps
+its grid at 0.5 ns or less.  One numpy kernel, `_propagate`, steps a
+stack of independent systems at once, and every member's trajectory is
 bit-identical to integrating it alone.  A cascade system is integrated
 only in the box its emitter Fock state n reaches (n_A <= n, n_D <= n + 1:
 4, 12 or 24 of the 24 states of DIMS); its observable sums and its final
@@ -54,6 +55,7 @@ MHZ_TO_RAD_NS = 2.0e-3 * np.pi  # omega [rad/ns] = 2 pi f[MHz] 1e-3
 INTEGRATOR_TRACE_TOL = 1e-8  # RK4 final states; qmath.TRACE_TOL is 1e-10
 GUARD_TOL = 1e-3
 T_TOTAL = 1500.0  # ns, the default main window from the photon release
+DT = 1.0  # ns, the RK4 step of every cascade run
 
 # The one space (emitter cavity, detector qubit, detector cavity) is exact:
 # H conserves N = n_A + n_D and the collapse operator lowers it, so no cavity
@@ -126,12 +128,11 @@ class GaussianPulse:
     def peak_rate_rad_ns(self) -> float:
         """Peak Rabi rate in rad/ns, calibrating pi area when amplitude is None.
 
-        Computed once per pulse.  Raises ValidationError when the
-        calibration grid cannot resolve the pulse: its area is not finite
-        and positive, or computing it overflows or divides by zero.
+        Computed once per pulse.  Raises ValidationError, whether or not
+        the amplitude is given, when the calibration grid cannot resolve
+        the pulse: its area is not finite and positive, or computing it
+        overflows or divides by zero.
         """
-        if self.amplitude is not None:
-            return float(self.amplitude) * MHZ_TO_RAD_NS
         grid = np.linspace(
             self.start_time, self.start_time + self.total_length, 20001
         )
@@ -140,7 +141,9 @@ class GaussianPulse:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 area_unit = np.trapezoid(self.unit_envelope(grid), grid)
                 if isfinite(area_unit) and area_unit > 0.0:
-                    return pi / area_unit
+                    if self.amplitude is None:
+                        return pi / area_unit
+                    return float(self.amplitude) * MHZ_TO_RAD_NS
         except (FloatingPointError, OverflowError):
             pass
         raise ValidationError(
@@ -311,16 +314,16 @@ def _propagate(rho0, h0, hp, c_op, coeffs, dt, obs, index):
     return out.transpose(1, 2, 0), rho
 
 
-def _drive_coefficients(params: CascadedSystemParams, times, dt) -> np.ndarray:
+def _drive_coefficients(params: CascadedSystemParams, times) -> np.ndarray:
     """0.5 x envelope x exp(-i Delta t) on the half-step grid of a window."""
-    half_grid = times[0] + 0.5 * dt * np.arange(2 * len(times) - 1)
+    half_grid = times[0] + 0.5 * DT * np.arange(2 * len(times) - 1)
     envelope = params.pulse.rate_rad_ns(half_grid)
     return 0.5 * envelope * np.exp(
         -1j * params.detuning * MHZ_TO_RAD_NS * half_grid
     )
 
 
-def _integrate(fock, members, times, dt):
+def _integrate(fock, members, times):
     """One kernel call over a shared window for (params, rho0) members, in
     the box of Fock state `fock`; rho0 and the final states are DIMS matrices."""
     index, sp, obs = _box(fock)
@@ -332,8 +335,8 @@ def _integrate(fock, members, times, dt):
         h0[:, rows, cols],
         np.stack([sp] * len(params)),
         c_op[:, rows, cols],
-        np.stack([_drive_coefficients(p, times, dt) for p in params]),
-        float(dt),
+        np.stack([_drive_coefficients(p, times) for p in params]),
+        DT,
         obs,
         index,
     )
@@ -342,24 +345,20 @@ def _integrate(fock, members, times, dt):
     return out, rho_full
 
 
-def _check_budget(rho: np.ndarray, hint: str) -> float:
-    """Trace error of a final state; raises when trace or hermiticity drift.
-
-    hint ends the error message and names the caller's knob for a smaller
-    error.
-    """
+def _check_budget(rho: np.ndarray) -> float:
+    """Trace error of a final state; raises when trace or hermiticity drift."""
     trace_error, herm_error = qmath.trace_error(rho), qmath.hermiticity_error(rho)
     # written so that a NaN state fails too
     if not (trace_error <= INTEGRATOR_TRACE_TOL and herm_error <= qmath.HERMITICITY_TOL):
         raise IntegrationError(
             f"integrator left tolerance: trace error {trace_error:.2e} "
             f"(budget {INTEGRATOR_TRACE_TOL:.0e}), hermiticity {herm_error:.2e} "
-            f"(budget {qmath.HERMITICITY_TOL:.0e}); {hint}"
+            f"(budget {qmath.HERMITICITY_TOL:.0e}); use a slower drive or smaller rates"
         )
     return trace_error
 
 
-def _integrate_shard(systems, times_main, dt) -> list[TimeTraces]:
+def _integrate_shard(systems, times_main) -> list[TimeTraces]:
     """The _BATCH loop over contiguous systems, one kernel call per Fock state
     in a batch; raises the first error."""
     no_preroll = (np.empty(0), np.empty((len(_box(0)[-1]), 0)))
@@ -371,10 +370,10 @@ def _integrate_shard(systems, times_main, dt) -> list[TimeTraces]:
             if params.pulse.start_time < 0.0:
                 # the drive is zero before the start, so leading steps leave the
                 # vacuum as is
-                times_pre = dt * np.arange(-_preroll_steps(params, dt), 1)
-                out_pre, rho_mid = _integrate(0, [(params, _initial_state(0))], times_pre, dt)
+                times_pre = DT * np.arange(-_preroll_steps(params), 1)
+                out_pre, rho_mid = _integrate(0, [(params, _initial_state(0))], times_pre)
                 try:
-                    _check_budget(rho_mid[0], "reduce dt")
+                    _check_budget(rho_mid[0])
                 except IntegrationError as exc:
                     # members before this one still report their own failures first
                     failure = exc
@@ -392,13 +391,13 @@ def _integrate_shard(systems, times_main, dt) -> list[TimeTraces]:
         mains = [None] * len(members)
         for fock in dict.fromkeys(focks):
             group = [b for b, f in enumerate(focks) if f == fock]
-            outs = _integrate(fock, [members[b] for b in group], times_main, dt)
+            outs = _integrate(fock, [members[b] for b in group], times_main)
             for b, out_main, rho_final in zip(group, *outs):
                 mains[b] = out_main, rho_final
         for (params, _), (times_pre, out_pre), (out_main, rho_final) in zip(
             members, prerolls, mains
         ):
-            trace_error = _check_budget(rho_final, "reduce dt")
+            trace_error = _check_budget(rho_final)
             times = np.concatenate([times_pre, times_main])
             out = np.concatenate([out_pre, out_main], axis=1)
             guard_max = float(out[3].max())
@@ -423,7 +422,7 @@ def _integrate_shard(systems, times_main, dt) -> list[TimeTraces]:
     return results
 
 
-def _forked_shard(systems, times_main, dt):
+def _forked_shard(systems, times_main):
     """A worker's shard: its results or its error, and the warnings it recorded.
 
     The error is returned, not raised, so that it travels home with the
@@ -434,7 +433,7 @@ def _forked_shard(systems, times_main, dt):
     results, error = None, None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            results = _integrate_shard(systems, times_main, dt)
+            results = _integrate_shard(systems, times_main)
         except Exception as exc:
             error = exc
     return results, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
@@ -445,7 +444,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _integrate_forked(systems, times_main, dt, n_shards):
+def _integrate_forked(systems, times_main, n_shards):
     """`_forked_shard` over n_shards contiguous shards, one forked worker each.
 
     Re-emits the shards' warnings here in input order, up to the first
@@ -463,7 +462,7 @@ def _integrate_forked(systems, times_main, dt, n_shards):
     # leaving the block joins every worker, whatever happened in it
     with ProcessPoolExecutor(n_shards, mp_context=context) as pool:
         futures = [
-            pool.submit(_forked_shard, systems[lo:hi], times_main, dt)
+            pool.submit(_forked_shard, systems[lo:hi], times_main)
             for lo, hi in zip(bounds, bounds[1:])
         ]
         try:
@@ -483,30 +482,28 @@ def _integrate_forked(systems, times_main, dt, n_shards):
     return joined
 
 
-def window_steps(t_total: float, dt: float = 1.0) -> int:
-    """RK4 steps of the main window; it ends at dt * window_steps(t_total, dt).
+def window_steps(t_total: float) -> int:
+    """RK4 steps of the main window; it ends at DT * window_steps(t_total).
 
-    A window of more than 2^59 time points, an infinite one included, is a
-    MemoryError (qmath.check_allocatable).
+    t_total must be positive and finite (ValidationError), and a window of
+    more than 2^59 time points is a MemoryError (qmath.check_allocatable).
     """
-    steps = t_total / dt
-    if isfinite(steps):
-        steps = max(1, int(round(steps)))
+    if not (isfinite(t_total) and t_total > 0.0):
+        raise ValidationError(f"t_total must be positive and finite, got {t_total!r}")
+    steps = max(1, int(round(t_total / DT)))
     qmath.check_allocatable(steps + 1, "time points")
     return steps
 
 
-def _preroll_steps(params: CascadedSystemParams, dt: float) -> int:
+def _preroll_steps(params: CascadedSystemParams) -> int:
     """RK4 steps of the pre-roll, from at or before the pulse start to t = 0;
     more than 2^59 time points is a MemoryError, as in `window_steps`."""
-    steps = -params.pulse.start_time / dt
-    if isfinite(steps):
-        steps = ceil(steps)
+    steps = ceil(-params.pulse.start_time / DT)
     qmath.check_allocatable(steps + 1, "pre-roll time points")
     return steps
 
 
-def simulate(systems, t_total: float = T_TOTAL, dt: float = 1.0) -> list[TimeTraces]:
+def simulate(systems, t_total: float = T_TOTAL) -> list[TimeTraces]:
     """`cascaded_simulate` for a list of (params, initial_fock) systems.
 
     On Linux the systems are split into contiguous shards, one per CPU in
@@ -516,35 +513,32 @@ def simulate(systems, t_total: float = T_TOTAL, dt: float = 1.0) -> list[TimeTra
     integrates _BATCH systems per kernel call.  Results, and the first
     error raised, are those of integrating the systems one by one in input
     order, bit for bit; a worker that dies raises IntegrationError.  The
-    inputs (initial_fock in FOCK_STATES, the pulse calibrations) and the
-    time grids are checked (a grid of more than 2^59 points is a
-    MemoryError, as numpy would otherwise refuse it with a ValueError), and
-    the operators embedded, before any fork.
+    window (`window_steps`), then the inputs (initial_fock in FOCK_STATES,
+    the pulse calibrations) and the pre-roll grids are checked (a grid of
+    more than 2^59 points is a MemoryError, as numpy would otherwise refuse
+    it with a ValueError), and the operators embedded, before any fork.
     """
-    for name, value in (("t_total", t_total), ("dt", dt)):
-        if not (isfinite(value) and value > 0.0):
-            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    steps = window_steps(t_total)
     for params, fock in systems:
         if fock not in FOCK_STATES:
             raise ValidationError(f"initial_fock {fock!r} is not one of {FOCK_STATES}")
         if params.pulse.start_time < 0.0:
-            _preroll_steps(params, dt)
+            _preroll_steps(params)
         params.pulse.peak_rate_rad_ns  # calibrated here, once, for the workers too
-    times_main = dt * np.arange(window_steps(t_total, dt) + 1)
+    times_main = DT * np.arange(steps + 1)
     # built here, so that forked workers inherit them
     for fock in FOCK_STATES:
         _box(fock)
     n_shards = min(len(systems), _usable_cpus())
     if n_shards > 1:
-        return _integrate_forked(systems, times_main, dt, n_shards)
-    return _integrate_shard(systems, times_main, dt)
+        return _integrate_forked(systems, times_main, n_shards)
+    return _integrate_shard(systems, times_main)
 
 
 def cascaded_simulate(
     initial_fock: int,
     params: CascadedSystemParams,
     t_total: float = T_TOTAL,
-    dt: float = 1.0,
 ) -> TimeTraces:
     """Integrate the cascaded master equation for one emitter Fock state.
 
@@ -552,10 +546,10 @@ def cascaded_simulate(
     start_time is honored by pre-rolling the drive on the empty system and
     injecting the Fock state at t = 0 (exact: nothing entangles with the
     emitter before its photon exists).  Raises ValidationError for an
-    initial_fock outside FOCK_STATES or a bad t_total or dt, and
+    initial_fock outside FOCK_STATES or a bad t_total, and
     IntegrationError when the trace or guard-level budget is exceeded.
     """
-    return simulate([(params, initial_fock)], t_total, dt)[0]
+    return simulate([(params, initial_fock)], t_total)[0]
 
 
 @dataclass(frozen=True)
@@ -569,7 +563,6 @@ def parameter_robustness(
     params: CascadedSystemParams,
     variation: float,
     t_total: float = T_TOTAL,
-    dt: float = 1.0,
 ) -> RobustnessReport:
     """Fock-1 click probability under +/-variation of the matching knobs.
 
@@ -598,9 +591,7 @@ def parameter_robustness(
             ("pulse_timing", with_pulse(start_time=pulse.start_time + sign * variation * length)),
         ]
 
-    traces = simulate(
-        [(baseline_params, 1)] + [(varied, 1) for _, varied in cases], t_total, dt
-    )
+    traces = simulate([(baseline_params, 1)] + [(varied, 1) for _, varied in cases], t_total)
     baseline = traces[0].p_click
     results = []
     worst = 0.0
@@ -618,7 +609,6 @@ def pulse_sweep(
     values,
     initial_fock: int = 1,
     t_total: float = T_TOTAL,
-    dt: float = 1.0,
 ) -> np.ndarray:
     """Click probability versus pulse detuning (MHz) or delay (ns).
 
@@ -634,7 +624,7 @@ def pulse_sweep(
             (replace(params, pulse=replace(params.pulse, start_time=float(v))), initial_fock)
             for v in values
         ]
-    return np.array([tr.p_click for tr in simulate(systems, t_total, dt)], dtype=float)
+    return np.array([tr.p_click for tr in simulate(systems, t_total)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -659,17 +649,26 @@ def sideband_rabi(
 
     drive_rate and kappa are f = omega/2pi values in MHz; eta is the
     lumped path-plus-detector efficiency scaling p_e1 into the click
-    signal.  Raises IntegrationError when the final state leaves the trace
-    or hermiticity budget (a drive too fast for the 0.5-ns step).
+    signal.  Each grid spacing is cut into equal RK4 steps of at most
+    0.5 ns; a grid of more than 2^59 half steps is a MemoryError
+    (qmath.check_allocatable).  Raises IntegrationError when the final
+    state leaves the trace or hermiticity budget (a drive too fast for the
+    step).
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValidationError("need at least two time points")
     if not np.all(np.isfinite(times)):
         raise ValidationError("time grid must be finite")
-    spacing = np.diff(times)
-    if spacing[0] <= 0.0 or np.max(np.abs(spacing - spacing[0])) > 1e-9:
-        raise ValidationError("time grid must be increasing and uniform")
+    with np.errstate(over="ignore"):  # a spacing or step count past the float range is inf
+        spacing = np.diff(times)
+        sub = max(1.0, float(np.ceil(spacing[0] / 0.5)))
+    # the minimum before the differences: those of positive spacings cannot overflow
+    spaced = np.all(np.isfinite(spacing)) and spacing.min() > 0.0
+    if not spaced or np.max(np.abs(spacing - spacing[0])) > 1e-9:
+        raise ValidationError("time grid must be increasing and uniform, with a finite spacing")
+    qmath.check_allocatable(2 * (times.size - 1) * sub + 1, "RK4 half steps")
+    sub = int(sub)
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must lie in [0, 1]")
     _require_finite(drive_rate=drive_rate, kappa=kappa)
@@ -684,7 +683,6 @@ def sideband_rabi(
     c_op = np.zeros((3, 3), dtype=complex)
     c_op[2, 1] = sqrt(k)
 
-    sub = max(1, int(np.ceil(spacing[0] / 0.5)))
     dt = spacing[0] / sub
     n_steps = (times.size - 1) * sub
     coeffs = np.zeros((1, 2 * n_steps + 1), dtype=complex)
@@ -693,7 +691,7 @@ def sideband_rabi(
     out, rho = _propagate(
         rho0, h0[None], np.zeros_like(rho0), c_op[None], coeffs, dt, np.eye(3), np.arange(3)
     )
-    _check_budget(rho[0], "use a slower drive (smaller drive_rate)")
+    _check_budget(rho[0])
     p_f0, p_e1, p_e0 = out[0, 0, ::sub], out[0, 1, ::sub], out[0, 2, ::sub]
     return SidebandTraces(
         times=times,

@@ -3,6 +3,7 @@
 import hashlib
 import multiprocessing
 import os
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -86,10 +87,11 @@ class TestCascade:
         assert with_photon.n_d.max() < 1e-12
         assert abs(with_photon.p_click - dark.p_click) < 1e-12
 
-    def test_step_halving_convergence(self):
+    def test_step_halving_convergence(self, monkeypatch):
         params = CascadedSystemParams()
-        p1 = cascaded_simulate(1, params, t_total=800.0, dt=1.0).p_click
-        p2 = cascaded_simulate(1, params, t_total=800.0, dt=0.5).p_click
+        p1 = cascaded_simulate(1, params, t_total=800.0).p_click
+        monkeypatch.setattr(lindblad, "DT", 0.5)
+        p2 = cascaded_simulate(1, params, t_total=800.0).p_click
         assert abs(p1 - p2) < 1e-4
 
     def test_excitation_non_increasing_without_drive(self):
@@ -236,11 +238,18 @@ class TestPulseCalibration:
         assert first.hex() == second.hex() == fresh.hex()
 
     @pytest.mark.parametrize(
-        "kwargs", [{"sigma": 1e-300}, {"sigma": 1e300}, {"start_time": 1e300}]
+        "kwargs",
+        [
+            {"sigma": 1e-300}, {"sigma": 1e300}, {"start_time": 1e300},
+            {"sigma": 1e-300, "amplitude": 1.0},
+            {"sigma": 1e200, "total_length": 1.0, "amplitude": 1.0},
+            {"sigma": 1e100, "total_length": 1.0, "amplitude": 1.0},
+        ],
     )
     def test_unresolvable_pulse_rejected(self, kwargs):
-        # sigma**2 underflows to 0, (t - t0)**2 overflows, or the calibration
-        # grid collapses to one point
+        # sigma**2 underflows to 0 or overflows, (t - t0)**2 overflows, the
+        # calibration grid collapses to one point, or the edge-subtracted
+        # envelope is 0/0; a given amplitude is checked the same way
         params = replace(CascadedSystemParams(), pulse=GaussianPulse(**kwargs))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -250,11 +259,11 @@ class TestPulseCalibration:
                 lindblad.simulate([(params, 1)], 100.0)
 
 
-def _first_failure(params_list, initial_fock, t_total, dt):
+def _first_failure(params_list, initial_fock, t_total):
     """The IntegrationError text of integrating the systems one by one."""
     for params in params_list:
         try:
-            cascaded_simulate(initial_fock, params, t_total=t_total, dt=dt)
+            cascaded_simulate(initial_fock, params, t_total=t_total)
         except IntegrationError as exc:
             return str(exc)
     return None
@@ -268,15 +277,17 @@ class TestPreRoll:
     """A pulse that starts before the photon release is pre-rolled on the
     empty system from the first whole step at or before its start."""
 
-    def test_off_grid_start_converges(self):
+    def test_off_grid_start_converges(self, monkeypatch):
         params = _with_start(CascadedSystemParams(), -10.5)
-        coarse = cascaded_simulate(1, params, t_total=800.0, dt=1.0)
-        fine = cascaded_simulate(1, params, t_total=800.0, dt=0.25)
+        coarse = cascaded_simulate(1, params, t_total=800.0)
+        monkeypatch.setattr(lindblad, "DT", 0.25)
+        fine = cascaded_simulate(1, params, t_total=800.0)
         assert abs(coarse.p_click - fine.p_click) < 1e-6
 
     @pytest.mark.parametrize("start, dt", [(-10.5, 1.0), (-0.3, 1.0), (-100.0, 1.0), (-7.0, 2.0)])
-    def test_trace_times_are_uniform_through_zero(self, start, dt):
-        tr = cascaded_simulate(1, _with_start(CascadedSystemParams(), start), 300.0, dt)
+    def test_trace_times_are_uniform_through_zero(self, start, dt, monkeypatch):
+        monkeypatch.setattr(lindblad, "DT", dt)
+        tr = cascaded_simulate(1, _with_start(CascadedSystemParams(), start), 300.0)
         assert np.array_equal(np.diff(tr.times), np.full(len(tr.times) - 1, dt))
         assert tr.times[0] <= start < tr.times[0] + dt
         assert 0.0 in tr.times
@@ -285,35 +296,36 @@ class TestPreRoll:
 class TestBatchedIntegration:
     """Batched sweeps and robustness equal one-by-one integration exactly."""
 
-    def test_delay_sweep_equals_single_runs(self):
+    # each test steps at 2 ns, for speed
+
+    def test_delay_sweep_equals_single_runs(self, monkeypatch):
         # negative delays pre-roll per system; more points than one batch
+        monkeypatch.setattr(lindblad, "DT", 2.0)
         params = CascadedSystemParams()
         delays = np.linspace(-150.0, 300.0, lindblad._BATCH + 2)
-        batched = pulse_sweep(params, "delay", delays, initial_fock=1, t_total=800.0, dt=2.0)
+        batched = pulse_sweep(params, "delay", delays, initial_fock=1, t_total=800.0)
         single = [
-            cascaded_simulate(1, _with_start(params, d), t_total=800.0, dt=2.0).p_click
+            cascaded_simulate(1, _with_start(params, d), t_total=800.0).p_click
             for d in delays
         ]
         assert batched.tolist() == single
 
-    def test_detuning_sweep_equals_single_runs(self):
+    def test_detuning_sweep_equals_single_runs(self, monkeypatch):
+        monkeypatch.setattr(lindblad, "DT", 2.0)
         params = _with_start(CascadedSystemParams(), -40.0)
         detunings = np.array([-6.0, -3.0, 0.0, 2.5])
         for fock in (0, 2):
-            batched = pulse_sweep(
-                params, "detuning", detunings, initial_fock=fock, t_total=700.0, dt=2.0
-            )
+            batched = pulse_sweep(params, "detuning", detunings, initial_fock=fock, t_total=700.0)
             single = [
-                cascaded_simulate(
-                    fock, replace(params, detuning=float(v)), t_total=700.0, dt=2.0
-                ).p_click
+                cascaded_simulate(fock, replace(params, detuning=float(v)), t_total=700.0).p_click
                 for v in detunings
             ]
             assert batched.tolist() == single
 
-    def test_robustness_equals_single_runs(self):
+    def test_robustness_equals_single_runs(self, monkeypatch):
+        monkeypatch.setattr(lindblad, "DT", 2.0)
         params = CascadedSystemParams()
-        report = parameter_robustness(params, 0.2, t_total=800.0, dt=2.0)
+        report = parameter_robustness(params, 0.2, t_total=800.0)
         # the baseline and six variants, as the docstring defines them
         amp = params.pulse.peak_rate_rad_ns / MHZ_TO_RAD_NS
         base = replace(params, pulse=replace(params.pulse, amplitude=amp))
@@ -336,8 +348,8 @@ class TestBatchedIntegration:
                     base, params.pulse.start_time + sign * 0.2 * params.pulse.total_length
                 )
             )
-        etas = [cascaded_simulate(1, v, t_total=800.0, dt=2.0).p_click for v in variants]
-        baseline = cascaded_simulate(1, base, t_total=800.0, dt=2.0).p_click
+        etas = [cascaded_simulate(1, v, t_total=800.0).p_click for v in variants]
+        baseline = cascaded_simulate(1, base, t_total=800.0).p_click
         assert report.baseline_efficiency == baseline
         assert [v[2] for v in report.variations] == etas
         assert [v[1] for v in report.variations] == [v.kappa_d for v in variants]
@@ -363,13 +375,24 @@ class TestBatchedIntegration:
             CascadedSystemParams(),
             pulse=GaussianPulse(sigma=10.0, amplitude=800.0, start_time=0.0),
         )
-        expected = _first_failure(
-            [_with_start(params, s) for s in starts], 1, t_total=120.0, dt=1.0
-        )
+        expected = _first_failure([_with_start(params, s) for s in starts], 1, t_total=120.0)
         assert expected is not None
         with pytest.raises(IntegrationError) as exc:
             pulse_sweep(params, "delay", starts, initial_fock=1, t_total=120.0)
         assert str(exc.value) == expected
+
+    def test_diverging_run_names_the_slower_drive(self):
+        # the 800 MHz pulse again: both time-domain models fail with one
+        # message, and the cascade's step is fixed, so it names the drive
+        params = replace(
+            CascadedSystemParams(),
+            pulse=GaussianPulse(sigma=10.0, amplitude=800.0, start_time=0.0),
+        )
+        with pytest.raises(
+            IntegrationError,
+            match=r"^integrator left tolerance: .*; use a slower drive or smaller rates$",
+        ):
+            cascaded_simulate(1, params, t_total=120.0)
 
     def test_nan_state_fails_budget(self):
         # an overflowing integration ends in NaN, which no budget admits
@@ -399,9 +422,11 @@ SHARD_SYSTEMS[3] = (replace(SHARD_SYSTEMS[3][0], detuning=0.0), 1)
 class TestForkedShards:
     """Systems integrated in forked workers equal the in-process run exactly."""
 
-    def _run(self, monkeypatch, n_cpus, systems, t_total=400.0, dt=2.0):
-        """simulate on n_cpus; also how often a shard ran in this process."""
+    def _run(self, monkeypatch, n_cpus, systems, t_total=400.0):
+        """simulate on n_cpus at a 2-ns step, for speed; also how often a
+        shard ran in this process."""
         _set_cpus(monkeypatch, n_cpus)
+        monkeypatch.setattr(lindblad, "DT", 2.0)
         calls = []
         integrate_shard = lindblad._integrate_shard
 
@@ -410,7 +435,7 @@ class TestForkedShards:
             return integrate_shard(*args)
 
         monkeypatch.setattr(lindblad, "_integrate_shard", counted)
-        return lindblad.simulate(systems, t_total, dt), len(calls)
+        return lindblad.simulate(systems, t_total), len(calls)
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("batch", [lindblad._BATCH, 2])
@@ -431,14 +456,14 @@ class TestForkedShards:
 
     def test_no_worker_outlives_the_call(self, monkeypatch):
         _set_cpus(monkeypatch, 2)
-        lindblad.simulate(SHARD_SYSTEMS[:4], 200.0, 2.0)
+        lindblad.simulate(SHARD_SYSTEMS[:4], 200.0)
         assert multiprocessing.active_children() == []
         diverging = replace(
             CascadedSystemParams(),
             pulse=GaussianPulse(sigma=10.0, amplitude=800.0, start_time=0.0),
         )
         with pytest.raises(IntegrationError):
-            lindblad.simulate([(diverging, 1), (diverging, 1)], 120.0, 1.0)
+            lindblad.simulate([(diverging, 1), (diverging, 1)], 120.0)
         assert multiprocessing.active_children() == []
 
     def test_floating_point_errors_and_warnings_reach_the_caller(self, monkeypatch):
@@ -481,18 +506,15 @@ class TestWindowValidation:
     def test_bad_t_total_rejected(self, t_total):
         with pytest.raises(ValidationError, match="t_total"):
             cascaded_simulate(1, CascadedSystemParams(), t_total=t_total)
-
-    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_dt_rejected(self, dt):
-        with pytest.raises(ValidationError, match="dt"):
-            cascaded_simulate(1, CascadedSystemParams(), t_total=100.0, dt=dt)
+        with pytest.raises(ValidationError, match="t_total"):
+            lindblad.window_steps(t_total)
 
     def test_sweep_and_robustness_validate_window(self):
         params = CascadedSystemParams()
         with pytest.raises(ValidationError):
             pulse_sweep(params, "delay", [0.0], t_total=-1.0)
         with pytest.raises(ValidationError):
-            parameter_robustness(params, 0.1, dt=0.0)
+            parameter_robustness(params, 0.1, t_total=float("nan"))
 
     def test_unindexable_window_is_a_memory_error(self, monkeypatch):
         # numpy refuses a grid of 2^63 bytes or more with a bare ValueError;
@@ -510,18 +532,11 @@ class TestWindowValidation:
             lindblad.simulate([(params, 1), (params, 0)], 1e20)
         with pytest.raises(MemoryError, match=rf"^{too_many} pre-roll time points: "):
             lindblad.simulate([(params, 1), (_with_start(params, -1e20), 1)])
-
-    def test_infinite_step_count_is_a_memory_error(self, monkeypatch):
-        # t_total / dt and -start / dt overflow to inf, which no int holds
-        def integrated(*args):
-            raise AssertionError("a system was integrated")
-
-        monkeypatch.setattr(lindblad, "_integrate_shard", integrated)
-        params = CascadedSystemParams()
-        with pytest.raises(MemoryError, match=r"^Unable to allocate inf time points: "):
-            lindblad.simulate([(params, 1)], 1e300, 1e-300)
-        with pytest.raises(MemoryError, match=r"^Unable to allocate inf pre-roll time points: "):
-            lindblad.simulate([(_with_start(params, -1e300), 1)], 100.0, 1e-300)
+        # the largest finite starts give a finite, exact count too
+        with pytest.raises(
+            MemoryError, match=rf"^Unable to allocate {int(1e300) + 1} pre-roll time points: "
+        ):
+            lindblad.simulate([(_with_start(params, -1e300), 1)], 100.0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -571,11 +586,29 @@ class TestInputValidation:
             (1.0, 1.0, [0.0, 1.0, INF]),
             (1.0, 1.0, [2.0, 1.0, 0.0]),
             (1.0, 1.0, [0.0, 0.0, 0.0]),
+            # a spacing past the float range, and one that turns back
+            (1.0, 1.0, [-1e308, 1e308]),
+            (1.0, 1.0, [0.0, 1e308, 0.0]),
         ],
     )
     def test_bad_sideband_inputs_rejected(self, drive, kappa, times):
         with pytest.raises(ValidationError):
             sideband_rabi(drive, kappa, 0.5, np.array(times))
+
+    @pytest.mark.parametrize(
+        "times, count", [([0.0, 1e20], "4e+20"), ([0.0, 2.0**58], str(2.0**60)),
+                         ([0.0, 1.7e308], "inf")],
+    )
+    def test_oversized_sideband_grid_is_a_memory_error(self, times, count, monkeypatch):
+        # numpy would refuse the first two with a bare ValueError
+        def integrated(*args):
+            raise AssertionError("a grid was integrated")
+
+        monkeypatch.setattr(lindblad, "_propagate", integrated)
+        with pytest.raises(
+            MemoryError, match=rf"^Unable to allocate {re.escape(count)} RK4 half steps: "
+        ):
+            sideband_rabi(1.0, 0.9, 0.5, np.array(times))
 
 
 class TestRobustness:
@@ -718,7 +751,7 @@ class TestSidebandRabi:
     def test_diverging_run_raises(self):
         # a 2000-MHz drive takes RK4 at dt = 0.5 ns far outside its stability
         # region; the final state fails the budget instead of giving NaN traces
-        # and names the knob the caller has: there is no dt argument
+        # and names the slower drive, as the cascade's message does
         with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="slower drive"):
             sideband_rabi(2000.0, 1.0, 1.0, np.arange(0.0, 501.0))
 
