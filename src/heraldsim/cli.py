@@ -163,8 +163,8 @@ def cmd_protocol(args) -> int:
 
     if args.shots is not None:
         seed = run.sampling.seed if args.seed is None else args.seed
-        shots = sample_shots(cfg, args.shots, seed, assignment=run.assignment, table=table)
-        summary, pauli = aggregate(shots, assignment=run.assignment)
+        shots = sample_shots(table, cfg.p_init, args.shots, seed, run.assignment)
+        summary, pauli = aggregate(shots, run.assignment)
         mc = {
             "shots": summary.shots,
             "seed": seed,
@@ -236,19 +236,22 @@ def _check_pulse_start(start: float, length: float, name: str) -> None:
 def _detector_params(args) -> CascadedSystemParams:
     params = CascadedSystemParams()
     if args.pulse_start is not None:
-        if not isfinite(args.pulse_start):
-            raise ConfigError(f"--pulse-start must be finite, got {args.pulse_start!r}")
-        _check_pulse_start(args.pulse_start, params.pulse.total_length, "--pulse-start")
-        params = replace(params, pulse=replace(params.pulse, start_time=args.pulse_start))
+        try:
+            pulse = replace(params.pulse, start_time=args.pulse_start)
+        except ValidationError as exc:
+            raise ConfigError(f"--pulse-start: {exc}") from exc
+        _check_pulse_start(args.pulse_start, pulse.total_length, "--pulse-start")
+        params = replace(params, pulse=pulse)
     return params
 
 
 def _check_t_total(t_total: float, pulse_end: float) -> None:
     # p_click is the excited population at the end of the window, which is
     # --t-total rounded to whole lindblad.DT steps, so the window must hold the pulse
-    if not (isfinite(t_total) and t_total > 0.0):
-        raise ConfigError(f"--t-total must be a positive number of ns, got {t_total!r}")
-    window_end = lindblad.DT * window_steps(t_total)
+    try:
+        window_end = lindblad.DT * window_steps(t_total)
+    except ValidationError as exc:
+        raise ConfigError(f"--t-total: {exc}") from exc
     if window_end < pulse_end:
         raise ConfigError(
             f"--t-total {t_total!r} ns: the run window ends at {window_end!r} ns, "

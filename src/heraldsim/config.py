@@ -29,7 +29,9 @@ from math import isfinite
 from operator import attrgetter
 from pathlib import Path
 
+from . import qmath
 from .protocol import ProtocolConfig
+from .qmath import ValidationError, is_int
 from .tomography import (
     AssignmentMatrix,
     assignment_from_json,
@@ -42,21 +44,18 @@ class ConfigError(ValueError):
     """The run configuration is malformed (exit code 2 territory)."""
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def check_shots(shots, name: str) -> None:
     """Shot counts are positive integers, in a config file or on the CLI."""
-    if not _is_int(shots) or shots < 1:
+    if not is_int(shots) or shots < 1:
         raise ConfigError(f"{name} must be a positive integer")
 
 
 def check_seed(seed, name: str) -> None:
-    """Seeds are integers in [0, 2**128), the Philox key range, in a config
-    file or on the CLI."""
-    if not _is_int(seed) or not 0 <= seed < 2**128:
-        raise ConfigError(f"{name} must be a non-negative integer below 2**128")
+    """`qmath.check_seed` as a usage error, in a config file or on the CLI."""
+    try:
+        qmath.check_seed(seed, name)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

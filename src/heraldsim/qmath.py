@@ -158,6 +158,18 @@ def bell_odd_minus() -> np.ndarray:
 # ---------------------------------------------------------------------------
 # core operations
 
+def is_int(value) -> bool:
+    """A Python integer that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_seed(seed, name: str) -> None:
+    """Seeds are integers in [0, 2**128), the Philox key range, for every
+    sampling function, a config file and the CLI; a float is never truncated."""
+    if not is_int(seed) or not 0 <= seed < 2**128:
+        raise ValidationError(f"{name} must be a non-negative integer below 2**128")
+
+
 def check_allocatable(n: int, what: str) -> None:
     """MemoryError for an array of `n` elements that no address space holds."""
     # numpy refuses 2^63 bytes or more with a ValueError, not a MemoryError;

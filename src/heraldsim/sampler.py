@@ -1,13 +1,13 @@
 """Shot-level Monte Carlo realization of the protocol with post-selection.
 
 Sampling happens at the outcome-branch level, which is exact for this
-model: the analytic engine supplies the four heralding-branch
-probabilities and conditional states, each shot draws an initialization
-flag, a branch, and a joint-readout outcome through the assignment
-matrix.  Tomography settings cycle round-robin over the initialized
-shots, mirroring interleaved data taking; post-selection (keeping doubly
-heralded shots) happens only in the aggregation step, as in the analysis
-of a real dataset.
+model: the `OutcomeTable` it is given supplies the four heralding-branch
+probabilities and conditional states, and each shot draws an
+initialization flag, a branch, and a joint-readout outcome through the
+assignment matrix.  Tomography settings cycle round-robin over the
+initialized shots, mirroring interleaved data taking; post-selection
+(keeping doubly heralded shots) happens only in the aggregation step, as
+in the analysis of a real dataset.
 
 Randomness is counter-based: one Philox stream keyed by the seed supplies
 a fixed block of three uniforms per shot, so shot i's randomness is a
@@ -29,8 +29,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .protocol import OutcomeTable, ProtocolConfig, run_two_rounds
-from .qmath import PauliVector, ValidationError
+from .protocol import OutcomeTable
+from .qmath import PauliVector, ValidationError, check_seed
 from .tomography import (
     BASIS_ORDER,
     AssignmentMatrix,
@@ -133,23 +133,15 @@ def _binomial(k: int, n: int) -> BinomialEstimate:
 
 
 def sample_shots(
-    config: ProtocolConfig,
-    n: int,
-    seed: int,
-    assignment: AssignmentMatrix | None = None,
-    table: OutcomeTable | None = None,
+    table: OutcomeTable, p_init: float, n: int, seed: int, assignment: AssignmentMatrix
 ) -> Shots:
-    """Draw n protocol shots; deterministic given (config, n, seed).
-
-    The OutcomeTable may be passed in to avoid recomputing it across
-    calls; it must belong to the same config.
-    """
+    """Draw n protocol shots from `table`, each initialized with probability
+    p_init; deterministic given (table, p_init, n, seed, assignment)."""
     if n < 0:
         raise ValidationError("shot count must be non-negative")
-    if assignment is None:
-        assignment = AssignmentMatrix.identity()
-    if table is None:
-        table = run_two_rounds(config)
+    if not 0.0 <= p_init <= 1.0:
+        raise ValidationError("p_init outside [0, 1]")
+    check_seed(seed, "seed")
 
     branch_probs = np.array([table.probability(*b) for b in BRANCH_ORDER])
     branch_cum = np.cumsum(branch_probs)
@@ -166,7 +158,7 @@ def sample_shots(
         outcome_cum[bi] = np.cumsum(probs, axis=1)
         outcome_cum[bi, :, -1] = 1.0
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     init_ok = np.empty(n, dtype=bool)
     click1 = np.empty(n, dtype=bool)
     click2 = np.empty(n, dtype=bool)
@@ -177,7 +169,7 @@ def sample_shots(
         hi = min(lo + _CHUNK, n)
         u = rng.random((hi - lo, 3))
 
-        ok = u[:, 0] < config.p_init
+        ok = u[:, 0] < p_init
         branch_idx = np.searchsorted(branch_cum, u[:, 1], side="right")
         branch_idx = np.minimum(branch_idx, 3)
 
@@ -198,9 +190,7 @@ def sample_shots(
 
 
 def aggregate(
-    shots: Shots,
-    assignment: AssignmentMatrix | None = None,
-    branch: tuple[bool, bool] = (True, True),
+    shots: Shots, assignment: AssignmentMatrix, branch: tuple[bool, bool] = (True, True)
 ) -> tuple[RunSummary, PauliVector | None]:
     """Post-select one heralding branch and reconstruct its Pauli vector.
 

@@ -31,7 +31,10 @@ from .qmath import (
     DensityMatrix,
     PauliVector,
     ValidationError,
+    check_allocatable,
+    check_seed,
     concurrence_matrix,
+    is_int,
     min_eigenvalue,
     pauli_reconstruct,
     unit_ket,
@@ -111,13 +114,15 @@ def reference_assignment() -> AssignmentMatrix:
 
 @dataclass(frozen=True)
 class TomographySettings:
-    """Shot budget per setting for the nine SETTING_AXES pre-rotations."""
+    """Shot budget per setting for the nine SETTING_AXES pre-rotations: an
+    integer in [1, 2**63), the range of numpy's multinomial draw."""
 
     shots_per_setting: int = 200_000
 
     def __post_init__(self):
-        if self.shots_per_setting < 1:
-            raise ValidationError("shots_per_setting must be positive")
+        n = self.shots_per_setting
+        if not is_int(n) or not 1 <= n < 2**63:
+            raise ValidationError(f"shots_per_setting must be an integer in [1, 2**63), got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -194,26 +199,20 @@ def outcome_probabilities(rho: DensityMatrix, a: AssignmentMatrix) -> np.ndarray
 
 
 def simulate_counts(
-    rho: DensityMatrix,
-    a: AssignmentMatrix,
-    settings: TomographySettings | None,
-    seed: int | None = None,
+    rho: DensityMatrix, a: AssignmentMatrix, settings: TomographySettings, seed: int
 ) -> CountsTable:
     """Sample the joint-readout counts for all nine settings.
 
     Each setting draws from its own generator keyed by (seed, setting
     index), so per-setting sampling is reproducible and order-independent.
-    Passing settings=None returns the exact outcome probabilities (the
-    infinite-shot limit).
+    The exact outcome probabilities (the infinite-shot limit) are
+    `CountsTable(outcome_probabilities(rho, a), None)`.
     """
+    check_seed(seed, "seed")
     probs = outcome_probabilities(rho, a)
-    if settings is None:
-        return CountsTable(probs, None)
-    if seed is None:
-        raise ValidationError("sampled counts need an explicit seed")
     counts = np.empty((9, 4))
     for k in range(9):
-        rng = np.random.default_rng([int(seed), k])
+        rng = np.random.default_rng([seed, k])
         counts[k] = rng.multinomial(settings.shots_per_setting, probs[k])
     return CountsTable(counts, settings.shots_per_setting)
 
@@ -229,12 +228,6 @@ _LABEL_TERMS: dict[str, tuple[list[int], np.ndarray]] = {
     for label in PAULI_LABELS
     if label != "II"
 }
-
-
-def _inverse(a: AssignmentMatrix | None) -> np.ndarray:
-    """A^-1 for the linear-inversion correction p = A^-1 b; the identity
-    when no assignment matrix is given."""
-    return a.inverse() if a is not None else np.eye(4)
 
 
 def _components(corrected: np.ndarray) -> np.ndarray:
@@ -260,10 +253,9 @@ def _components(corrected: np.ndarray) -> np.ndarray:
     return comps
 
 
-def reconstruct_pauli(
-    counts: CountsTable, a: AssignmentMatrix | None = None
-) -> PauliVector:
-    """Pauli expectation values from counts, optionally readout-corrected.
+def reconstruct_pauli(counts: CountsTable, a: AssignmentMatrix) -> PauliVector:
+    """Pauli expectation values from counts, readout-corrected through `a`
+    (`AssignmentMatrix.identity()` for perfect readout).
 
     Correlators come from the matching setting's parity sum; single-qubit
     components average the three settings sharing that qubit's axis.
@@ -272,7 +264,7 @@ def reconstruct_pauli(
     (sigma is None in the infinite-shot mode).
     """
     freqs = counts.frequencies()
-    inv = _inverse(a)
+    inv = a.inverse()
     comps = _components(freqs @ inv.T)
     n_k = counts.shots_per_setting
     if n_k is None:
@@ -341,11 +333,7 @@ def fidelity_with_errors(pauli: PauliVector, target_ket) -> FidelityResult:
 
 
 def bootstrap_errors(
-    counts: CountsTable,
-    a: AssignmentMatrix | None,
-    target_ket,
-    n_resamples: int = 200,
-    seed: int = 0,
+    counts: CountsTable, a: AssignmentMatrix, target_ket, n_resamples: int = 200, seed: int = 0
 ) -> tuple[float, float]:
     """Parametric-bootstrap cross-check of the perturbation error bars.
 
@@ -361,17 +349,19 @@ def bootstrap_errors(
     """
     if counts.shots_per_setting is None:
         raise ValidationError("bootstrap needs sampled counts, not probabilities")
-    if n_resamples < 2:
-        raise ValidationError(f"bootstrap needs at least 2 resamples, got {n_resamples}")
+    if not is_int(n_resamples) or n_resamples < 2:
+        raise ValidationError(f"bootstrap needs at least 2 resamples (an int), got {n_resamples!r}")
+    check_seed(seed, "seed")
+    check_allocatable(n_resamples * 36, "resampled counts")
     v = unit_ket(target_ket)
     freqs = counts.frequencies()
     totals = counts.shots_per_setting
     n_k = totals.astype(np.int64)
     resampled = np.empty((n_resamples, 9, 4))
     for i in range(n_resamples):
-        rng = np.random.default_rng([int(seed), 7919, i])
+        rng = np.random.default_rng([seed, 7919, i])
         resampled[i] = [rng.multinomial(n_k[k], freqs[k]) for k in range(9)]
-    comps = _components((resampled / totals[:, None]) @ _inverse(a).T)
+    comps = _components((resampled / totals[:, None]) @ a.inverse().T)
     mats = np.stack([pauli_reconstruct(PauliVector(c)) for c in comps])
     fids, concs = _fidelity_concurrence(mats, v)
     return float(np.std(fids)), float(np.std(concs))

@@ -47,6 +47,7 @@ from heraldsim.qmath import (
 )
 from heraldsim.sampler import sample_shots
 from heraldsim.tomography import (
+    AssignmentMatrix,
     TomographySettings,
     reconstruct_pauli,
     reference_assignment,
@@ -223,9 +224,7 @@ def test_c09_ideal_success_probability():
     exact_ok = abs(p_analytic - 0.125) < 1e-12
 
     n = 100_000
-    shots = sample_shots(
-        replace(cfg, p_init=1.0), n, seed=2024, table=table
-    )
+    shots = sample_shots(table, 1.0, n, 2024, AssignmentMatrix.identity())
     p_hat = np.count_nonzero(shots.click1 & shots.click2) / n
     sigma = np.sqrt(0.125 * 0.875 / n)
     mc_ok = abs(p_hat - 0.125) <= 5.0 * sigma

@@ -30,9 +30,11 @@ from heraldsim.qmath import DensityMatrix, PAULI_LABELS, bell_odd_plus, pauli_de
 from heraldsim.tomography import (
     SETTING_AXES,
     AssignmentMatrix,
+    CountsTable,
     TomographySettings,
     assignment_to_json,
     counts_to_json,
+    outcome_probabilities,
     reference_assignment,
     simulate_counts,
 )
@@ -589,8 +591,10 @@ def literal_counts_doc(scale=1):
 
 class TestTomoCommand:
     def make_counts_file(self, tmp_path, rho, assignment, shots=None, seed=0):
-        settings = None if shots is None else TomographySettings(shots)
-        counts = simulate_counts(rho, assignment, settings, seed=seed)
+        if shots is None:
+            counts = CountsTable(outcome_probabilities(rho, assignment), None)
+        else:
+            counts = simulate_counts(rho, assignment, TomographySettings(shots), seed=seed)
         path = tmp_path / "counts.json"
         path.write_text(counts_to_json(counts))
         return str(path)

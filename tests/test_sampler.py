@@ -22,10 +22,16 @@ from heraldsim.tomography import (
     BASIS_ORDER,
     AssignmentMatrix,
     CountsTable,
+    TomographySettings,
+    bootstrap_errors,
     outcome_probabilities,
     reconstruct_pauli,
     reference_assignment,
+    simulate_counts,
 )
+
+
+IDENTITY = AssignmentMatrix.identity()
 
 
 def ideal_config(**overrides):
@@ -81,24 +87,25 @@ def single_draw_shots(config, n, seed, assignment, table):
 
 class TestSampleShots:
     def test_no_initialization_no_tomography(self):
-        shots = sample_shots(ideal_config(p_init=0.0), 500, seed=1)
+        cfg = ideal_config(p_init=0.0)
+        shots = sample_shots(run_two_rounds(cfg), cfg.p_init, 500, 1, IDENTITY)
         assert len(shots) == 500
         assert not shots.init_ok.any()
         assert np.all(shots.outcome == -1)
         # no setting and no click is recorded either
         assert np.all(shots.tomo_setting == -1)
         assert not (shots.click1 | shots.click2).any()
-        summary, pauli = aggregate(shots)
+        summary, pauli = aggregate(shots, IDENTITY)
         assert summary.p_init_hat.value == 0.0
         assert summary.post_selected == 0
         assert not summary.post_selected_counts.any()
         assert pauli is None
 
     def test_zero_shots(self, tmp_path):
-        shots = sample_shots(ProtocolConfig(), 0, seed=1)
+        shots = sample_shots(run_two_rounds(ProtocolConfig()), 0.57, 0, 1, IDENTITY)
         assert len(shots) == 0
         assert all(col.shape == (0,) for col in columns(shots))
-        summary, pauli = aggregate(shots)
+        summary, pauli = aggregate(shots, IDENTITY)
         assert summary.shots == 0 and summary.post_selected == 0
         assert summary.p_init_hat.n == 0
         assert pauli is None
@@ -108,15 +115,21 @@ class TestSampleShots:
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):
-            sample_shots(ProtocolConfig(), -1, seed=1)
+            sample_shots(run_two_rounds(ProtocolConfig()), 0.57, -1, 1, IDENTITY)
+
+    @pytest.mark.parametrize("p_init", [-0.1, 1.5, float("nan")])
+    def test_p_init_outside_unit_interval_rejected(self, p_init):
+        # the message ProtocolConfig gives the same value
+        with pytest.raises(ValidationError, match=r"^p_init outside \[0, 1\]$"):
+            sample_shots(run_two_rounds(ProtocolConfig()), p_init, 10, 1, IDENTITY)
 
     def test_columns_read_only(self):
-        shots = sample_shots(ProtocolConfig(), 50, seed=1)
+        shots = sample_shots(run_two_rounds(ProtocolConfig()), 0.57, 50, 1, IDENTITY)
         for col in columns(shots):
             assert not col.flags.writeable
 
     def test_column_dtypes(self):
-        shots = sample_shots(ProtocolConfig(), 50, seed=1)
+        shots = sample_shots(run_two_rounds(ProtocolConfig()), 0.57, 50, 1, IDENTITY)
         assert [col.dtype for col in columns(shots)] == [bool] * 3 + [np.int8] * 2
 
     @pytest.mark.parametrize("p_init", [0.57, 1.0])
@@ -127,7 +140,7 @@ class TestSampleShots:
         table = run_two_rounds(cfg)
         a = reference_assignment()
         for n in (1, 65535, 65536, 65537, 150001):
-            shots = sample_shots(cfg, n, seed=17, assignment=a, table=table)
+            shots = sample_shots(table, cfg.p_init, n, 17, a)
             expected = single_draw_shots(cfg, n, 17, a, table)
             for f, ref in zip(dataclasses.fields(Shots), expected):
                 col = getattr(shots, f.name)
@@ -140,7 +153,7 @@ class TestSampleShots:
         table = run_two_rounds(cfg)
         tracemalloc.start()
         try:
-            sample_shots(cfg, 1_000_000, seed=5, table=table)
+            sample_shots(table, cfg.p_init, 1_000_000, 5, IDENTITY)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -148,19 +161,21 @@ class TestSampleShots:
 
     def test_reproducible_bit_identical(self):
         cfg = ProtocolConfig()
-        a = sample_shots(cfg, 2000, seed=42)
-        b = sample_shots(cfg, 2000, seed=42)
+        table = run_two_rounds(cfg)
+        a = sample_shots(table, cfg.p_init, 2000, 42, IDENTITY)
+        b = sample_shots(table, cfg.p_init, 2000, 42, IDENTITY)
         assert same_shots(a, b)
 
     def test_different_seeds_differ(self):
         cfg = ProtocolConfig()
-        a = sample_shots(cfg, 2000, seed=1)
-        b = sample_shots(cfg, 2000, seed=2)
+        table = run_two_rounds(cfg)
+        a = sample_shots(table, cfg.p_init, 2000, 1, IDENTITY)
+        b = sample_shots(table, cfg.p_init, 2000, 2, IDENTITY)
         assert not same_shots(a, b)
 
     def test_ideal_success_fraction(self):
         n = 100_000
-        shots = sample_shots(ideal_config(), n, seed=5)
+        shots = sample_shots(run_two_rounds(ideal_config()), 1.0, n, 5, IDENTITY)
         p_hat = np.count_nonzero(shots.click1 & shots.click2) / n
         sigma = np.sqrt(0.125 * 0.875 / n)
         assert abs(p_hat - 0.125) < 5.0 * sigma
@@ -170,7 +185,7 @@ class TestSampleShots:
         table = run_two_rounds(cfg)
         p_cc = cfg.p_init * table.probability(True, True)
         n = 200_000
-        shots = sample_shots(cfg, n, seed=8, table=table)
+        shots = sample_shots(table, cfg.p_init, n, 8, IDENTITY)
         k = np.count_nonzero(shots.init_ok & shots.click1 & shots.click2)
         sigma = np.sqrt(p_cc * (1.0 - p_cc) / n)
         assert abs(k / n - p_cc) < 5.0 * sigma
@@ -178,7 +193,7 @@ class TestSampleShots:
         assert 0.003 < k / n < 0.006
 
     def test_settings_cycle_round_robin(self):
-        shots = sample_shots(ideal_config(), 90, seed=3)
+        shots = sample_shots(run_two_rounds(ideal_config()), 1.0, 90, 3, IDENTITY)
         initialized = shots.tomo_setting[shots.init_ok]
         assert initialized.tolist() == [i % 9 for i in range(initialized.size)]
 
@@ -186,7 +201,7 @@ class TestSampleShots:
         cfg = ProtocolConfig(p_init=1.0)
         table = run_two_rounds(cfg)
         n = 100_000
-        shots = sample_shots(cfg, n, seed=12, table=table)
+        shots = sample_shots(table, cfg.p_init, n, 12, IDENTITY)
         observed = np.array(
             [
                 np.count_nonzero((shots.click1 == c1) & (shots.click2 == c2))
@@ -202,8 +217,8 @@ class TestSampleShots:
 
 class TestAggregate:
     def test_pure_branch_zz_estimate(self):
-        shots = sample_shots(ideal_config(), 120_000, seed=21)
-        summary, pauli = aggregate(shots, AssignmentMatrix.identity())
+        shots = sample_shots(run_two_rounds(ideal_config()), 1.0, 120_000, 21, IDENTITY)
+        summary, pauli = aggregate(shots, IDENTITY)
         assert summary.post_selected > 10_000
         zz = pauli.component("ZZ")
         assert abs(zz + 1.0) < 5.0 * max(pauli.sigma[PAULI_LABELS.index("ZZ")], 1e-6)
@@ -212,11 +227,8 @@ class TestAggregate:
         cfg = ProtocolConfig(p_init=1.0)
         table = run_two_rounds(cfg)
         # heavy shot count so every component is pinned to ~1e-2
-        shots = sample_shots(
-            cfg, 300_000, seed=31, assignment=reference_assignment(),
-            table=table,
-        )
-        summary, pauli = aggregate(shots, assignment=reference_assignment())
+        shots = sample_shots(table, cfg.p_init, 300_000, 31, reference_assignment())
+        summary, pauli = aggregate(shots, reference_assignment())
         truth = pauli_decompose(table.state(True, True))
         for i, label in enumerate(PAULI_LABELS):
             if label == "II":
@@ -227,10 +239,10 @@ class TestAggregate:
     def test_post_selection_unbiased_across_branches(self):
         cfg = ProtocolConfig(p_init=1.0)
         table = run_two_rounds(cfg)
-        shots = sample_shots(cfg, 150_000, seed=41, table=table)
+        shots = sample_shots(table, cfg.p_init, 150_000, 41, IDENTITY)
         for branch in BRANCH_ORDER:
             state = table.state(*branch)
-            summary, pauli = aggregate(shots, branch=branch)
+            summary, pauli = aggregate(shots, IDENTITY, branch=branch)
             if pauli is None:
                 continue
             truth = pauli_decompose(state)
@@ -243,12 +255,8 @@ class TestAggregate:
     def test_error_bars_shrink_like_sqrt_n(self):
         cfg = ideal_config()
         table = run_two_rounds(cfg)
-        _, pauli_small = aggregate(
-            sample_shots(cfg, 40_000, seed=51, table=table)
-        )
-        _, pauli_large = aggregate(
-            sample_shots(cfg, 160_000, seed=51, table=table)
-        )
+        _, pauli_small = aggregate(sample_shots(table, cfg.p_init, 40_000, 51, IDENTITY), IDENTITY)
+        _, pauli_large = aggregate(sample_shots(table, cfg.p_init, 160_000, 51, IDENTITY), IDENTITY)
         # quadrupling the shots should halve the errors within 20%
         nonzero = pauli_small.sigma[1:] > 0
         ratio = np.median(pauli_small.sigma[1:][nonzero] / pauli_large.sigma[1:][nonzero])
@@ -257,11 +265,10 @@ class TestAggregate:
     def test_counts_match_row_loop(self):
         # the per-shot loop the columnar aggregation replaced, as reference
         a = reference_assignment()
-        shots = sample_shots(ProtocolConfig(p_init=0.8), 30_000, seed=71,
-                             assignment=a)
+        shots = sample_shots(run_two_rounds(ProtocolConfig()), 0.8, 30_000, 71, a)
         rows = list(zip(*(col.tolist() for col in columns(shots))))
         for branch in BRANCH_ORDER:
-            summary, pauli = aggregate(shots, assignment=a, branch=branch)
+            summary, pauli = aggregate(shots, a, branch=branch)
             counts = np.zeros((9, 4))
             for ok, c1, c2, k, j in rows:
                 if ok and (c1, c2) == branch:
@@ -286,8 +293,8 @@ class TestAggregate:
 
     def test_summary_frequencies(self):
         cfg = ProtocolConfig()
-        shots = sample_shots(cfg, 150_000, seed=61)
-        summary, _ = aggregate(shots)
+        shots = sample_shots(run_two_rounds(cfg), cfg.p_init, 150_000, 61, IDENTITY)
+        summary, _ = aggregate(shots, IDENTITY)
         assert abs(summary.p_init_hat.value - 0.57) < 5 * summary.p_init_hat.sigma
         assert abs(summary.p_click1_hat.value - 0.0825) < 5 * summary.p_click1_hat.sigma
         assert summary.p_click2_hat.n == np.count_nonzero(shots.init_ok & shots.click1)
@@ -295,7 +302,7 @@ class TestAggregate:
 
 class TestShotsCsv:
     def test_round_trip_row_count(self, tmp_path):
-        shots = sample_shots(ProtocolConfig(), 100, seed=0)
+        shots = sample_shots(run_two_rounds(ProtocolConfig()), 0.57, 100, 0, IDENTITY)
         path = tmp_path / "shots.csv"
         write_shots_csv(shots, path)
         lines = path.read_text().strip().split("\n")
@@ -306,8 +313,7 @@ class TestShotsCsv:
         # uninitialized shots and all four branches, across more than one
         # write chunk, against csv.writer row by row
         shots = sample_shots(
-            ProtocolConfig(p_init=0.6), 70_000, seed=4,
-            assignment=reference_assignment(),
+            run_two_rounds(ProtocolConfig()), 0.6, 70_000, 4, reference_assignment()
         )
         assert not shots.init_ok.all()
         for c1, c2 in BRANCH_ORDER:
@@ -363,3 +369,26 @@ class TestShotsColumns:
             Shots([False], [False], [False], [-1], [2])
         with pytest.raises(ValidationError):
             Shots([False], [True], [False], [-1], [-1])
+
+
+SAMPLING = {
+    "sample_shots": lambda seed: sample_shots(
+        run_two_rounds(ProtocolConfig()), 0.57, 10, seed, IDENTITY
+    ),
+    "simulate_counts": lambda seed: simulate_counts(
+        run_two_rounds(ProtocolConfig()).state(True, True), IDENTITY, TomographySettings(10), seed
+    ),
+    "bootstrap_errors": lambda seed: bootstrap_errors(
+        CountsTable(np.full((9, 4), 25.0), 100), IDENTITY, [0, 1, 1, 0],
+        n_resamples=2, seed=seed,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, 2**128, True])
+@pytest.mark.parametrize("draw", SAMPLING)
+def test_every_sampling_function_takes_one_seed_rule(draw, seed):
+    # int(1.5) would draw seed 1's numbers, and numpy rejects -1 with a bare ValueError
+    message = r"^seed must be a non-negative integer below 2\*\*128$"
+    with pytest.raises(ValidationError, match=message):
+        SAMPLING[draw](seed)

@@ -29,6 +29,7 @@ from heraldsim.tomography import (
     counts_to_json,
     fidelity_with_errors,
     imperfect_projectors,
+    outcome_probabilities,
     reconstruct_pauli,
     reference_assignment,
     setting_rotation,
@@ -92,7 +93,7 @@ class TestSimulateCounts:
         # oracle: direct trace evaluation Tr(Pi_j R rho R^dag)
         rho = random_two_qubit_state(5)
         a = reference_assignment()
-        probs = simulate_counts(rho, a, settings=None).counts
+        probs = outcome_probabilities(rho, a)
         projs = imperfect_projectors(a)
         for k, (ax_a, ax_b) in enumerate(SETTING_AXES):
             r = setting_rotation(ax_a, ax_b)
@@ -103,7 +104,7 @@ class TestSimulateCounts:
 
     def test_reference_assignment_gg_distribution(self):
         rho = DensityMatrix.from_ket(two_qubit_ket("gg"))
-        probs = simulate_counts(rho, reference_assignment(), settings=None).counts
+        probs = outcome_probabilities(rho, reference_assignment())
         zz = SETTING_AXES.index(("Z", "Z"))
         assert np.allclose(probs[zz], [0.941, 0.031, 0.027, 0.001], atol=1e-12)
 
@@ -114,10 +115,17 @@ class TestSimulateCounts:
         c2 = simulate_counts(rho, a, TomographySettings(5000), seed=9)
         assert np.array_equal(c1.counts, c2.counts)
 
+    @pytest.mark.parametrize("budget", [0, -1, float("nan"), 1.5, True, 2**63])
+    def test_budget_is_an_integer_in_range(self, budget):
+        # NaN and 1.5 would fail later, in the draw or the counts table, and
+        # 2**63 overflows numpy's multinomial
+        with pytest.raises(ValidationError, match="shots_per_setting"):
+            TomographySettings(budget)
+
     def test_seed_required_for_sampling(self):
         rho = random_two_qubit_state(7)
         with pytest.raises(ValidationError):
-            simulate_counts(rho, AssignmentMatrix.identity(), TomographySettings(10))
+            simulate_counts(rho, AssignmentMatrix.identity(), TomographySettings(10), None)
 
 
 class TestCorrectCounts:
@@ -126,7 +134,8 @@ class TestCorrectCounts:
     def test_identity_is_noop(self):
         b = CountsTable(np.tile([0.5, 0.2, 0.2, 0.1], (9, 1)), None)
         corrected = reconstruct_pauli(b, AssignmentMatrix.identity())
-        assert np.allclose(corrected.components, reconstruct_pauli(b).components)
+        clean = reconstruct_pauli(b, AssignmentMatrix.identity())
+        assert np.allclose(corrected.components, clean.components)
 
     def test_round_trip_random_probabilities(self):
         a = reference_assignment()
@@ -134,7 +143,7 @@ class TestCorrectCounts:
         for _ in range(5):
             p = rng.dirichlet(np.ones(4), size=9)
             corrected = reconstruct_pauli(CountsTable(p @ a.a.T, None), a)
-            clean = reconstruct_pauli(CountsTable(p, None))
+            clean = reconstruct_pauli(CountsTable(p, None), AssignmentMatrix.identity())
             assert np.allclose(corrected.components, clean.components, atol=1e-9)
         # columns of A^-1 sum to one, so the correction preserves each sum
         assert np.allclose(a.inverse().sum(axis=0), 1.0, atol=1e-9)
@@ -149,8 +158,8 @@ class TestCorrectCounts:
 class TestReconstructPauli:
     def test_exact_probabilities_of_bell_state(self):
         rho = DensityMatrix.from_ket(bell_odd_plus())
-        counts = simulate_counts(rho, AssignmentMatrix.identity(), settings=None)
-        pauli = reconstruct_pauli(counts)
+        counts = CountsTable(outcome_probabilities(rho, AssignmentMatrix.identity()), None)
+        pauli = reconstruct_pauli(counts, AssignmentMatrix.identity())
         assert np.isclose(pauli.component("XX"), 1.0, atol=1e-12)
         assert np.isclose(pauli.component("YY"), 1.0, atol=1e-12)
         assert np.isclose(pauli.component("ZZ"), -1.0, atol=1e-12)
@@ -159,8 +168,8 @@ class TestReconstructPauli:
     def test_matches_pauli_decompose_in_probability_limit(self):
         for seed in range(4):
             rho = random_two_qubit_state(20 + seed)
-            counts = simulate_counts(rho, AssignmentMatrix.identity(), settings=None)
-            got = reconstruct_pauli(counts)
+            counts = CountsTable(outcome_probabilities(rho, AssignmentMatrix.identity()), None)
+            got = reconstruct_pauli(counts, AssignmentMatrix.identity())
             expected = pauli_decompose(rho)
             assert np.max(np.abs(got.components - expected.components)) < 1e-12
 
@@ -168,7 +177,7 @@ class TestReconstructPauli:
         a = reference_assignment()
         for seed in range(3):
             rho = random_two_qubit_state(30 + seed)
-            corrupted = simulate_counts(rho, a, settings=None)
+            corrupted = CountsTable(outcome_probabilities(rho, a), None)
             corrected = reconstruct_pauli(corrupted, a)
             clean = pauli_decompose(rho)
             assert np.max(np.abs(corrected.components - clean.components)) < 1e-9
@@ -199,18 +208,17 @@ class TestReconstructPauli:
         counts = simulate_counts(
             rho, AssignmentMatrix.identity(), TomographySettings(1_000_000), seed=3
         )
-        got = reconstruct_pauli(counts)
+        got = reconstruct_pauli(counts, AssignmentMatrix.identity())
         expected = pauli_decompose(rho)
         for i in range(1, 16):
             assert abs(got.components[i] - expected.components[i]) < 5.0 * got.sigma[i]
 
 
-def per_label_components(counts, a=None):
+def per_label_components(counts, a):
     """Pauli components by the per-label loop of one scalar `signs @ c` dot
     per setting and `np.mean` over the settings sharing a label: the order
     whose bits the batched component kernel must keep."""
-    inv = a.inverse() if a is not None else np.eye(4)
-    corrected = counts.frequencies() @ inv.T
+    corrected = counts.frequencies() @ a.inverse().T
     comps = np.zeros(16)
     for idx, label in enumerate(PAULI_LABELS):
         if label == "II":
@@ -222,7 +230,10 @@ def per_label_components(counts, a=None):
 
 
 class TestComponentSummationOrder:
-    @pytest.mark.parametrize("assignment", [None, reference_assignment()], ids=["raw", "corrected"])
+    @pytest.mark.parametrize(
+        "assignment", [AssignmentMatrix.identity(), reference_assignment()],
+        ids=["raw", "corrected"],
+    )
     def test_bit_identical_to_per_label_loop(self, assignment):
         rng = np.random.default_rng(2024)
         for _ in range(300):
@@ -268,7 +279,9 @@ class TestPinnedErrorBars:
 
     def test_bootstrap_uncorrected_two_resamples(self):
         counts = CountsTable(PINNED_EQUAL, 3000)
-        got = bootstrap_errors(counts, None, bell_odd_plus(), n_resamples=2, seed=3)
+        got = bootstrap_errors(
+            counts, AssignmentMatrix.identity(), bell_odd_plus(), n_resamples=2, seed=3
+        )
         assert got == (0.0076666666666667105, 0.014653402145957839)
 
     def test_fidelity_with_errors(self):
@@ -289,7 +302,7 @@ class TestPerSettingTotals:
 
     def unequal_counts(self, seed=3):
         rho = random_two_qubit_state(seed)
-        probs = simulate_counts(rho, reference_assignment(), None).counts
+        probs = outcome_probabilities(rho, reference_assignment())
         totals = np.array([400, 900, 250, 1200, 610, 333, 808, 150, 1000])
         rng = np.random.default_rng(seed)
         counts = np.stack([rng.multinomial(n, probs[k]) for k, n in enumerate(totals)])
@@ -310,7 +323,7 @@ class TestPerSettingTotals:
     def test_sigma_uses_each_settings_total(self):
         counts, totals = self.unequal_counts()
         table = CountsTable(counts, totals)
-        pauli = reconstruct_pauli(table)
+        pauli = reconstruct_pauli(table, AssignmentMatrix.identity())
         # identity readout: a correlator's variance is (1 - m^2) / n_k
         for k, (ax_a, ax_b) in enumerate(SETTING_AXES):
             label = ax_a + ax_b
@@ -384,7 +397,8 @@ class TestPerSettingTotals:
 
         counts, totals = self.unequal_counts()
         boot_f, boot_c = bootstrap_errors(
-            CountsTable(counts, totals), None, bell_odd_plus(), n_resamples=20, seed=1
+            CountsTable(counts, totals), AssignmentMatrix.identity(), bell_odd_plus(),
+            n_resamples=20, seed=1,
         )
         assert 0.0 < boot_f < 0.2 and 0.0 <= boot_c < 0.5
 
@@ -470,11 +484,20 @@ class TestTargetKet:
         with pytest.raises(ValidationError):
             DensityMatrix.from_ket(ket)
 
-    @pytest.mark.parametrize("n_resamples", [-1, 0, 1])
+    @pytest.mark.parametrize("n_resamples", [-1, 0, 1, 2.5, True])
     def test_bootstrap_needs_two_resamples(self, n_resamples, counts):
         # one resample has spread 0.0 and none has no spread at all
         with pytest.raises(ValidationError, match="at least 2 resamples"):
-            bootstrap_errors(counts, None, bell_odd_plus(), n_resamples=n_resamples)
+            bootstrap_errors(
+                counts, AssignmentMatrix.identity(), bell_odd_plus(), n_resamples=n_resamples
+            )
+
+    def test_unallocatable_resamples_rejected(self, counts):
+        # 2**62 resamples of 36 counts: numpy would refuse the array with a ValueError
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            bootstrap_errors(
+                counts, AssignmentMatrix.identity(), bell_odd_plus(), n_resamples=2**62
+            )
 
 
 class TestSerialization:
