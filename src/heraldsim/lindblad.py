@@ -2,8 +2,8 @@
 
 Two models live here:
 
-* `cascaded_simulate`: the emitter cavity unidirectionally coupled into
-  the detector qubit-cavity module (standard input-output cascade: one
+* `simulate`: the emitter cavity unidirectionally coupled into the
+  detector qubit-cavity module (standard input-output cascade: one
   collapse operator sqrt(kappa_A) a + sqrt(kappa_D) d plus the coupling
   Hamiltonian (i/2) sqrt(kappa_A kappa_D) (a^dag d - a d^dag)), with the
   dispersive shift -chi |e><e| d^dag d and a photon-number-selective
@@ -28,11 +28,11 @@ bit-identical to integrating it alone.  A cascade system is integrated
 only in the box its emitter Fock state n reaches (n_A <= n, n_D <= n + 1:
 4, 12 or 24 of the 24 states of DIMS); its observable sums and its final
 state are taken at the full width of DIMS, so the published floats are
-those of the full space.  `cascaded_simulate`, `pulse_sweep` and
-`parameter_robustness` hand all their systems to one `simulate` call: on
-Linux it integrates them in forked workers, one contiguous shard per CPU
-in the affinity mask, and joins the results in input order; with one
-shard it runs the same loop in-process.
+those of the full space.  `simulate` is the cascade's one entry, and
+`pulse_sweep` and `parameter_robustness` hand all their systems to one
+`simulate` call: on Linux it integrates them in forked workers, one
+contiguous shard per CPU in the affinity mask, and joins the results in
+input order; with one shard it runs the same loop in-process.
 """
 
 from __future__ import annotations
@@ -261,16 +261,16 @@ def _initial_state(emitter_fock: int, detector=None) -> np.ndarray:
 def _propagate(rho0, h0, hp, c_op, coeffs, dt, obs, index):
     """Classical RK4 over a stack of B independent systems.
 
-    rho0, h0, hp and c_op are (B, n, n); coeffs is (B, 2*n_steps + 1), each
-    system's drive coefficient c on the half-step grid, with
-    H = h0 + c hp + c* hp^dag and the single collapse operator c_op.  obs
-    holds the diagonals (n_obs, N) of diagonal observables on a space of N
-    states, of which the systems' n states are `index`.  Returns the
-    (B, n_obs, n_steps + 1) real expectation traces and the (B, n, n) final
-    states.  Each slice gets the same arithmetic in the same order as a
-    stack of one.
+    rho0, h0 and c_op are (B, n, n) and hp is the one (n, n) drive operator
+    of the stack; coeffs is (B, 2*n_steps + 1), each system's drive
+    coefficient c on the half-step grid, with H = h0 + c hp + c* hp^dag and
+    the single collapse operator c_op.  obs holds the diagonals (n_obs, N)
+    of diagonal observables on a space of N states, of which the systems'
+    n states are `index`.  Returns the (B, n_obs, n_steps + 1) real
+    expectation traces and the (B, n, n) final states.  Each slice gets the
+    same arithmetic in the same order as a stack of one.
     """
-    hm = np.ascontiguousarray(np.conj(hp).transpose(0, 2, 1))
+    hm = np.ascontiguousarray(hp.conj().T)
     c_dag = np.ascontiguousarray(np.conj(c_op).transpose(0, 2, 1))
     cdc = c_dag @ c_op
     n_steps = (coeffs.shape[1] - 1) // 2
@@ -333,7 +333,7 @@ def _integrate(fock, members, times):
     out, rho = _propagate(
         np.stack(rho0)[:, rows, cols],
         h0[:, rows, cols],
-        np.stack([sp] * len(params)),
+        sp,
         c_op[:, rows, cols],
         np.stack([_drive_coefficients(p, times) for p in params]),
         DT,
@@ -504,19 +504,21 @@ def _preroll_steps(params: CascadedSystemParams) -> int:
 
 
 def simulate(systems, t_total: float = T_TOTAL) -> list[TimeTraces]:
-    """`cascaded_simulate` for a list of (params, initial_fock) systems.
+    """Integrate the cascaded master equation for (params, initial_fock) systems.
 
-    On Linux the systems are split into contiguous shards, one per CPU in
-    the affinity mask and no more than there are systems, and each shard
-    is integrated in a forked worker; with one shard (one system, one CPU,
-    or another platform) the same loop runs in-process.  Each shard
-    integrates _BATCH systems per kernel call.  Results, and the first
-    error raised, are those of integrating the systems one by one in input
-    order, bit for bit; a worker that dies raises IntegrationError.  The
-    window (`window_steps`), then the inputs (initial_fock in FOCK_STATES,
-    the pulse calibrations) and the pre-roll grids are checked (a grid of
-    more than 2^59 points is a MemoryError, as numpy would otherwise refuse
-    it with a ValueError), and the operators embedded, before any fork.
+    The emitter releases its photon(s) at t = 0.  A pulse with negative
+    start_time is pre-rolled on the empty system and the Fock state put on
+    its emitter at t = 0: exact, as nothing entangles with the emitter
+    before its photon exists.  On Linux the systems are split into
+    contiguous shards, one per CPU in the affinity mask and no more than
+    there are systems, each integrated in a forked worker; one shard runs
+    the same loop in-process.  Results, and the first error raised, are
+    those of integrating the systems one by one in input order, bit for
+    bit.  Before any fork: ValidationError for a bad t_total
+    (`window_steps`), an initial_fock outside FOCK_STATES or a pulse its
+    calibration cannot resolve, and MemoryError for a grid of more than
+    2^59 points.  IntegrationError when the trace or guard-level budget is
+    exceeded or a worker dies.
     """
     steps = window_steps(t_total)
     for params, fock in systems:
@@ -533,23 +535,6 @@ def simulate(systems, t_total: float = T_TOTAL) -> list[TimeTraces]:
     if n_shards > 1:
         return _integrate_forked(systems, times_main, n_shards)
     return _integrate_shard(systems, times_main)
-
-
-def cascaded_simulate(
-    initial_fock: int,
-    params: CascadedSystemParams,
-    t_total: float = T_TOTAL,
-) -> TimeTraces:
-    """Integrate the cascaded master equation for one emitter Fock state.
-
-    The emitter releases its photon(s) from t = 0.  A pulse with negative
-    start_time is honored by pre-rolling the drive on the empty system and
-    injecting the Fock state at t = 0 (exact: nothing entangles with the
-    emitter before its photon exists).  Raises ValidationError for an
-    initial_fock outside FOCK_STATES or a bad t_total, and
-    IntegrationError when the trace or guard-level budget is exceeded.
-    """
-    return simulate([(params, initial_fock)], t_total)[0]
 
 
 @dataclass(frozen=True)
@@ -642,6 +627,12 @@ class SidebandTraces:
     p_click: np.ndarray           # eta * p_e1
 
 
+def _check_kappa(kappa: float) -> None:
+    _require_finite(kappa=kappa)
+    if kappa < 0.0:
+        raise ValidationError("kappa must be non-negative")
+
+
 def sideband_rabi(
     drive_rate: float, kappa: float, eta: float, times: np.ndarray
 ) -> SidebandTraces:
@@ -671,9 +662,8 @@ def sideband_rabi(
     sub = int(sub)
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must lie in [0, 1]")
-    _require_finite(drive_rate=drive_rate, kappa=kappa)
-    if kappa < 0.0:
-        raise ValidationError("kappa must be non-negative")
+    _require_finite(drive_rate=drive_rate)
+    _check_kappa(kappa)
 
     omega = drive_rate * MHZ_TO_RAD_NS
     k = kappa * MHZ_TO_RAD_NS
@@ -689,7 +679,7 @@ def sideband_rabi(
     rho0 = np.zeros((1, 3, 3), dtype=complex)
     rho0[0, 0, 0] = 1.0
     out, rho = _propagate(
-        rho0, h0[None], np.zeros_like(rho0), c_op[None], coeffs, dt, np.eye(3), np.arange(3)
+        rho0, h0[None], np.zeros_like(h0), c_op[None], coeffs, dt, np.eye(3), np.arange(3)
     )
     _check_budget(rho[0])
     p_f0, p_e1, p_e0 = out[0, 0, ::sub], out[0, 1, ::sub], out[0, 2, ::sub]
@@ -715,17 +705,25 @@ def _sideband_pi_time(drive_rate: float, kappa: float) -> float:
 
 
 def calibrate_sideband_drive(kappa: float, pi_time: float = 254.0) -> float:
-    """Drive rate (MHz) whose damped transfer peaks at the given time."""
+    """Drive rate (MHz) in [1e-4, 1e3] whose damped transfer peaks at pi_time
+    (finite, positive) within 1e-9 relative, by bisection; else ValidationError."""
+    _check_kappa(kappa)
+    if not (isfinite(pi_time) and pi_time > 0.0):
+        raise ValidationError(f"pi_time must be positive and finite, got {pi_time!r}")
+
+    def peak_time(drive):
+        try:  # nan when overdamped, or when kappa's square overflows
+            return _sideband_pi_time(drive, kappa)
+        except (ValidationError, OverflowError):
+            return float("nan")
+
     lo, hi = 1e-4, 1e3
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        try:
-            t = _sideband_pi_time(mid, kappa)
-        except ValidationError:
-            lo = mid
-            continue
-        if t > pi_time:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if peak_time(mid) <= pi_time else (mid, hi)
+    drive = 0.5 * (lo + hi)
+    if not abs(peak_time(drive) - pi_time) <= 1e-9 * pi_time:
+        raise ValidationError(
+            f"no drive in [1e-4, 1e3] MHz peaks at {pi_time!r} ns with kappa {kappa!r} MHz"
+        )
+    return drive

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .protocol import OutcomeTable
-from .qmath import PauliVector, ValidationError, check_seed
+from .qmath import PauliVector, ValidationError, check_allocatable, check_seed, is_int
 from .tomography import (
     BASIS_ORDER,
     AssignmentMatrix,
@@ -136,9 +136,12 @@ def sample_shots(
     table: OutcomeTable, p_init: float, n: int, seed: int, assignment: AssignmentMatrix
 ) -> Shots:
     """Draw n protocol shots from `table`, each initialized with probability
-    p_init; deterministic given (table, p_init, n, seed, assignment)."""
-    if n < 0:
-        raise ValidationError("shot count must be non-negative")
+    p_init; deterministic given (table, p_init, n, seed, assignment).  n is
+    an integer, not a bool, of at least 0 (ValidationError); more than 2^59
+    shots is a MemoryError (qmath.check_allocatable)."""
+    if not is_int(n) or n < 0:
+        raise ValidationError("shot count must be a non-negative integer")
+    check_allocatable(n, "shots")
     if not 0.0 <= p_init <= 1.0:
         raise ValidationError("p_init outside [0, 1]")
     check_seed(seed, "seed")

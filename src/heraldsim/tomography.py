@@ -112,6 +112,10 @@ def reference_assignment() -> AssignmentMatrix:
     )
 
 
+# numpy's multinomial draw takes shot counts below this, as int64
+_DRAW_LIMIT = 2**63
+
+
 @dataclass(frozen=True)
 class TomographySettings:
     """Shot budget per setting for the nine SETTING_AXES pre-rotations: an
@@ -121,7 +125,7 @@ class TomographySettings:
 
     def __post_init__(self):
         n = self.shots_per_setting
-        if not is_int(n) or not 1 <= n < 2**63:
+        if not is_int(n) or not 1 <= n < _DRAW_LIMIT:
             raise ValidationError(f"shots_per_setting must be an integer in [1, 2**63), got {n!r}")
 
 
@@ -345,17 +349,19 @@ def bootstrap_errors(
     +/-sigma propagation of `fidelity_with_errors` (14 ms against 1.2 ms
     on 10000-shot counts, one x86-64 core); the draws and the one matrix
     rebuilt per resample take most of it.  A spread needs at least two
-    resamples.
+    resamples, and the draw takes shot totals below 2**63 (ValidationError).
     """
-    if counts.shots_per_setting is None:
+    totals = counts.shots_per_setting
+    if totals is None:
         raise ValidationError("bootstrap needs sampled counts, not probabilities")
+    if not np.all(totals < _DRAW_LIMIT):
+        raise ValidationError(f"bootstrap needs shot totals below 2**63, got {float(totals.max())!r}")
     if not is_int(n_resamples) or n_resamples < 2:
         raise ValidationError(f"bootstrap needs at least 2 resamples (an int), got {n_resamples!r}")
     check_seed(seed, "seed")
     check_allocatable(n_resamples * 36, "resampled counts")
     v = unit_ket(target_ket)
     freqs = counts.frequencies()
-    totals = counts.shots_per_setting
     n_k = totals.astype(np.int64)
     resampled = np.empty((n_resamples, 9, 4))
     for i in range(n_resamples):

@@ -23,9 +23,9 @@ from heraldsim.detector import DetectorRoundParams, dark_count_fidelity
 from heraldsim.lindblad import (
     MHZ_TO_RAD_NS,
     CascadedSystemParams,
-    cascaded_simulate,
     parameter_robustness,
     pulse_sweep,
+    simulate,
 )
 from heraldsim.photonics import beam_splitter_unitary
 from heraldsim.protocol import (
@@ -181,7 +181,9 @@ def test_c07_two_photon_interference():
 
 def test_c08_cascaded_detector():
     params = CascadedSystemParams()
-    p = {f: cascaded_simulate(f, params, t_total=1500.0).p_click for f in (0, 1, 2)}
+    focks = (0, 1, 2)
+    traces = simulate([(params, f) for f in focks], 1500.0)
+    p = {f: tr.p_click for f, tr in zip(focks, traces)}
     rob = parameter_robustness(params, 0.2, t_total=1500.0)
 
     # matched linewidths give alpha_D(t) = -kappa t exp(-kappa t / 2), whose

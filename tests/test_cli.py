@@ -22,7 +22,6 @@ from heraldsim.lindblad import (
     CascadedSystemParams,
     GaussianPulse,
     IntegrationError,
-    cascaded_simulate,
     simulate,
 )
 from heraldsim.protocol import SWEEPABLE_AXES
@@ -423,7 +422,7 @@ class TestDetectorSimCommand:
             pulse=GaussianPulse(sigma=10.0, amplitude=800.0, start_time=0.0),
         )
         with pytest.raises(IntegrationError) as fock_failure:
-            cascaded_simulate(2, params, t_total=120.0)
+            simulate([(params, 2)], 120.0)
         monkeypatch.setattr("heraldsim.cli._detector_params", lambda args: params)
         assert main(["detector-sim", "--fock", "2", "--t-total", "120"]) == 3
         assert str(fock_failure.value) in capsys.readouterr().err

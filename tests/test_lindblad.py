@@ -18,7 +18,6 @@ from heraldsim.lindblad import (
     GaussianPulse,
     IntegrationError,
     calibrate_sideband_drive,
-    cascaded_simulate,
     parameter_robustness,
     pulse_sweep,
     sideband_rabi,
@@ -29,7 +28,8 @@ from heraldsim.qmath import ValidationError
 @pytest.fixture(scope="module")
 def default_traces():
     params = CascadedSystemParams()
-    return {f: cascaded_simulate(f, params, t_total=1500.0) for f in (0, 1, 2)}
+    focks = (0, 1, 2)
+    return dict(zip(focks, lindblad.simulate([(params, f) for f in focks], 1500.0)))
 
 
 class TestCascade:
@@ -74,7 +74,7 @@ class TestCascade:
             match=r"^detector-cavity guard level reached \d\.\d\de-\d\d \(budget 1e-03\); "
             r"the model no longer conserves n_A \+ n_D$",
         ):
-            cascaded_simulate(1, CascadedSystemParams(), t_total=600.0)
+            lindblad.simulate([(CascadedSystemParams(), 1)], 600.0)
         assert cli.main(["detector-sim", "--t-total", "600"]) == cli.EXIT_NUMERICAL == 3
         assert capsys.readouterr().err.startswith(
             "numerical error: detector-cavity guard level reached"
@@ -82,22 +82,21 @@ class TestCascade:
 
     def test_decoupled_emitter(self):
         params = replace(CascadedSystemParams(), kappa_a=0.0)
-        with_photon = cascaded_simulate(1, params, t_total=1000.0)
-        dark = cascaded_simulate(0, params, t_total=1000.0)
+        with_photon, dark = lindblad.simulate([(params, 1), (params, 0)], 1000.0)
         assert with_photon.n_d.max() < 1e-12
         assert abs(with_photon.p_click - dark.p_click) < 1e-12
 
     def test_step_halving_convergence(self, monkeypatch):
         params = CascadedSystemParams()
-        p1 = cascaded_simulate(1, params, t_total=800.0).p_click
+        p1 = lindblad.simulate([(params, 1)], 800.0)[0].p_click
         monkeypatch.setattr(lindblad, "DT", 0.5)
-        p2 = cascaded_simulate(1, params, t_total=800.0).p_click
+        p2 = lindblad.simulate([(params, 1)], 800.0)[0].p_click
         assert abs(p1 - p2) < 1e-4
 
     def test_excitation_non_increasing_without_drive(self):
         pulse = GaussianPulse(amplitude=0.0)
         params = replace(CascadedSystemParams(), pulse=pulse)
-        tr = cascaded_simulate(2, params, t_total=1000.0)
+        tr = lindblad.simulate([(params, 2)], 1000.0)[0]
         total = tr.n_a + tr.n_d + tr.p_e
         assert np.all(np.diff(total) < 1e-10)
 
@@ -105,7 +104,7 @@ class TestCascade:
         # -1 and 3 are the first values outside the exact space
         for fock in (-1, 3, 5):
             with pytest.raises(ValidationError, match=rf"^initial_fock {fock} is not one of"):
-                cascaded_simulate(fock, CascadedSystemParams())
+                lindblad.simulate([(CascadedSystemParams(), fock)])
 
     def test_csv_columns(self, tmp_path, default_traces):
         path = tmp_path / "traces.csv"
@@ -159,7 +158,7 @@ class TestExactSpace:
         params = CascadedSystemParams()
         if start is not None:
             params = _with_start(params, start)
-        tr = cascaded_simulate(fock, params, t_total=800.0)
+        tr = lindblad.simulate([(params, fock)], 800.0)[0]
         assert tr.guard_max == 0.0
         n_a, _, n_d = np.unravel_index(np.arange(np.prod(lindblad.DIMS)), lindblad.DIMS)
         photons = n_a + n_d
@@ -178,7 +177,7 @@ class TestExactSpace:
         params = CascadedSystemParams()
         if start is not None:
             params = _with_start(params, start)
-        cascaded_simulate(fock, params, t_total=300.0)
+        lindblad.simulate([(params, fock)], 300.0)
         # (n + 1, 2, n + 2) states; a pre-roll runs on the vacuum's box
         sizes = [len(rho0) for rho0, _ in calls]
         assert sizes == ([4] if start is not None else []) + [[4, 12, 24][fock]]
@@ -263,7 +262,7 @@ def _first_failure(params_list, initial_fock, t_total):
     """The IntegrationError text of integrating the systems one by one."""
     for params in params_list:
         try:
-            cascaded_simulate(initial_fock, params, t_total=t_total)
+            lindblad.simulate([(params, initial_fock)], t_total)
         except IntegrationError as exc:
             return str(exc)
     return None
@@ -279,15 +278,15 @@ class TestPreRoll:
 
     def test_off_grid_start_converges(self, monkeypatch):
         params = _with_start(CascadedSystemParams(), -10.5)
-        coarse = cascaded_simulate(1, params, t_total=800.0)
+        coarse = lindblad.simulate([(params, 1)], 800.0)[0]
         monkeypatch.setattr(lindblad, "DT", 0.25)
-        fine = cascaded_simulate(1, params, t_total=800.0)
+        fine = lindblad.simulate([(params, 1)], 800.0)[0]
         assert abs(coarse.p_click - fine.p_click) < 1e-6
 
     @pytest.mark.parametrize("start, dt", [(-10.5, 1.0), (-0.3, 1.0), (-100.0, 1.0), (-7.0, 2.0)])
     def test_trace_times_are_uniform_through_zero(self, start, dt, monkeypatch):
         monkeypatch.setattr(lindblad, "DT", dt)
-        tr = cascaded_simulate(1, _with_start(CascadedSystemParams(), start), 300.0)
+        tr = lindblad.simulate([(_with_start(CascadedSystemParams(), start), 1)], 300.0)[0]
         assert np.array_equal(np.diff(tr.times), np.full(len(tr.times) - 1, dt))
         assert tr.times[0] <= start < tr.times[0] + dt
         assert 0.0 in tr.times
@@ -305,7 +304,7 @@ class TestBatchedIntegration:
         delays = np.linspace(-150.0, 300.0, lindblad._BATCH + 2)
         batched = pulse_sweep(params, "delay", delays, initial_fock=1, t_total=800.0)
         single = [
-            cascaded_simulate(1, _with_start(params, d), t_total=800.0).p_click
+            lindblad.simulate([(_with_start(params, d), 1)], 800.0)[0].p_click
             for d in delays
         ]
         assert batched.tolist() == single
@@ -317,7 +316,7 @@ class TestBatchedIntegration:
         for fock in (0, 2):
             batched = pulse_sweep(params, "detuning", detunings, initial_fock=fock, t_total=700.0)
             single = [
-                cascaded_simulate(fock, replace(params, detuning=float(v)), t_total=700.0).p_click
+                lindblad.simulate([(replace(params, detuning=float(v)), fock)], 700.0)[0].p_click
                 for v in detunings
             ]
             assert batched.tolist() == single
@@ -348,8 +347,8 @@ class TestBatchedIntegration:
                     base, params.pulse.start_time + sign * 0.2 * params.pulse.total_length
                 )
             )
-        etas = [cascaded_simulate(1, v, t_total=800.0).p_click for v in variants]
-        baseline = cascaded_simulate(1, base, t_total=800.0).p_click
+        etas = [lindblad.simulate([(v, 1)], 800.0)[0].p_click for v in variants]
+        baseline = lindblad.simulate([(base, 1)], 800.0)[0].p_click
         assert report.baseline_efficiency == baseline
         assert [v[2] for v in report.variations] == etas
         assert [v[1] for v in report.variations] == [v.kappa_d for v in variants]
@@ -392,7 +391,7 @@ class TestBatchedIntegration:
             IntegrationError,
             match=r"^integrator left tolerance: .*; use a slower drive or smaller rates$",
         ):
-            cascaded_simulate(1, params, t_total=120.0)
+            lindblad.simulate([(params, 1)], 120.0)
 
     def test_nan_state_fails_budget(self):
         # an overflowing integration ends in NaN, which no budget admits
@@ -401,7 +400,7 @@ class TestBatchedIntegration:
             pulse=GaussianPulse(sigma=10.0, amplitude=1e7, start_time=50.0),
         )
         with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="nan"):
-            cascaded_simulate(1, params, t_total=200.0)
+            lindblad.simulate([(params, 1)], 200.0)
 
 
 def _set_cpus(monkeypatch, n):
@@ -505,7 +504,7 @@ class TestWindowValidation:
     @pytest.mark.parametrize("t_total", [0.0, -5.0, float("nan"), float("inf")])
     def test_bad_t_total_rejected(self, t_total):
         with pytest.raises(ValidationError, match="t_total"):
-            cascaded_simulate(1, CascadedSystemParams(), t_total=t_total)
+            lindblad.simulate([(CascadedSystemParams(), 1)], t_total)
         with pytest.raises(ValidationError, match="t_total"):
             lindblad.window_steps(t_total)
 
@@ -622,10 +621,8 @@ class TestRobustness:
 
     def test_bandwidth_mismatch_degrades_monotonically(self):
         params = CascadedSystemParams()
-        etas = []
-        for ratio in (1.0, 1.5, 2.0):
-            varied = replace(params, kappa_d=params.kappa_d * ratio)
-            etas.append(cascaded_simulate(1, varied, t_total=1200.0).p_click)
+        systems = [(replace(params, kappa_d=params.kappa_d * r), 1) for r in (1.0, 1.5, 2.0)]
+        etas = [tr.p_click for tr in lindblad.simulate(systems, 1200.0)]
         assert etas[0] > etas[1] > etas[2]
 
 
@@ -701,6 +698,19 @@ class TestSidebandRabi:
         times = np.arange(0.0, 501.0, 1.0)
         tr = sideband_rabi(drive, 0.9, 0.4, times)
         assert abs(times[int(np.argmax(tr.p_e1))] - 254.0) < 3.0
+
+    @pytest.mark.parametrize(
+        "kappa, pi_time",
+        [(NAN, 254.0), (-0.9, 254.0), (INF, 254.0), (50.0, 254.0), (1e300, 254.0),
+         (0.9, NAN), (0.9, 1e6), (0.9, 0.0), (0.9, -5.0)],
+    )
+    def test_uncalibratable_target_rejected(self, kappa, pi_time):
+        # kappa not finite or negative, overdamped for every drive up to 25 MHz
+        # (50 MHz), or with a square past the float range (1e300 MHz); a pi
+        # time not finite and positive, or past the 707 ns maximum of kappa
+        # 0.9 MHz: no drive rate answers any of them
+        with pytest.raises(ValidationError):
+            calibrate_sideband_drive(kappa, pi_time)
 
     def test_matches_damped_two_level_solution(self):
         # oracle: closed-form no-jump amplitude of the driven decaying level

@@ -15,8 +15,8 @@ from heraldsim.detector import DetectorRoundParams, dark_count_fidelity
 from heraldsim.lindblad import (
     MHZ_TO_RAD_NS,
     CascadedSystemParams,
-    cascaded_simulate,
     parameter_robustness,
+    simulate,
 )
 from heraldsim.protocol import ProtocolConfig, apply_phase_damping, run_two_rounds, success_rate
 from heraldsim.qmath import DensityMatrix, bell_odd_plus, state_fidelity
@@ -139,7 +139,9 @@ def runs(tmp_path_factory):
                 worst = max(worst, abs(f_prop - dark_count_fidelity(params, params)))
     cascade = CascadedSystemParams()
     pulse = cascade.pulse
-    p_click = {f: cascaded_simulate(f, cascade, t_total=1500.0).p_click for f in (0, 1, 2)}
+    focks = (0, 1, 2)
+    traces = simulate([(cascade, f) for f in focks], 1500.0)
+    p_click = {f: tr.p_click for f, tr in zip(focks, traces)}
     rc, text = run(["protocol", "--analytic"])
     assert rc == cli.EXIT_OK
     return {

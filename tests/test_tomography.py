@@ -499,6 +499,17 @@ class TestTargetKet:
                 counts, AssignmentMatrix.identity(), bell_odd_plus(), n_resamples=2**62
             )
 
+    @pytest.mark.parametrize("total", [2**63, 2**70], ids=["2**63", "2**70"])
+    def test_undrawable_totals_rejected(self, total):
+        # a CountsTable takes any whole-number totals; the int64 cast of the
+        # draw would warn, then numpy would raise a bare ValueError
+        counts = CountsTable(np.tile([total, 0.0, 0.0, 0.0], (9, 1)), total)
+        with pytest.raises(ValidationError, match=r"^bootstrap needs shot totals below 2\*\*63"):
+            bootstrap_errors(counts, AssignmentMatrix.identity(), bell_odd_plus())
+        # the reconstruction draws nothing and still works
+        pauli = reconstruct_pauli(counts, AssignmentMatrix.identity())
+        assert np.all(np.isfinite(pauli.components))
+
 
 class TestSerialization:
     def test_counts_round_trip(self):
