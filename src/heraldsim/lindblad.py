@@ -515,14 +515,15 @@ def simulate(systems, t_total: float = T_TOTAL) -> list[TimeTraces]:
     the same loop in-process.  Results, and the first error raised, are
     those of integrating the systems one by one in input order, bit for
     bit.  Before any fork: ValidationError for a bad t_total
-    (`window_steps`), an initial_fock outside FOCK_STATES or a pulse its
-    calibration cannot resolve, and MemoryError for a grid of more than
-    2^59 points.  IntegrationError when the trace or guard-level budget is
-    exceeded or a worker dies.
+    (`window_steps`), an initial_fock that is not an int in FOCK_STATES
+    (a float, a bool or a numpy integer is rejected, as for seeds) or a
+    pulse its calibration cannot resolve, and MemoryError for a grid of
+    more than 2^59 points.  IntegrationError when the trace or guard-level
+    budget is exceeded or a worker dies.
     """
     steps = window_steps(t_total)
     for params, fock in systems:
-        if fock not in FOCK_STATES:
+        if not (qmath.is_int(fock) and fock in FOCK_STATES):
             raise ValidationError(f"initial_fock {fock!r} is not one of {FOCK_STATES}")
         if params.pulse.start_time < 0.0:
             _preroll_steps(params)

@@ -169,44 +169,36 @@ def _unitaries() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ops
 
 
-class _Engine:
-    """Full-space operators for one configuration, each built once.
+def _initial_matrix(config: ProtocolConfig) -> np.ndarray:
+    """Both preparations with empty rails, as a full-space density matrix."""
+    ket = np.kron(_prepared_qubits(config), basis_ket(DIMS[RAIL_DET] * DIMS[RAIL_LOAD], 0))
+    return np.outer(ket, ket.conj())
 
-    The emission, splitter and pi-pulse unitaries come from the
-    process-wide cache; they and the offset phase, built with `np.diag`
-    from its 36-entry diagonal, are dense matrices applied as products by
-    `apply_kraus_matrix`.  The loss Kraus operators (only when eta_loss <
-    1) stay 3 x 3 and are applied on the detector rail's blocks by
-    `apply_loss`, as `branch_matrices` applies detection.  The dephasing
-    Kraus operators are real and diagonal, so they are kept as 36-entry
-    factor vectors and applied entrywise by `_apply_diagonal_kraus`.
+
+def _emit_and_detect(mat: np.ndarray, config: ProtocolConfig, first_round: bool):
+    """One round on a bare matrix: emit, offset phase (round 1 only),
+    interfere, lose, detect; returns the unnormalized (click, no_click)
+    branch matrices.
+
+    The emission and splitter unitaries (and `run_two_rounds`'s pi pulse)
+    come from the process-wide cache; they and the offset phase, built
+    with `np.diag` from its 36-entry diagonal, are dense matrices applied
+    as products by `apply_kraus_matrix`.  The loss Kraus operators (only
+    when eta_loss < 1) stay 3 x 3 and are applied on the detector rail's
+    blocks by `apply_loss`, as `branch_matrices` applies detection.  The
+    dephasing Kraus operators that `run_two_rounds` applies after round 2
+    are real and diagonal, so they are kept as 36-entry factor vectors and
+    applied entrywise by `_apply_diagonal_kraus`.
     """
-
-    def __init__(self, config: ProtocolConfig):
-        self.config = config
-        self.u_emit, self.u_bs, self.u_pi = _unitaries()
+    u_emit, u_bs, _ = _unitaries()
+    mat = apply_kraus_matrix(mat, [u_emit])
+    if first_round:
         phase = np.exp(1j * config.phi_off * np.arange(N_MAX + 1))
-        self.u_offset = np.diag(_subsystem_diagonal(phase, DIMS, RAIL_DET))
-        self.loss = loss_kraus(N_MAX + 1, config.eta_loss) if config.eta_loss < 1.0 else []
-        self.dephasing = _phase_damping_factors(DIMS, config.t_seq, config.t2e_a, config.t2e_b)
-
-    def initial_matrix(self) -> np.ndarray:
-        ket = np.kron(_prepared_qubits(self.config), basis_ket(DIMS[RAIL_DET] * DIMS[RAIL_LOAD], 0))
-        return np.outer(ket, ket.conj())
-
-    def emit_and_detect(self, mat: np.ndarray, first_round: bool):
-        """One round: emit, interfere, lose, detect.
-
-        Returns the unnormalized (click, no_click) branch matrices.
-        """
-        mat = apply_kraus_matrix(mat, [self.u_emit])
-        if first_round:
-            mat = apply_kraus_matrix(mat, [self.u_offset])
-        mat = apply_kraus_matrix(mat, [self.u_bs])
-        if self.loss:
-            mat = apply_loss(mat, DIMS, RAIL_DET, self.loss)
-        params = self.config.round1 if first_round else self.config.round2
-        return branch_matrices(mat, DIMS, RAIL_DET, params)
+        mat = apply_kraus_matrix(mat, [np.diag(_subsystem_diagonal(phase, DIMS, RAIL_DET))])
+    mat = apply_kraus_matrix(mat, [u_bs])
+    if config.eta_loss < 1.0:
+        mat = apply_loss(mat, DIMS, RAIL_DET, loss_kraus(N_MAX + 1, config.eta_loss))
+    return branch_matrices(mat, DIMS, RAIL_DET, config.round1 if first_round else config.round2)
 
 
 def _subsystem_diagonal(local: np.ndarray, dims, target: int) -> np.ndarray:
@@ -269,19 +261,20 @@ def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
     Branch states are the two-qubit conditional states after phase damping
     with the rails traced out; branch probabilities are exact.
     """
-    eng = _Engine(config)
-    click1, noclick1 = eng.emit_and_detect(eng.initial_matrix(), first_round=True)
+    u_pi = _unitaries()[2]
+    dephasing = _phase_damping_factors(DIMS, config.t_seq, config.t2e_a, config.t2e_b)
+    click1, noclick1 = _emit_and_detect(_initial_matrix(config), config, first_round=True)
 
     branches: dict[tuple[bool, bool], Branch] = {}
     for c1, mat1 in ((True, click1), (False, noclick1)):
-        mat1 = apply_kraus_matrix(mat1, [eng.u_pi])
-        click2, noclick2 = eng.emit_and_detect(mat1, first_round=False)
+        mat1 = apply_kraus_matrix(mat1, [u_pi])
+        click2, noclick2 = _emit_and_detect(mat1, config, first_round=False)
         for c2, mat2 in ((True, click2), (False, noclick2)):
             p = float(np.trace(mat2).real)
             if p <= EMPTY_BRANCH_TOL:
                 branches[(c1, c2)] = Branch(max(p, 0.0), None)
                 continue
-            for pair in eng.dephasing:
+            for pair in dephasing:
                 mat2 = _apply_diagonal_kraus(mat2, pair)
             reduced = qmath.partial_trace_matrix(mat2, DIMS, (QUBIT_A, QUBIT_B))
             branches[(c1, c2)] = Branch(p, DensityMatrix(reduced / p))
@@ -298,8 +291,7 @@ def round_one_click_weights(config: ProtocolConfig) -> dict[str, float]:
     Returned in the basis {|O+>, |ee>, |gg>, |O->} as keys
     ('odd_plus', 'ee', 'gg', 'odd_minus').
     """
-    eng = _Engine(config)
-    click, _ = eng.emit_and_detect(eng.initial_matrix(), first_round=True)
+    click, _ = _emit_and_detect(_initial_matrix(config), config, first_round=True)
     p = float(np.trace(click).real)
     if not p > EMPTY_BRANCH_TOL:
         raise ValidationError("round-1 click probability vanishes")
@@ -342,7 +334,13 @@ def success_rate(config: ProtocolConfig, p_click1: float, p_click2: float) -> Su
     Pass the model's click probabilities (`click_probabilities` of a
     propagated table, as the CLI does) or measured ones to reproduce
     quoted numbers.  The rate is p_success / t_rep in events per second.
+    A click probability that is NaN or lies outside [0, 1] by more than
+    `BRANCH_SUM_TOL` (the rounding a propagated table may carry) is a
+    ValidationError.
     """
+    for name, p in (("p_click1", p_click1), ("p_click2", p_click2)):
+        if not -BRANCH_SUM_TOL <= p <= 1.0 + BRANCH_SUM_TOL:
+            raise ValidationError(f"{name}={p!r} is not a probability in [0, 1]")
     p_success = config.p_init * p_click1 * p_click2
     rate = p_success / (config.t_rep * 1e-6)
     return SuccessRate(p_click1, p_click2, p_success, rate)

@@ -101,10 +101,30 @@ class TestCascade:
         assert np.all(np.diff(total) < 1e-10)
 
     def test_invalid_fock_rejected(self):
-        # -1 and 3 are the first values outside the exact space
-        for fock in (-1, 3, 5):
-            with pytest.raises(ValidationError, match=rf"^initial_fock {fock} is not one of"):
+        # -1 and 3 are the first values outside the exact space; a Fock state
+        # is an int, so a float, a bool or a numpy integer is rejected too
+        for fock in (-1, 3, 5, 1.0, 2.0, True, np.int64(1)):
+            match = rf"^initial_fock {re.escape(repr(fock))} is not one of"
+            with pytest.raises(ValidationError, match=match):
                 lindblad.simulate([(CascadedSystemParams(), fock)])
+
+    @pytest.mark.parametrize("kappa_d", [0.9, 1.5])
+    def test_undriven_cascade_matches_closed_form(self, kappa_d):
+        # with no drive the qubit stays in g, and one photon leaks from the
+        # emitter cavity into the detector cavity (Gardiner, PRL 70, 2269
+        # (1993); Carmichael, PRL 70, 2273 (1993))
+        pulse = GaussianPulse(start_time=115.0, amplitude=0.0)
+        params = CascadedSystemParams(kappa_d=kappa_d, pulse=pulse)
+        tr = lindblad.simulate([(params, 1)], 1500.0)[0]
+        ka, kd = params.kappa_a * MHZ_TO_RAD_NS, kappa_d * MHZ_TO_RAD_NS
+        t = tr.times
+        if ka == kd:
+            n_d = (ka * t) ** 2 * np.exp(-ka * t)
+        else:
+            n_d = 4.0 * ka * kd / (kd - ka) ** 2 * (np.exp(-ka * t / 2) - np.exp(-kd * t / 2)) ** 2
+        assert np.max(np.abs(tr.n_a - np.exp(-ka * t))) < 1e-9
+        assert np.max(np.abs(tr.n_d - n_d)) < 1e-9
+        assert np.all(tr.p_e == 0.0)
 
     def test_csv_columns(self, tmp_path, default_traces):
         path = tmp_path / "traces.csv"

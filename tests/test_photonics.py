@@ -21,7 +21,7 @@ from heraldsim.photonics import (
     emission_unitary,
     loss_kraus,
 )
-from heraldsim.protocol import ProtocolConfig, _Engine
+from heraldsim.protocol import _unitaries
 from heraldsim.qmath import ValidationError, apply_kraus_matrix, basis_ket, embed_operator
 
 
@@ -52,7 +52,7 @@ def number_op(dim):
 def u_emit():
     # the engine's emission on (qubit A, qubit B, detector rail, load rail);
     # qubit B emits into the detector rail
-    return _Engine(ProtocolConfig()).u_emit
+    return _unitaries()[0]
 
 
 def lose(mat, dims, rail, eta):

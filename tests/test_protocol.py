@@ -16,7 +16,8 @@ from heraldsim.protocol import (
     N_MAX,
     ProtocolConfig,
     RY_PI,
-    _Engine,
+    _emit_and_detect,
+    _initial_matrix,
     _unitaries,
     apply_phase_damping,
     click_probabilities,
@@ -74,13 +75,12 @@ def conjugate(u, mat):
 
 def ideal_entangled_matrix():
     """Joint state after both equatorial qubits emit, before the splitter."""
-    eng = _Engine(ideal_config())
-    return conjugate(eng.u_emit, eng.initial_matrix())
+    return conjugate(_unitaries()[0], _initial_matrix(ideal_config()))
 
 
 def ideal_interfered_matrix():
     """The same state after the engine's beam splitter."""
-    return conjugate(_Engine(ideal_config()).u_bs, ideal_entangled_matrix())
+    return conjugate(_unitaries()[1], ideal_entangled_matrix())
 
 
 def overlap(ket, mat):
@@ -222,12 +222,24 @@ class TestOperatorCache:
             with pytest.raises(ValueError):
                 op[0, 0] = 2.0
 
-    def test_configs_with_same_n_max_share_arrays(self):
-        a = _Engine(ProtocolConfig(theta_a=0.3, eta_loss=0.5))
-        b = _Engine(measured_config(phi_off=1.1))
-        for name in ("u_emit", "u_bs", "u_pi"):
-            assert getattr(a, name) is getattr(b, name)
-        assert all(x is y for x, y in zip((a.u_emit, a.u_bs, a.u_pi), _unitaries()))
+    def test_configs_with_same_n_max_share_arrays(self, monkeypatch):
+        u_emit, u_bs, u_pi = _unitaries()
+        applied = []
+
+        def spy_kraus(mat, ops):
+            applied.append(ops[0])
+            return qmath.apply_kraus_matrix(mat, ops)
+
+        monkeypatch.setattr(protocol, "apply_kraus_matrix", spy_kraus)
+        # round 1, then the pi pulse and round 2 after each round-1 branch
+        expected = [u_emit, u_bs] + [u_pi, u_emit, u_bs] * 2
+        for cfg in (ProtocolConfig(theta_a=0.3, eta_loss=0.5), measured_config(phi_off=1.1)):
+            applied.clear()
+            run_two_rounds(cfg)
+            offset = applied.pop(1)  # the config's own round-1 offset phase
+            assert not any(offset is u for u in _unitaries())
+            assert len(applied) == 8
+            assert all(op is u for op, u in zip(applied, expected))
 
 
 # rows/columns of the joint space whose rails hold more than N_MAX photons
@@ -400,8 +412,7 @@ class TestRunTwoRounds:
         # a missed detection never fakes the heralded state: with no dark
         # counts the round-1 no-click branch is orthogonal to |O+>
         cfg = ideal_config()
-        eng = _Engine(cfg)
-        _, noclick = eng.emit_and_detect(eng.initial_matrix(), first_round=True)
+        _, noclick = _emit_and_detect(_initial_matrix(cfg), cfg, first_round=True)
         p = np.trace(noclick).real
         reduced = partial_trace_matrix(noclick / p, DIMS, (0, 1))
         overlap = np.real(bell_odd_plus().conj() @ reduced @ bell_odd_plus())
@@ -566,6 +577,25 @@ class TestSuccessRate:
             round1=DetectorRoundParams(0.0, 0.0), round2=DetectorRoundParams(0.0, 1.0)
         )
         assert click_probabilities(run_two_rounds(cfg)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [2.0, -0.1, np.nan])
+    @pytest.mark.parametrize("name", ["p_click1", "p_click2"])
+    def test_impossible_click_probability_rejected(self, name, bad):
+        clicks = {"p_click1": 0.08, "p_click2": 0.09, name: bad}
+        with pytest.raises(ValidationError, match=rf"^{name}=.* is not a probability"):
+            success_rate(ProtocolConfig(), **clicks)
+
+    def test_always_click_rounds_run(self):
+        # p_click1 is 1 up to rounding: 1 + 6.7e-16 with OpenBLAS's SkylakeX
+        # kernel, which BRANCH_SUM_TOL admits
+        always = DetectorRoundParams(1.0, 1.0)
+        cfg = ProtocolConfig(
+            theta_a=2.2255631623858148, phi_a=4.795178278296689, theta_b=2.479202368378504,
+            phi_b=1.9337203484389907, phi_off=4.779835096476328, eta_loss=0.22532844187566514,
+            round1=always, round2=always,
+        )
+        p1, p2 = click_probabilities(run_two_rounds(cfg))
+        assert success_rate(cfg, p1, p2).p_success == cfg.p_init * p1 * p2
 
 
 class TestSweep:
