@@ -33,13 +33,18 @@ those of the full space.  `simulate` is the cascade's one entry, and
 `simulate` call: on Linux it integrates them in forked workers, one
 contiguous shard per CPU in the affinity mask, and joins the results in
 input order; with one shard it runs the same loop in-process.
+
+The trace and hermiticity budget on each final state is the integrators'
+only floating-point check: they run with numpy's floating-point errors
+ignored, so a run that overflows ends in a non-finite state and is an
+IntegrationError, whatever the caller's numpy error state and warning
+filters, in-process or in a worker.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from math import atan, ceil, isfinite, pi, sqrt
@@ -363,80 +368,74 @@ def _integrate_shard(systems, times_main) -> list[TimeTraces]:
     in a batch; raises the first error."""
     no_preroll = (np.empty(0), np.empty((len(_box(0)[-1]), 0)))
     results = []
-    for lo in range(0, len(systems), _BATCH):
-        members, focks, prerolls, failure = [], [], [], None
-        for params, fock in systems[lo:lo + _BATCH]:
-            detector, preroll = None, no_preroll
-            if params.pulse.start_time < 0.0:
-                # the drive is zero before the start, so leading steps leave the
-                # vacuum as is
-                times_pre = DT * np.arange(-_preroll_steps(params), 1)
-                out_pre, rho_mid = _integrate(0, [(params, _initial_state(0))], times_pre)
-                try:
-                    _check_budget(rho_mid[0])
-                except IntegrationError as exc:
-                    # members before this one still report their own failures first
-                    failure = exc
-                    break
-                # swap in the freshly released Fock state; the emitter factor is
-                # untouched vacuum up to here, so this is a tensor replacement
-                detector = partial_trace_matrix(rho_mid[0], DIMS, (1, 2))
-                preroll = (times_pre[:-1], out_pre[0][:, :-1])
-            prerolls.append(preroll)
-            members.append((params, _initial_state(fock, detector)))
-            focks.append(fock)
+    # an overflow or invalid operation leaves a non-finite entry in the final
+    # state, which _check_budget rejects in input order, so a numpy warning
+    # would only repeat that IntegrationError: the budget is the one check,
+    # whatever the caller's error state and warning filters
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(systems), _BATCH):
+            members, focks, prerolls, failure = [], [], [], None
+            for params, fock in systems[lo:lo + _BATCH]:
+                detector, preroll = None, no_preroll
+                if params.pulse.start_time < 0.0:
+                    # the drive is zero before the start, so leading steps leave the
+                    # vacuum as is
+                    times_pre = DT * np.arange(-_preroll_steps(params), 1)
+                    out_pre, rho_mid = _integrate(0, [(params, _initial_state(0))], times_pre)
+                    try:
+                        _check_budget(rho_mid[0])
+                    except IntegrationError as exc:
+                        # members before this one still report their own failures first
+                        failure = exc
+                        break
+                    # swap in the freshly released Fock state; the emitter factor is
+                    # untouched vacuum up to here, so this is a tensor replacement
+                    detector = partial_trace_matrix(rho_mid[0], DIMS, (1, 2))
+                    preroll = (times_pre[:-1], out_pre[0][:, :-1])
+                prerolls.append(preroll)
+                members.append((params, _initial_state(fock, detector)))
+                focks.append(fock)
 
-        # each Fock state's members in one call, so that a box never depends
-        # on batch-mates
-        mains = [None] * len(members)
-        for fock in dict.fromkeys(focks):
-            group = [b for b, f in enumerate(focks) if f == fock]
-            outs = _integrate(fock, [members[b] for b in group], times_main)
-            for b, out_main, rho_final in zip(group, *outs):
-                mains[b] = out_main, rho_final
-        for (params, _), (times_pre, out_pre), (out_main, rho_final) in zip(
-            members, prerolls, mains
-        ):
-            trace_error = _check_budget(rho_final)
-            times = np.concatenate([times_pre, times_main])
-            out = np.concatenate([out_pre, out_main], axis=1)
-            guard_max = float(out[3].max())
-            if not guard_max <= GUARD_TOL:
-                raise IntegrationError(
-                    f"detector-cavity guard level reached {guard_max:.2e} "
-                    f"(budget {GUARD_TOL:.0e}); the model no longer conserves n_A + n_D"
+            # each Fock state's members in one call, so that a box never depends
+            # on batch-mates
+            mains = [None] * len(members)
+            for fock in dict.fromkeys(focks):
+                group = [b for b, f in enumerate(focks) if f == fock]
+                outs = _integrate(fock, [members[b] for b in group], times_main)
+                for b, out_main, rho_final in zip(group, *outs):
+                    mains[b] = out_main, rho_final
+            for (params, _), (times_pre, out_pre), (out_main, rho_final) in zip(
+                members, prerolls, mains
+            ):
+                trace_error = _check_budget(rho_final)
+                times = np.concatenate([times_pre, times_main])
+                out = np.concatenate([out_pre, out_main], axis=1)
+                guard_max = float(out[3].max())
+                if not guard_max <= GUARD_TOL:
+                    raise IntegrationError(
+                        f"detector-cavity guard level reached {guard_max:.2e} "
+                        f"(budget {GUARD_TOL:.0e}); the model no longer conserves n_A + n_D"
+                    )
+                results.append(
+                    TimeTraces(
+                        times=times,
+                        n_a=out[0],
+                        n_d=out[1],
+                        p_e=out[2],
+                        pulse=params.pulse.rate_rad_ns(times),
+                        guard_max=guard_max,
+                        trace_error=trace_error,
+                    )
                 )
-            results.append(
-                TimeTraces(
-                    times=times,
-                    n_a=out[0],
-                    n_d=out[1],
-                    p_e=out[2],
-                    pulse=params.pulse.rate_rad_ns(times),
-                    guard_max=guard_max,
-                    trace_error=trace_error,
-                )
-            )
-        if failure is not None:
-            raise failure
+            if failure is not None:
+                raise failure
     return results
 
 
 def _forked_shard(systems, times_main):
-    """A worker's shard: its results or its error, and the warnings it recorded.
-
-    The error is returned, not raised, so that it travels home with the
-    warnings.  The worker inherits the caller's warning filters and numpy
-    error state with the fork, so a warning turned into an error fails the
-    shard here just as it would in-process.
-    """
-    results, error = None, None
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            results = _integrate_shard(systems, times_main)
-        except Exception as exc:
-            error = exc
-    return results, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    """A worker's entry: `_integrate_shard`, looked up by name when the worker
+    runs it, so that a test's unpicklable stand-in for it reaches the workers."""
+    return _integrate_shard(systems, times_main)
 
 
 def _usable_cpus() -> int:
@@ -447,9 +446,9 @@ def _usable_cpus() -> int:
 def _integrate_forked(systems, times_main, n_shards):
     """`_forked_shard` over n_shards contiguous shards, one forked worker each.
 
-    Re-emits the shards' warnings here in input order, up to the first
-    shard with an error, and raises that error; otherwise returns the
-    joined results.
+    Joins the shards' results in input order; reading the shards in that
+    order raises the first failing shard's error, and a dead worker is an
+    IntegrationError.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -466,20 +465,9 @@ def _integrate_forked(systems, times_main, n_shards):
             for lo, hi in zip(bounds, bounds[1:])
         ]
         try:
-            outcomes = [future.result() for future in futures]
+            return [trace for future in futures for trace in future.result()]
         except BrokenProcessPool as exc:
             raise IntegrationError(f"a worker process died during integration: {exc}") from exc
-    joined = []
-    # the worker applied the filters; this module's registry then shows a
-    # "default" warning once per location, as an in-process run does
-    registry = globals().setdefault("__warningregistry__", {})
-    for results, error, caught in outcomes:
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
-        if error is not None:
-            raise error
-        joined += results
-    return joined
 
 
 def window_steps(t_total: float) -> int:
@@ -519,7 +507,9 @@ def simulate(systems, t_total: float = T_TOTAL) -> list[TimeTraces]:
     (a float, a bool or a numpy integer is rejected, as for seeds) or a
     pulse its calibration cannot resolve, and MemoryError for a grid of
     more than 2^59 points.  IntegrationError when the trace or guard-level
-    budget is exceeded or a worker dies.
+    budget is exceeded, a run overflowing to a non-finite state included,
+    or a worker dies; no numpy floating-point warning or error leaves the
+    integration, and the caller's numpy error state is left as it was.
     """
     steps = window_steps(t_total)
     for params, fock in systems:
@@ -645,7 +635,8 @@ def sideband_rabi(
     0.5 ns; a grid of more than 2^59 half steps is a MemoryError
     (qmath.check_allocatable).  Raises IntegrationError when the final
     state leaves the trace or hermiticity budget (a drive too fast for the
-    step).
+    step), a run overflowing to a non-finite state included, with no numpy
+    floating-point warning or error on the way.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2:
@@ -679,10 +670,11 @@ def sideband_rabi(
     coeffs = np.zeros((1, 2 * n_steps + 1), dtype=complex)
     rho0 = np.zeros((1, 3, 3), dtype=complex)
     rho0[0, 0, 0] = 1.0
-    out, rho = _propagate(
-        rho0, h0[None], np.zeros_like(h0), c_op[None], coeffs, dt, np.eye(3), np.arange(3)
-    )
-    _check_budget(rho[0])
+    with np.errstate(all="ignore"):  # the budget is the one check, as in _integrate_shard
+        out, rho = _propagate(
+            rho0, h0[None], np.zeros_like(h0), c_op[None], coeffs, dt, np.eye(3), np.arange(3)
+        )
+        _check_budget(rho[0])
     p_f0, p_e1, p_e0 = out[0, 0, ::sub], out[0, 1, ::sub], out[0, 2, ::sub]
     return SidebandTraces(
         times=times,
