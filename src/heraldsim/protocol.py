@@ -124,11 +124,26 @@ class Branch:
 class OutcomeTable:
     """The four (round1, round2) in {click, no_click}^2 branches.
 
-    Keys are (click1, click2) booleans; probabilities sum to one within
-    1e-9.  Zero-probability branches carry state None.
+    Keys are exactly the four (click1, click2) boolean pairs.  Each
+    probability is finite and in [0, 1 + BRANCH_SUM_TOL], and they sum to
+    one within `BRANCH_SUM_TOL`; anything else, NaN included, is a
+    ValidationError.  Zero-probability branches carry state None.
     """
 
     branches: dict[tuple[bool, bool], Branch]
+
+    def __post_init__(self):
+        if set(self.branches) != {(c1, c2) for c1 in (True, False) for c2 in (True, False)}:
+            raise ValidationError("an outcome table has exactly the four (click1, click2) branches")
+        for key, branch in self.branches.items():
+            # written so that NaN fails
+            if not 0.0 <= branch.probability <= 1.0 + BRANCH_SUM_TOL:
+                raise ValidationError(
+                    f"branch {key} probability {branch.probability!r} is not in [0, 1]"
+                )
+        total = sum(b.probability for b in self.branches.values())
+        if not abs(total - 1.0) <= BRANCH_SUM_TOL:
+            raise ValidationError(f"branch probabilities sum to {total}, not 1")
 
     def probability(self, click1: bool, click2: bool) -> float:
         return self.branches[(click1, click2)].probability
@@ -278,10 +293,6 @@ def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
                 mat2 = _apply_diagonal_kraus(mat2, pair)
             reduced = qmath.partial_trace_matrix(mat2, DIMS, (QUBIT_A, QUBIT_B))
             branches[(c1, c2)] = Branch(p, DensityMatrix(reduced / p))
-
-    total = sum(b.probability for b in branches.values())
-    if not abs(total - 1.0) <= BRANCH_SUM_TOL:
-        raise ValidationError(f"branch probabilities sum to {total}, not 1")
     return OutcomeTable(branches)
 
 

@@ -16,6 +16,13 @@ are drawn in fixed row chunks (`_CHUNK`) from that one stream, which
 yields the same doubles as a single draw, so a run holds its output
 columns plus one chunk of working arrays, whatever the shot count.
 
+A chunk is a few whole-array steps.  The first uniform sets the
+initialization flag.  The second picks the branch: the count of
+cumulative branch probabilities at or below it, taken as three int8
+comparisons (`_edges_at_or_below`).  The clicks are read off the branch
+index.  The third uniform picks the outcome the same way, against the
+cumulative outcome probabilities of the shot's (branch, setting) cell.
+
 Shots are stored column-wise (`Shots`): one numpy array per recorded
 quantity, shot i in row i, so sampling, aggregation and the CSV writer
 never build per-shot Python objects.  The columns are bool and int8,
@@ -44,8 +51,30 @@ BRANCH_ORDER = ((True, True), (True, False), (False, True), (False, False))
 # rows per chunk, both for drawing shots and for writing the CSV
 _CHUNK = 1 << 16
 
-# (click1, click2) of each branch index
-_BRANCH_CLICKS = np.array(BRANCH_ORDER)
+# settings 0-8 repeated, long enough that a chunk's round-robin run starting
+# at any setting is one slice of it
+_SETTING_CYCLE = np.tile(np.arange(9, dtype=np.int8), _CHUNK // 9 + 2)
+_SETTING_CYCLE.setflags(write=False)
+
+
+def _edges_at_or_below(u: np.ndarray, edges: np.ndarray, cell=None) -> np.ndarray:
+    """How many `edges` lie at or below each u, capped at 3, as int8:
+    `np.minimum(np.searchsorted(edges, u, side="right"), 3)`.
+
+    edges is (4,), or (4, cells) with `cell` picking each u's column.  They
+    must ascend, and a NaN edge counts as above every u, as searchsorted
+    sorts NaN last.  Only the first three edges can change a capped count,
+    so they are compared one row at a time (with `cell`, each row gathered
+    on its own) and no (len(u), 4) array is built.
+    """
+
+    def edge(k):
+        return edges[k] if cell is None else edges[k][cell]
+
+    count = (u >= edge(0)).view(np.int8)
+    count += u >= edge(1)
+    count += u >= edge(2)
+    return count
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,20 +175,20 @@ def sample_shots(
         raise ValidationError("p_init outside [0, 1]")
     check_seed(seed, "seed")
 
-    branch_probs = np.array([table.probability(*b) for b in BRANCH_ORDER])
-    branch_cum = np.cumsum(branch_probs)
-    branch_cum[-1] = 1.0
+    # the three edges read ascend, as OutcomeTable admits no negative probability
+    branch_edges = np.cumsum([table.probability(*b) for b in BRANCH_ORDER])
+    branch_edges[-1] = 1.0
 
-    # (branch, setting) -> outcome distribution through the readout model
-    outcome_cum = np.zeros((4, 9, 4))
+    # cumulative outcome distribution of each (branch, setting) through the
+    # readout model, NaN for an empty branch; outcome_edges holds one column
+    # per cell = branch * 9 + setting
+    outcome_cum = np.full((4, 9, 4), np.nan)
     for bi, key in enumerate(BRANCH_ORDER):
         state = table.state(*key)
-        if state is None:
-            outcome_cum[bi] = np.nan
-            continue
-        probs = outcome_probabilities(state, assignment)
-        outcome_cum[bi] = np.cumsum(probs, axis=1)
-        outcome_cum[bi, :, -1] = 1.0
+        if state is not None:
+            outcome_cum[bi] = np.cumsum(outcome_probabilities(state, assignment), axis=1)
+            outcome_cum[bi, :, -1] = 1.0
+    outcome_edges = np.ascontiguousarray(outcome_cum.reshape(36, 4).T)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     init_ok = np.empty(n, dtype=bool)
@@ -167,27 +196,27 @@ def sample_shots(
     click2 = np.empty(n, dtype=bool)
     setting_idx = np.full(n, -1, dtype=np.int8)
     outcome_idx = np.full(n, -1, dtype=np.int8)
+    draws = np.empty((min(n, _CHUNK), 3))
     n_init = 0
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        u = rng.random((hi - lo, 3))
+        u = rng.random(out=draws[: hi - lo])
 
-        ok = u[:, 0] < p_init
-        branch_idx = np.searchsorted(branch_cum, u[:, 1], side="right")
-        branch_idx = np.minimum(branch_idx, 3)
+        ok = np.less(u[:, 0], p_init, out=init_ok[lo:hi])
+        # (a contiguous copy of the column compares faster than the column)
+        branch = _edges_at_or_below(u[:, 1].copy(), branch_edges)
+        # BRANCH_ORDER: round 1 clicks in branches 0 and 1, round 2 in 0 and 2
+        np.logical_and(ok, branch < 2, out=click1[lo:hi])
+        np.logical_and(ok, (branch & 1) == 0, out=click2[lo:hi])
 
         # round-robin settings over initialized shots, counted across chunks
         which = np.flatnonzero(ok)
-        settings = (n_init + np.arange(which.size)) % 9
+        settings = _SETTING_CYCLE[n_init % 9 :][: which.size]
         n_init += which.size
-        cums = outcome_cum[branch_idx[which], settings]
-        setting_idx[lo + which] = settings
-        outcome_idx[lo + which] = np.minimum((u[which, 2, None] >= cums).sum(axis=1), 3)
-
-        clicks = _BRANCH_CLICKS[branch_idx] & ok[:, None]
-        init_ok[lo:hi] = ok
-        click1[lo:hi] = clicks[:, 0]
-        click2[lo:hi] = clicks[:, 1]
+        setting_idx[lo:hi][which] = settings
+        # int8 arithmetic, then one cast to the index type of the three gathers
+        cell = (branch[which] * 9 + settings).astype(np.intp)
+        outcome_idx[lo:hi][which] = _edges_at_or_below(u[:, 2][which], outcome_edges, cell)
 
     return Shots(init_ok, click1, click2, setting_idx, outcome_idx)
 

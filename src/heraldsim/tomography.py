@@ -65,6 +65,11 @@ def setting_rotation(axis_a: str, axis_b: str) -> np.ndarray:
     return np.kron(_ROT[axis_a], _ROT[axis_b])
 
 
+# the nine pre-rotations in SETTING_AXES order, read-only
+_SETTING_ROTATIONS = np.array([setting_rotation(*axes) for axes in SETTING_AXES])
+_SETTING_ROTATIONS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class AssignmentMatrix:
     """Column-stochastic readout assignment matrix in BASIS_ORDER.
@@ -189,14 +194,15 @@ def imperfect_projectors(a: AssignmentMatrix) -> list[np.ndarray]:
 
 
 def outcome_probabilities(rho: DensityMatrix, a: AssignmentMatrix) -> np.ndarray:
-    """Exact (9, 4) outcome probabilities P[k, j] = Tr(Pi_j R_k rho R_k^dag)."""
-    projectors = imperfect_projectors(a)
-    probs = np.empty((9, 4))
-    for k, (ax_a, ax_b) in enumerate(SETTING_AXES):
-        r = setting_rotation(ax_a, ax_b)
-        rotated = r @ rho.matrix @ r.conj().T
-        for j, pi in enumerate(projectors):
-            probs[k, j] = float(np.trace(pi @ rotated).real)
+    """Exact (9, 4) outcome probabilities P[k, j] = Tr(Pi_j R_k rho R_k^dag).
+
+    One stacked product per step: each 4x4 slice is the same matrix
+    product, and each trace the same four-term sum, as for one setting.
+    """
+    projectors = np.array(imperfect_projectors(a))
+    r = _SETTING_ROTATIONS
+    rotated = r @ rho.matrix @ r.conj().transpose(0, 2, 1)
+    probs = np.trace(projectors @ rotated[:, None], axis1=-2, axis2=-1).real
     # guard against -1e-17 style rounding before sampling
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum(axis=1, keepdims=True)

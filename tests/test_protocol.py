@@ -14,6 +14,8 @@ from heraldsim.photonics import beam_splitter_unitary, emission_unitary
 from heraldsim.protocol import (
     DIMS,
     N_MAX,
+    Branch,
+    OutcomeTable,
     ProtocolConfig,
     RY_PI,
     _emit_and_detect,
@@ -387,6 +389,40 @@ class TestRunTwoRounds:
             run_two_rounds(ProtocolConfig())
         assert cli.main(["protocol", "--analytic"]) == cli.EXIT_NUMERICAL == 3
         assert "numerical error: branch probabilities sum to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "probabilities, message",
+        [
+            ((0.5, -0.3, 0.8, 0.0), r"^branch \(True, False\) probability -0\.3 is not in \[0, 1\]$"),
+            ((np.nan, 0.5, 0.5, 0.0), r"^branch \(True, True\) probability nan is not in \[0, 1\]$"),
+            ((0.5, np.inf, 0.0, 0.0), r"probability inf is not in"),
+            ((1.0 + 2e-9, 0.0, 0.0, 0.0), r"probability 1\.000000002 is not in"),
+            ((0.5, 0.5, 0.5, 0.0), r"^branch probabilities sum to 1\.5, not 1$"),
+            ((0.5, 0.25, 0.125, 0.0), r"^branch probabilities sum to 0\.875, not 1$"),
+        ],
+        ids=["negative", "nan", "inf", "above-one", "sum-above", "sum-below"],
+    )
+    def test_outcome_table_checks_its_distribution(self, probabilities, message):
+        # a hand-built table is checked as run_two_rounds' output is
+        keys = ((True, True), (True, False), (False, True), (False, False))
+        branches = {k: Branch(p, None) for k, p in zip(keys, probabilities)}
+        with pytest.raises(ValidationError, match=message):
+            OutcomeTable(branches)
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["three-keys", "five-keys"])
+    def test_outcome_table_has_the_four_branches(self, extra):
+        branches = {(True, True): Branch(1.0, None), (True, False): Branch(0.0, None),
+                    (False, True): Branch(0.0, None)}
+        if extra:
+            branches.update({(False, False): Branch(0.0, None), (True, None): Branch(0.0, None)})
+        with pytest.raises(ValidationError, match="exactly the four"):
+            OutcomeTable(branches)
+
+    def test_outcome_table_admits_rounding_within_budget(self):
+        # what a propagated table may carry
+        branches = {(True, True): Branch(1.0 + 5e-10, None), (True, False): Branch(0.0, None),
+                    (False, True): Branch(0.0, None), (False, False): Branch(0.0, None)}
+        assert OutcomeTable(branches).probability(True, True) == 1.0 + 5e-10
 
     def test_alice_in_ground_gives_separable_eg(self):
         table = run_two_rounds(ideal_config(theta_a=0.0))

@@ -14,6 +14,7 @@ from heraldsim.qmath import PAULI_LABELS, ValidationError, pauli_decompose
 from heraldsim.sampler import (
     BRANCH_ORDER,
     Shots,
+    _edges_at_or_below,
     aggregate,
     sample_shots,
     write_shots_csv,
@@ -32,6 +33,8 @@ from heraldsim.tomography import (
 
 
 IDENTITY = AssignmentMatrix.identity()
+
+ALL_CLICK = dict(round1=DetectorRoundParams(1.0, 1.0), round2=DetectorRoundParams(1.0, 1.0))
 
 
 def ideal_config(**overrides):
@@ -143,11 +146,22 @@ class TestSampleShots:
         shots = sample_shots(run_two_rounds(ProtocolConfig()), 0.57, 50, 1, IDENTITY)
         assert [col.dtype for col in columns(shots)] == [bool] * 3 + [np.int8] * 2
 
-    @pytest.mark.parametrize("p_init", [0.57, 1.0])
-    def test_chunked_draw_matches_single_draw(self, p_init):
+    @pytest.mark.parametrize(
+        "p_init, rounds",
+        [
+            pytest.param(0.57, {}, id="0.57"),
+            pytest.param(1.0, {}, id="1.0"),
+            pytest.param(0.0, {}, id="0.0"),
+            # every round clicks: three branches are empty, with no state
+            # and NaN outcome edges
+            pytest.param(0.57, ALL_CLICK, id="all-click-0.57"),
+            pytest.param(1.0, ALL_CLICK, id="all-click-1.0"),
+        ],
+    )
+    def test_chunked_draw_matches_single_draw(self, p_init, rounds):
         # chunk sizes are 1 << 16: one row short of, exactly at and one row
         # past a chunk, and three chunks
-        cfg = ProtocolConfig(p_init=p_init)
+        cfg = ProtocolConfig(p_init=p_init, **rounds)
         table = run_two_rounds(cfg)
         a = reference_assignment()
         for n in (1, 65535, 65536, 65537, 150001):
@@ -224,6 +238,73 @@ class TestSampleShots:
         chi2 = float(np.sum((observed - expected) ** 2 / expected))
         # goodness of fit not rejected at alpha = 0.001 (3 dof)
         assert chi2 < stats.chi2.isf(0.001, df=3)
+
+
+def searchsorted_count(edges, u):
+    """The branch index the chunked sampler's comparison count replaced."""
+    return np.minimum(np.searchsorted(edges, u, side="right"), 3)
+
+
+def probe_points(edges, seed):
+    """u on, just below and just above every finite edge, near 0 and 1, and
+    at random, all inside [0, 1) as drawn uniforms are."""
+    finite = edges[np.isfinite(edges)]
+    u = np.concatenate([
+        finite, np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf),
+        [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-52, np.nextafter(1.0, 0.0)],
+        np.random.default_rng(seed).random(1000),
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestEdgeCount:
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [0.3, 0.55, 0.8, 1.0],
+            # repeated edges: a zero-probability branch in each place
+            [0.0, 0.4, 0.7, 1.0],
+            [0.2, 0.2, 0.7, 1.0],
+            [0.2, 0.6, 0.6, 1.0],
+            [0.5, 1.0, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0],
+            [0.0, 0.0, 0.0, 1.0],
+            # an empty branch's outcome edges
+            [np.nan] * 4,
+        ],
+        ids=["distinct", "zero-first", "zero-second", "zero-third", "zero-last-two",
+             "one-branch", "only-last", "nan"],
+    )
+    def test_matches_searchsorted(self, edges):
+        edges = np.array(edges)
+        u = probe_points(edges, 3)
+        count = _edges_at_or_below(u, edges)
+        assert count.dtype == np.int8
+        assert np.array_equal(count, searchsorted_count(edges, u))
+
+    def test_default_table_edges(self):
+        table = run_two_rounds(ProtocolConfig())
+        edges = np.cumsum([table.probability(*b) for b in BRANCH_ORDER])
+        edges[-1] = 1.0
+        u = probe_points(edges, 4)
+        assert np.array_equal(_edges_at_or_below(u, edges), searchsorted_count(edges, u))
+
+    def test_cell_columns_match_searchsorted(self):
+        # one column per cell, with repeated edges and NaN cells of an empty
+        # branch; each u is counted against the column its cell picks
+        rng = np.random.default_rng(5)
+        columns = np.cumsum(rng.dirichlet(np.ones(4), size=12), axis=1)
+        columns[:, -1] = 1.0
+        columns[3] = [0.25, 0.25, 0.6, 1.0]
+        columns[7:10] = np.nan
+        probes = [probe_points(col, c) for c, col in enumerate(columns)]
+        cell = rng.permutation(np.repeat(np.arange(12), [p.size for p in probes]))
+        u = np.empty(cell.size)
+        for c, p in enumerate(probes):
+            u[cell == c] = p
+        expected = [searchsorted_count(columns[c], x) for c, x in zip(cell, u)]
+        edges = np.ascontiguousarray(columns.T)
+        assert np.array_equal(_edges_at_or_below(u, edges, cell), expected)
 
 
 class TestAggregate:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from heraldsim.protocol import ProtocolConfig, run_two_rounds
 from heraldsim.qmath import (
     DensityMatrix,
     PAULI_LABELS,
@@ -101,6 +102,38 @@ class TestSimulateCounts:
             for j, pi in enumerate(projs):
                 direct = np.trace(pi @ rotated).real
                 assert abs(probs[k, j] - direct) < 1e-12
+
+    @pytest.mark.parametrize("matrix", ["identity", "reference", "random"])
+    def test_stacked_probabilities_match_setting_loop(self, matrix):
+        # the per-setting loop the stacked products replaced, as oracle
+        def loop_outcome_probabilities(rho, a):
+            projectors = imperfect_projectors(a)
+            probs = np.empty((9, 4))
+            for k, (ax_a, ax_b) in enumerate(SETTING_AXES):
+                r = setting_rotation(ax_a, ax_b)
+                rotated = r @ rho.matrix @ r.conj().T
+                for j, pi in enumerate(projectors):
+                    probs[k, j] = float(np.trace(pi @ rotated).real)
+            probs = np.clip(probs, 0.0, None)
+            return probs / probs.sum(axis=1, keepdims=True)
+
+        rng = np.random.default_rng(8)
+        stochastic = rng.random((4, 4)) + 0.05
+        a = {
+            "identity": AssignmentMatrix.identity(),
+            "reference": reference_assignment(),
+            "random": AssignmentMatrix(stochastic / stochastic.sum(axis=0)),
+        }[matrix]
+        states = [random_two_qubit_state(seed) for seed in range(20, 26)]
+        states += [DensityMatrix.from_ket(two_qubit_ket(s)) for s in ("gg", "ee")]
+        states.append(DensityMatrix.from_ket(bell_odd_plus()))
+        for cfg in (ProtocolConfig(), ProtocolConfig(theta_a=0.3, phi_b=1.2, eta_loss=0.6)):
+            table = run_two_rounds(cfg)
+            states += [b.state for b in table.branches.values() if b.state is not None]
+        for rho in states:
+            assert np.array_equal(
+                outcome_probabilities(rho, a), loop_outcome_probabilities(rho, a)
+            )
 
     def test_reference_assignment_gg_distribution(self):
         rho = DensityMatrix.from_ket(two_qubit_ket("gg"))
