@@ -37,25 +37,47 @@ class DetectorRoundParams:
                 raise ValidationError(f"{name}={v} outside [0, 1]")
 
 
-def branch_matrices(
-    mat: np.ndarray, dims, rail: int, params: DetectorRoundParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized (click, no_click) branches of a bare joint matrix.
+def branch_levels(levels: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
+    """Level-0 blocks of the unnormalized (click, no_click) branches of a stack.
 
-    Each branch is sum_k w_k M_k rho M_k^dag on `rail` with the click
-    weights (p_dark, p_real, p_real, ...) or their complements.  M_k = |0><k|
-    moves the rail's (k, k) block onto (0, 0), so the sum is taken by
-    indexing `qmath.subsystem_blocks` rather than by embedded matrix products.
+    `levels[s, ..., k]` is the (k, k) block of the measured rail in slice s
+    (the level axis last), and `params[s]` is that slice's
+    `DetectorRoundParams`.  M_k = |0><k| moves the (k, k) block onto
+    (0, 0), so each branch's level-0 block is sum_k w_k levels[..., k] with
+    the click weights (p_dark, p_real, p_real, ...) or their complements,
+    added in ascending k onto zeros; every other block of a branch is zero.
+    A zero weight adds an exact zero and changes no bit.  Both rounds of
+    the protocol engine detect through this one function.
     """
-    blocks = subsystem_blocks(mat, dims, rail)
-    w_click = [params.p_dark] + [params.p_real] * (dims[rail] - 1)
+    d = levels.shape[-1]
+    w_click = np.array([[p.p_dark] + [p.p_real] * (d - 1) for p in params])
+    shape = (len(params),) + (1,) * (levels.ndim - 2)
     branches = []
-    for weights in (w_click, [1.0 - w for w in w_click]):
+    for weights in (w_click, 1.0 - w_click):
+        out = np.zeros(levels.shape[:-1], dtype=levels.dtype)
+        for k in range(d):
+            out += weights[:, k].reshape(shape) * levels[..., k]
+        branches.append(out)
+    return branches[0], branches[1]
+
+
+def branch_matrices(
+    mats: np.ndarray, dims, rail: int, params
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized (click, no_click) branches of a stack of bare joint matrices.
+
+    `mats` has shape (S, n, n) and `params` holds one `DetectorRoundParams`
+    per slice.  Each branch is sum_k w_k M_k rho M_k^dag on `rail`, taken
+    by `branch_levels` on the (k, k) blocks of `qmath.subsystem_blocks`
+    rather than by embedded matrix products.
+    """
+    blocks = subsystem_blocks(mats, dims, rail)
+    levels = np.diagonal(blocks, axis1=-5, axis2=-2)
+    branches = []
+    for level0 in branch_levels(levels, params):
         out = np.zeros_like(blocks)
-        for k, w in enumerate(weights):
-            if w != 0.0:
-                out[:, 0, :, :, 0, :] += w * blocks[:, k, :, :, k, :]
-        branches.append(out.reshape(mat.shape))
+        out[..., 0, :, :, 0, :] = level0
+        branches.append(out.reshape(mats.shape))
     return branches[0], branches[1]
 
 

@@ -44,6 +44,7 @@ filters, in-process or in a worker.
 from __future__ import annotations
 
 import os
+import signal
 import sys
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -443,23 +444,45 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
+_PR_SET_PDEATHSIG = 1  # prctl option: signal me when my parent thread exits
+
+
+def _exit_with_parent(parent_pid: int, libc) -> None:
+    """A forked worker's initializer: a SIGTERM when the parent dies.
+
+    `libc` is the C library, loaded by the parent before the fork.  The
+    parent may die between the fork and the prctl call; the worker then
+    has another parent already, and exits at once.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    libc.prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    if os.getppid() != parent_pid:
+        os._exit(1)
+
+
 def _integrate_forked(systems, times_main, n_shards):
     """`_forked_shard` over n_shards contiguous shards, one forked worker each.
 
     Joins the shards' results in input order; reading the shards in that
     order raises the first failing shard's error, and a dead worker is an
-    IntegrationError.
+    IntegrationError.  A worker exits with this process, even when it is
+    killed (`_exit_with_parent`).
     """
+    import ctypes
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     bounds = [len(systems) * k // n_shards for k in range(n_shards + 1)]
     # fork, not spawn: a spawned worker imports numpy afresh, about 0.3 s per
-    # CLI run; a forked one starts with this process's modules and state
+    # CLI run; a forked one starts with this process's modules and state.
+    # The workers are forked by this thread, the one their death signal watches.
     context = multiprocessing.get_context("fork")
     # leaving the block joins every worker, whatever happened in it
-    with ProcessPoolExecutor(n_shards, mp_context=context) as pool:
+    with ProcessPoolExecutor(
+        n_shards, mp_context=context, initializer=_exit_with_parent,
+        initargs=(os.getpid(), ctypes.CDLL(None)),
+    ) as pool:
         futures = [
             pool.submit(_forked_shard, systems[lo:hi], times_main)
             for lo, hi in zip(bounds, bounds[1:])

@@ -128,22 +128,45 @@ def loss_kraus(d: int, eta: float) -> list[np.ndarray]:
     return ops
 
 
-def apply_loss(mat: np.ndarray, dims, rail: int, ops) -> np.ndarray:
-    """sum_k K_k mat K_k^dag on `rail` for the `loss_kraus` operators `ops`.
+def apply_loss(mats: np.ndarray, dims, rail: int, ops) -> np.ndarray:
+    """sum_k K_k mat K_k^dag on `rail` for each matrix of a stack.
 
-    K_k moves level n to n - k with the weight c_n on its k-th
+    `mats` has shape (S, n, n) and `ops[s]` is slice s's `loss_kraus`
+    list.  K_k moves level n to n - k with the weight c_n on its k-th
     superdiagonal, so each term is one slice update of the
     `qmath.subsystem_blocks` view, taken in ascending k as
     (c_n x) conj(c_m).  That is the order and rounding of
     `qmath.apply_kraus_matrix` over the embedded operators, whose result
     this equals bit for bit.
     """
-    blocks = subsystem_blocks(mat, dims, rail)
+    blocks = subsystem_blocks(mats, dims, rail)
     out = np.zeros_like(blocks)
     d = dims[rail]
-    for k, op in enumerate(ops):
-        c = np.diagonal(op, k)
-        out[:, :d - k, :, :, :d - k, :] += (
-            c[:, None, None, None, None] * blocks[:, k:, :, :, k:, :]
-        ) * np.conj(c)[:, None]
-    return out.reshape(mat.shape)
+    for k, c in enumerate(_superdiagonals(ops)):
+        out[..., :d - k, :, :, :d - k, :] += (
+            c[:, None, :, None, None, None, None] * blocks[..., k:, :, :, k:, :]
+        ) * np.conj(c)[:, None, None, None, None, :, None]
+    return out.reshape(mats.shape)
+
+
+def apply_loss_diagonal(levels: np.ndarray, ops) -> np.ndarray:
+    """The rail-diagonal entries of `apply_loss`'s output, from those of its input.
+
+    `levels[s, ..., n]` is an entry of slice s in the rail's (n, n) block
+    (the level axis last).  Loss maps the (n, n) block onto (n - k, n - k)
+    and nothing else onto it, so these entries need no others; each gets
+    `apply_loss`'s arithmetic in its order, (c_n x) conj(c_n) added in
+    ascending k, and equals the matching entry of `apply_loss` bit for bit.
+    """
+    out = np.zeros_like(levels)
+    d = levels.shape[-1]
+    shape = (len(ops),) + (1,) * (levels.ndim - 2) + (-1,)
+    for k, c in enumerate(_superdiagonals(ops)):
+        c = c.reshape(shape)
+        out[..., :d - k] += (c * levels[..., k:]) * np.conj(c)
+    return out
+
+
+def _superdiagonals(ops) -> list[np.ndarray]:
+    """c_k[s] = the k-th superdiagonal of K_k in `ops[s]`, stacked over s."""
+    return [np.stack([np.diagonal(kraus[k], k) for kraus in ops]) for k in range(len(ops[0]))]

@@ -25,6 +25,14 @@ channel on the detector rail per round, after the splitter.
 A draining sequence per run: prepare -> entangle -> splitter -> loss ->
 detect -> pi pulses -> entangle -> splitter -> loss -> detect -> phase
 damping (full sequence duration, applied once) -> trace rails.
+
+One engine, `_run_stack`, runs that sequence for a stack of configs:
+`run_two_rounds` is a stack of one, and `sweep_preparation` hands over
+`_STACK` points at a time.  Each config gets the bits of the dense
+one-config-at-a-time sequence, which the tests keep as an oracle:
+emission and the pi pulses are signed permutations applied by indexing,
+and round 2 goes on after its splitter with only the rail-diagonal
+entries that the final trace reads (`_run_stack` says why that is exact).
 """
 
 from __future__ import annotations
@@ -34,9 +42,15 @@ from functools import cache
 
 import numpy as np
 
-from . import qmath
-from .detector import DetectorRoundParams, branch_matrices
-from .photonics import apply_loss, beam_splitter_unitary, emission_unitary, loss_kraus
+from . import detector, qmath
+from .detector import DetectorRoundParams
+from .photonics import (
+    apply_loss,
+    apply_loss_diagonal,
+    beam_splitter_unitary,
+    emission_unitary,
+    loss_kraus,
+)
 from .qmath import (
     DensityMatrix,
     PauliVector,
@@ -56,6 +70,8 @@ DIMS = (2, 2, N_MAX + 1, N_MAX + 1)
 
 BRANCH_SUM_TOL = 1e-9  # budget of |sum of the branch probabilities - 1|
 EMPTY_BRANCH_TOL = 1e-14  # a branch of this probability or less has no state
+
+_STACK = 32  # configs per pass of the stacked engine; a 25-point sweep is one
 
 # R_y(pi) with the pinned sense |g> -> |e>, |e> -> -|g>.
 RY_PI = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
@@ -127,7 +143,9 @@ class OutcomeTable:
     Keys are exactly the four (click1, click2) boolean pairs.  Each
     probability is finite and in [0, 1 + BRANCH_SUM_TOL], and they sum to
     one within `BRANCH_SUM_TOL`; anything else, NaN included, is a
-    ValidationError.  Zero-probability branches carry state None.
+    ValidationError.  A branch of probability at most `EMPTY_BRANCH_TOL`
+    may carry state None; any other branch without a state is a
+    ValidationError, since a sampler could not draw its outcomes.
     """
 
     branches: dict[tuple[bool, bool], Branch]
@@ -144,6 +162,11 @@ class OutcomeTable:
         total = sum(b.probability for b in self.branches.values())
         if not abs(total - 1.0) <= BRANCH_SUM_TOL:
             raise ValidationError(f"branch probabilities sum to {total}, not 1")
+        for key, branch in self.branches.items():
+            if branch.state is None and branch.probability > EMPTY_BRANCH_TOL:
+                raise ValidationError(
+                    f"branch {key} probability {branch.probability!r} has no state"
+                )
 
     def probability(self, click1: bool, click2: bool) -> float:
         return self.branches[(click1, click2)].probability
@@ -184,36 +207,142 @@ def _unitaries() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ops
 
 
-def _initial_matrix(config: ProtocolConfig) -> np.ndarray:
-    """Both preparations with empty rails, as a full-space density matrix."""
-    ket = np.kron(_prepared_qubits(config), basis_ket(DIMS[RAIL_DET] * DIMS[RAIL_LOAD], 0))
-    return np.outer(ket, ket.conj())
+@cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the stacked engine, read-only, derived once per
+    process, on first use, from `_unitaries()`.
 
-
-def _emit_and_detect(mat: np.ndarray, config: ProtocolConfig, first_round: bool):
-    """One round on a bare matrix: emit, offset phase (round 1 only),
-    interfere, lose, detect; returns the unnormalized (click, no_click)
-    branch matrices.
-
-    The emission and splitter unitaries (and `run_two_rounds`'s pi pulse)
-    come from the process-wide cache; they and the offset phase, built
-    with `np.diag` from its 36-entry diagonal, are dense matrices applied
-    as products by `apply_kraus_matrix`.  The loss Kraus operators (only
-    when eta_loss < 1) stay 3 x 3 and are applied on the detector rail's
-    blocks by `apply_loss`, as `branch_matrices` applies detection.  The
-    dephasing Kraus operators that `run_two_rounds` applies after round 2
-    are real and diagonal, so they are kept as 36-entry factor vectors and
-    applied entrywise by `_apply_diagonal_kraus`.
+    (emit, round2, round2_sign, tail): the emission's row permutation (its
+    entries are all +1); the flat source index and sign of each entry of a
+    36 x 36 matrix under the round-2 pi pulses followed by emission; the
+    flat indices of the rail-diagonal entries (q, q', l, d) that round 2
+    keeps after its splitter, q the qubit pair.
     """
-    u_emit, u_bs, _ = _unitaries()
-    mat = apply_kraus_matrix(mat, [u_emit])
-    if first_round:
-        phase = np.exp(1j * config.phi_off * np.arange(N_MAX + 1))
-        mat = apply_kraus_matrix(mat, [np.diag(_subsystem_diagonal(phase, DIMS, RAIL_DET))])
-    mat = apply_kraus_matrix(mat, [u_bs])
-    if config.eta_loss < 1.0:
-        mat = apply_loss(mat, DIMS, RAIL_DET, loss_kraus(N_MAX + 1, config.eta_loss))
-    return branch_matrices(mat, DIMS, RAIL_DET, config.round1 if first_round else config.round2)
+    u_emit, _, u_pi = _unitaries()
+    composite = u_emit @ u_pi
+    n = len(composite)
+    perm = np.nonzero(composite)[1]
+    sign = composite[np.arange(n), perm].real
+    n_rails = DIMS[RAIL_DET] * DIMS[RAIL_LOAD]
+    q, q_col, l, d = np.indices((n // n_rails, n // n_rails, DIMS[RAIL_LOAD], DIMS[RAIL_DET]))
+    rails = d * DIMS[RAIL_LOAD] + l
+    tables = (
+        np.nonzero(u_emit)[1],
+        (perm[:, None] * n + perm[None, :]).ravel(),
+        np.outer(sign, sign).ravel(),
+        (q * n_rails + rails) * n + q_col * n_rails + rails,
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _initial_ket(config: ProtocolConfig) -> np.ndarray:
+    """Both preparations with empty rails, as a full-space ket."""
+    return np.kron(_prepared_qubits(config), basis_ket(DIMS[RAIL_DET] * DIMS[RAIL_LOAD], 0))
+
+
+def _losses(configs):
+    """Per-config `loss_kraus` lists, or None when no config loses photons."""
+    if all(c.eta_loss == 1.0 for c in configs):
+        return None
+    return [loss_kraus(N_MAX + 1, c.eta_loss) for c in configs]
+
+
+def _round_one(configs) -> tuple[np.ndarray, np.ndarray]:
+    """Round 1 of a stack of configs: the unnormalized (click, no_click)
+    branches, each an (S, 36, 36) stack of bare joint matrices."""
+    kets = np.stack([_initial_ket(c) for c in configs])[:, _tables()[0]]
+    n = kets.shape[-1]
+    mats = np.zeros((len(configs), n, n), dtype=complex)
+    mats += kets[:, :, None] * kets.conj()[:, None, :]
+    # the offset phases diag(exp(i phi_off n_det)), dense
+    phases = np.zeros_like(mats)
+    phases[:, range(n), range(n)] = [
+        _subsystem_diagonal(np.exp(1j * c.phi_off * np.arange(N_MAX + 1)), DIMS, RAIL_DET)
+        for c in configs
+    ]
+    mats = apply_kraus_matrix(mats, [phases])
+    mats = apply_kraus_matrix(mats, [_unitaries()[1]])
+    losses = _losses(configs)
+    if losses is not None:
+        mats = apply_loss(mats, DIMS, RAIL_DET, losses)
+    return detector.branch_matrices(mats, DIMS, RAIL_DET, [c.round1 for c in configs])
+
+
+def _run_stack(configs) -> list[OutcomeTable]:
+    """Both rounds, dephasing and the rail trace for a stack of configs;
+    one `OutcomeTable` per config, in order.
+
+    Every step gives the bits of the dense per-config sequence (prepare,
+    emit, offset phase, splitter, loss, detect, pi pulses, emit,
+    splitter, loss, detect, dephase, trace the rails), which the tests
+    keep as an oracle:
+
+    - Emission and the pi pulses are signed permutation matrices, so
+      U M U^dag is s_i s_j M[pi_i, pi_j]: zgemm forms each entry as that
+      one product plus exact zeros.  Round 1 therefore emits by permuting
+      the initial ket before its outer product, and round 2 applies the
+      pi pulses and emission as one composite permutation; each result is
+      summed onto zeros, as `apply_kraus_matrix` does, so no signed zero
+      survives.  The offset phase and the splitter stay dense products,
+      one zgemm per slice.
+    - The rails are traced out at the end, and after the round-2 splitter
+      loss, detection and dephasing map each rail-diagonal entry
+      (d = d', l = l') only from rail-diagonal entries.  So round 2
+      continues on those 144 of the 1296 entries (`_tables()`), with
+      the same arithmetic per entry in the same order: each branch
+      probability sums the full 36-entry diagonal, zeros included, in
+      `np.trace`'s pairwise order, and the reduced state is the load-rail
+      sum, then the detector-rail sum with its +0 terms, in
+      `qmath.partial_trace_matrix`'s order.
+
+    The kets, offset phases, loss Kraus values and dephasing factors are
+    computed per config; only the array algebra is stacked.
+    """
+    _, round2, round2_sign, tail = _tables()
+    u_bs = _unitaries()[1]
+    # flat slices in (c1, config) order: the round-1 click branches, then the no-click ones
+    flat = np.concatenate(_round_one(configs)).reshape(2 * len(configs), -1)
+    permuted = np.zeros_like(flat)
+    permuted += flat[:, round2] * round2_sign
+    del flat  # freed before the splitter's temporaries: a lower peak per stack
+    mats = apply_kraus_matrix(permuted.reshape((-1,) + u_bs.shape), [u_bs])
+    levels = mats.reshape(len(mats), -1)[:, tail]
+    losses = _losses(configs)
+    if losses is not None:
+        levels = apply_loss_diagonal(levels, losses * 2)
+    # (c2, slice, q, q', l, d): each branch is zero off the detector's level 0
+    final = np.zeros((2,) + levels.shape, dtype=complex)
+    final[..., 0] = detector.branch_levels(levels, [c.round2 for c in configs] * 2)
+    # axes (c1, c2, config, l, d, q, q'): the qubit pair last, as in a 4 x 4 matrix
+    final = final.reshape((2, 2, len(configs)) + levels.shape[1:]).transpose(1, 0, 2, 5, 6, 3, 4)
+
+    # the 36-entry diagonals in (q, d, l) order
+    diagonals = np.diagonal(final, axis1=-2, axis2=-1).transpose(0, 1, 2, 5, 4, 3)
+    probabilities = diagonals.reshape(final.shape[:3] + (-1,)).sum(axis=-1).real
+    dephasing = np.array([_phase_damping_factors(c.t_seq, c.t2e_a, c.t2e_b) for c in configs])
+    # each qubit's pair, its factors shaped (config, 1, 1, q) for the (config, l, d) axes
+    for pair in np.moveaxis(dephasing, 0, 2)[..., None, None, :]:
+        final = _apply_diagonal_kraus(final, pair)
+    load_traced = (final[:, :, :, 0] + final[:, :, :, 1]) + final[:, :, :, 2]
+    reduced = (load_traced[:, :, :, 0] + load_traced[:, :, :, 1]) + load_traced[:, :, :, 2]
+    # written so that a NaN probability keeps its state, which then fails
+    occupied = ~(probabilities <= EMPTY_BRANCH_TOL)
+    states = reduced / np.where(occupied, probabilities, 1.0)[..., None, None]
+
+    outcome_tables = []
+    for i in range(len(configs)):
+        branches = {}
+        for b1, c1 in enumerate((True, False)):
+            for b2, c2 in enumerate((True, False)):
+                p = float(probabilities[b1, b2, i])
+                if occupied[b1, b2, i]:
+                    branches[(c1, c2)] = Branch(p, DensityMatrix(states[b1, b2, i]))
+                else:
+                    branches[(c1, c2)] = Branch(max(p, 0.0), None)
+        outcome_tables.append(OutcomeTable(branches))
+    return outcome_tables
 
 
 def _subsystem_diagonal(local: np.ndarray, dims, target: int) -> np.ndarray:
@@ -228,19 +357,20 @@ def _apply_diagonal_kraus(mat: np.ndarray, factors) -> np.ndarray:
 
     Scales rows, then columns, and sums the terms in the order of
     `apply_kraus_matrix`; the result equals that kernel's dense products
-    with the embedded matrices bit for bit.
+    with the embedded matrices bit for bit.  Leading axes of `mat` and of
+    the factors broadcast, so a stack of matrices can take its own factors.
     """
     out = np.zeros_like(mat)
     for k in factors:
-        out += (k[:, None] * mat) * k[None, :]
+        out += (k[..., :, None] * mat) * k[..., None, :]
     return out
 
 
-def _phase_damping_factors(dims, duration: float, t2e_a: float, t2e_b: float) -> list:
+def _phase_damping_factors(duration: float, t2e_a: float, t2e_b: float) -> list:
     """Diagonals of the Kraus pairs [sqrt(alpha) I, sqrt(1-alpha) Z] for qubits A, B.
 
     alpha = (1 + exp(-duration/T2E))/2; an infinite T2E means no dephasing.
-    Each operator is a real full-space diagonal (a factor vector); apply
+    Each operator is a real two-qubit diagonal (a factor vector); apply
     the two pairs one after the other with `_apply_diagonal_kraus`.
     """
     if not (duration >= 0.0 and t2e_a > 0.0 and t2e_b > 0.0):
@@ -249,7 +379,7 @@ def _phase_damping_factors(dims, duration: float, t2e_a: float, t2e_b: float) ->
     for qubit, t2e in ((QUBIT_A, t2e_a), (QUBIT_B, t2e_b)):
         alpha = 0.5 * (1.0 + np.exp(-duration / t2e))
         local = (np.sqrt(alpha) * np.ones(2), np.sqrt(1.0 - alpha) * np.array([1.0, -1.0]))
-        pairs.append([_subsystem_diagonal(k, dims, qubit) for k in local])
+        pairs.append([_subsystem_diagonal(k, DIMS[:2], qubit) for k in local])
     return pairs
 
 
@@ -265,7 +395,7 @@ def apply_phase_damping(
     scaling rows and columns, not as a dense matrix product.
     """
     mat = rho.matrix
-    for pair in _phase_damping_factors((2, 2), duration, t2e_a, t2e_b):
+    for pair in _phase_damping_factors(duration, t2e_a, t2e_b):
         mat = _apply_diagonal_kraus(mat, pair)
     return DensityMatrix(mat)
 
@@ -274,26 +404,10 @@ def run_two_rounds(config: ProtocolConfig) -> OutcomeTable:
     """Propagate the full two-round protocol and return all four branches.
 
     Branch states are the two-qubit conditional states after phase damping
-    with the rails traced out; branch probabilities are exact.
+    with the rails traced out; branch probabilities are exact.  The run is
+    a stack of one in the stacked engine, `_run_stack`.
     """
-    u_pi = _unitaries()[2]
-    dephasing = _phase_damping_factors(DIMS, config.t_seq, config.t2e_a, config.t2e_b)
-    click1, noclick1 = _emit_and_detect(_initial_matrix(config), config, first_round=True)
-
-    branches: dict[tuple[bool, bool], Branch] = {}
-    for c1, mat1 in ((True, click1), (False, noclick1)):
-        mat1 = apply_kraus_matrix(mat1, [u_pi])
-        click2, noclick2 = _emit_and_detect(mat1, config, first_round=False)
-        for c2, mat2 in ((True, click2), (False, noclick2)):
-            p = float(np.trace(mat2).real)
-            if p <= EMPTY_BRANCH_TOL:
-                branches[(c1, c2)] = Branch(max(p, 0.0), None)
-                continue
-            for pair in dephasing:
-                mat2 = _apply_diagonal_kraus(mat2, pair)
-            reduced = qmath.partial_trace_matrix(mat2, DIMS, (QUBIT_A, QUBIT_B))
-            branches[(c1, c2)] = Branch(p, DensityMatrix(reduced / p))
-    return OutcomeTable(branches)
+    return _run_stack([config])[0]
 
 
 def round_one_click_weights(config: ProtocolConfig) -> dict[str, float]:
@@ -302,7 +416,7 @@ def round_one_click_weights(config: ProtocolConfig) -> dict[str, float]:
     Returned in the basis {|O+>, |ee>, |gg>, |O->} as keys
     ('odd_plus', 'ee', 'gg', 'odd_minus').
     """
-    click, _ = _emit_and_detect(_initial_matrix(config), config, first_round=True)
+    click = _round_one([config])[0][0]
     p = float(np.trace(click).real)
     if not p > EMPTY_BRANCH_TOL:
         raise ValidationError("round-1 click probability vanishes")
@@ -380,16 +494,20 @@ def sweep_preparation(
 ) -> list[SweepPoint]:
     """Pauli vector of the doubly-heralded branch versus one config axis.
 
-    Points are independent; results are returned in input order.
+    Points are independent; results are returned in input order.  The
+    configs go through the stacked engine `_STACK` at a time, and each
+    point has the bits of its own `run_two_rounds`.
     """
     if axis not in SWEEPABLE_AXES:
         raise ValidationError(
             f"axis {axis!r} not sweepable; choose from {SWEEPABLE_AXES}"
         )
+    values = [float(v) for v in values]
+    configs = [replace(config, **{axis: v}) for v in values]
     points = []
-    for v in values:
-        table = run_two_rounds(replace(config, **{axis: float(v)}))
-        branch = table.branches[(True, True)]
-        pauli = pauli_decompose(branch.state) if branch.state is not None else None
-        points.append(SweepPoint(float(v), pauli, branch.probability))
+    for lo in range(0, len(configs), _STACK):
+        for v, table in zip(values[lo:], _run_stack(configs[lo:lo + _STACK])):
+            branch = table.branches[(True, True)]
+            pauli = pauli_decompose(branch.state) if branch.state is not None else None
+            points.append(SweepPoint(v, pauli, branch.probability))
     return points

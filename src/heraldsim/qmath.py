@@ -213,12 +213,13 @@ def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
 def subsystem_blocks(mat: np.ndarray, dims, target: int) -> np.ndarray:
     """View of a bare joint matrix as (outer, d, inner, outer, d, inner) blocks.
 
-    Axes 1 and 4 are the row and column levels of subsystem `target`, of
-    dimension d; the others group the subsystems before and after it.
+    Axes -5 and -2 are the row and column levels of subsystem `target`, of
+    dimension d; the others group the subsystems before and after it.  A
+    stack of matrices, shape (..., n, n), keeps its leading axes.
     """
     outer = int(np.prod(dims[:target]))
-    shape = (outer, dims[target], mat.shape[0] // (outer * dims[target]))
-    return mat.reshape(shape + shape)
+    shape = (outer, dims[target], mat.shape[-1] // (outer * dims[target]))
+    return mat.reshape(mat.shape[:-2] + shape + shape)
 
 
 def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
@@ -259,13 +260,15 @@ def apply_kraus_matrix(mat: np.ndarray, ops) -> np.ndarray:
     """Raw sum_k K rho K^dag on a bare matrix; no normalization or checks.
 
     `ops` are full-space operators, already embedded by the caller (a
-    unitary is a one-element list); nothing is built here.  Detector
-    clicks and photon loss are applied by indexing instead, in
+    unitary is a one-element list); nothing is built here.  `mat` and each
+    K may be stacks, shape (..., n, n), which broadcast as in `@`: each
+    slice's product is its own zgemm call, the same as for one matrix.
+    Detector clicks and photon loss are applied by indexing instead, in
     `detector.branch_matrices` and `photonics.apply_loss`.
     """
     out = np.zeros_like(mat)
     for k in ops:
-        out += k @ mat @ k.conj().T
+        out += k @ mat @ k.conj().mT
     return out
 
 

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from heraldsim.detector import DetectorRoundParams, branch_matrices, dark_count_fidelity
+from heraldsim.detector import (
+    DetectorRoundParams,
+    branch_levels,
+    branch_matrices,
+    dark_count_fidelity,
+)
 from heraldsim import qmath
 from heraldsim.qmath import (
     ValidationError,
@@ -13,10 +18,15 @@ from heraldsim.qmath import (
 )
 
 
+def branches_of(mat, dims, rail, params):
+    """(click, no_click) of one matrix, as a stack of one through the kernel."""
+    return [b[0] for b in branch_matrices(mat[None], dims, rail, [params])]
+
+
 def measure(mat, params, dims=None, rail=0):
     """(click, no_click) branch matrices and their probabilities (traces)."""
     dims = dims or (mat.shape[0],)
-    branches = branch_matrices(mat, dims, rail, params)
+    branches = branches_of(mat, dims, rail, params)
     return branches, [float(np.trace(b).real) for b in branches]
 
 
@@ -25,7 +35,7 @@ def rail_state(pops):
 
 
 class TestDetectorMeasure:
-    """The click model through `branch_matrices`, the kernel the engine runs."""
+    """The click model through `branch_matrices`, the kernel the engine's round 1 runs."""
 
     def test_vacuum_without_darks_never_clicks(self):
         (click, _), (p_click, p_no) = measure(
@@ -134,11 +144,31 @@ class TestBranchKernel:
         for mat in states_with_zeros(dims, seed=sum(dims)):
             assert np.any(mat == 0.0)
             for rail in range(len(dims)):
-                got = branch_matrices(mat, dims, rail, params)
+                got = branches_of(mat, dims, rail, params)
                 for g, ref in zip(got, kraus_sum_branches(mat, dims, rail, params)):
                     assert np.array_equal(g, ref)
                     for part in (np.real, np.imag):
                         assert np.array_equal(np.signbit(part(g)), np.signbit(part(ref)))
+
+    def test_stack_matches_its_slices(self):
+        # each slice of a stack is detected with its own click model
+        dims = (2, 2, 3, 3)
+        mats = np.stack(states_with_zeros(dims, seed=4) + states_with_zeros(dims, seed=5))
+        params = [DetectorRoundParams(*p) for p in ((0.006, 0.21), (0.0, 1.0), (1.0, 0.0), (0.3, 0.6))]
+        got = branch_matrices(mats, dims, 2, params)
+        for s, (mat, p) in enumerate(zip(mats, params)):
+            for g, ref in zip(got, kraus_sum_branches(mat, dims, 2, p)):
+                assert g[s].tobytes() == ref.tobytes()
+
+    def test_levels_kernel_reads_only_the_diagonal_blocks(self):
+        # branch_levels on the (k, k) blocks is the level-0 block of each branch
+        dims = (2, 2, 3, 3)
+        mat = states_with_zeros(dims, seed=6)[1]
+        params = DetectorRoundParams(0.02, 0.4)
+        blocks = mat.reshape(4, 3, 3, 4, 3, 3)
+        levels = np.stack([blocks[:, k, :, :, k, :] for k in range(3)], axis=-1)
+        for level0, ref in zip(branch_levels(levels[None], [params]), branches_of(mat, dims, 2, params)):
+            assert level0[0].tobytes() == ref.reshape(4, 3, 3, 4, 3, 3)[:, 0, :, :, 0, :].tobytes()
 
 
 class TestDarkCountFidelity:

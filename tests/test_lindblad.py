@@ -4,9 +4,13 @@ import hashlib
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +433,38 @@ def _set_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+# a caller killed mid-integration: two forked workers append their pids to
+# the file named by argv[1]
+KILLED_CALLER = """
+import os
+import sys
+from heraldsim import lindblad
+
+os.sched_getaffinity = lambda pid: {0, 1}
+integrate_shard = lindblad._integrate_shard
+
+
+def announced(systems, times_main):
+    with open(sys.argv[1], "a") as pids:
+        pids.write(f"{os.getpid()}\\n")
+    return integrate_shard(systems, times_main)
+
+
+lindblad._integrate_shard = announced
+params = lindblad.CascadedSystemParams()
+lindblad.simulate([(params, 2), (params, 2)], 1500.0)
+"""
+
+
+def _running(pid):
+    """Whether process pid exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 # pre-roll and main-window starts, each Fock state, and a detuned system
 SHARD_SYSTEMS = [
     (_with_start(CascadedSystemParams(), start), fock)
@@ -485,6 +521,32 @@ class TestForkedShards:
         with pytest.raises(IntegrationError):
             lindblad.simulate([(diverging, 1), (diverging, 1)], 120.0)
         assert multiprocessing.active_children() == []
+
+    def test_workers_exit_when_the_caller_is_killed(self, tmp_path):
+        # one subprocess whose 2-system simulate forks two workers; each
+        # worker writes its pid, then the subprocess gets SIGTERM
+        pid_file = tmp_path / "workers"
+        pid_file.touch()
+        env = dict(os.environ, PYTHONPATH=str(Path(lindblad.__file__).parents[1]))
+        caller = subprocess.Popen([sys.executable, "-c", KILLED_CALLER, str(pid_file)], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(pid_file.read_text().split()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            workers = [int(pid) for pid in pid_file.read_text().split()]
+            assert len(workers) == 2
+            caller.send_signal(signal.SIGTERM)
+            assert caller.wait(timeout=30) == -signal.SIGTERM
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if _running(pid)] == []
+        finally:
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
+            caller.kill()
+            caller.wait(timeout=30)
 
     def test_overflow_is_an_integration_error_under_any_float_policy(self, monkeypatch):
         # the first system overflows to NaN, the second stays clean; on one

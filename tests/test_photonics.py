@@ -17,6 +17,7 @@ from test_detector import states_with_zeros
 from heraldsim.photonics import (
     annihilation,
     apply_loss,
+    apply_loss_diagonal,
     beam_splitter_unitary,
     emission_unitary,
     loss_kraus,
@@ -57,7 +58,7 @@ def u_emit():
 
 def lose(mat, dims, rail, eta):
     """Pure loss on `rail` of a bare matrix, through the engine's kernel."""
-    return apply_loss(mat, dims, rail, loss_kraus(dims[rail], eta))
+    return apply_loss(mat[None], dims, rail, [loss_kraus(dims[rail], eta)])[0]
 
 
 def emitted(u_emit, qubit_b):
@@ -205,8 +206,32 @@ class TestLossKernel:
             assert np.any(mat == 0.0)
             for rail in range(len(dims)):
                 ops = loss_kraus(dims[rail], eta)
-                got = apply_loss(mat, dims, rail, ops)
+                got = apply_loss(mat[None], dims, rail, [ops])[0]
                 ref = apply_kraus_matrix(mat, [embed_operator(k, dims, (rail,)) for k in ops])
                 assert np.array_equal(got, ref)
                 for part in (np.real, np.imag):
                     assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
+    def test_stack_matches_its_slices(self):
+        # each slice of a stack loses photons with its own transmissivity
+        dims = (2, 2, 3, 3)
+        mats = np.stack(states_with_zeros(dims, seed=4) + states_with_zeros(dims, seed=5))
+        ops = [loss_kraus(3, eta) for eta in (0.0, 0.3, 1.0, 0.999)]
+        got = apply_loss(mats, dims, 2, ops)
+        for s in range(len(mats)):
+            assert got[s].tobytes() == apply_loss(mats[s:s + 1], dims, 2, ops[s:s + 1])[0].tobytes()
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    def test_diagonal_kernel_matches_full_kernel(self, eta):
+        # the rail-diagonal entries (d = d', l = l') of apply_loss's output,
+        # from those of its input alone, bit for bit
+        dims = (2, 2, 3, 3)
+        mats = np.stack(states_with_zeros(dims, seed=8))
+        ops = [loss_kraus(3, eta)] * len(mats)
+        def rail_diagonal(x):
+            """(slice, q, q', l, d) entries with d = d' and l = l', q the qubit pair."""
+            blocks = x.reshape(len(x), 4, 3, 3, 4, 3, 3)
+            return np.ascontiguousarray(blocks.diagonal(0, 2, 5).diagonal(0, 2, 4).swapaxes(-1, -2))
+
+        got = apply_loss_diagonal(rail_diagonal(mats), ops)
+        assert got.tobytes() == rail_diagonal(apply_loss(mats, dims, 2, ops)).tobytes()

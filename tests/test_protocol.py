@@ -6,20 +6,31 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_detector import kraus_sum_branches
 from test_photonics import expm_reference
 
-from heraldsim import cli, protocol, qmath
-from heraldsim.detector import DetectorRoundParams, branch_matrices, dark_count_fidelity
-from heraldsim.photonics import beam_splitter_unitary, emission_unitary
+from heraldsim import cli, detector, protocol, qmath
+from heraldsim.detector import DetectorRoundParams, branch_levels, dark_count_fidelity
+from heraldsim.photonics import beam_splitter_unitary, emission_unitary, loss_kraus
 from heraldsim.protocol import (
     DIMS,
+    EMPTY_BRANCH_TOL,
     N_MAX,
+    QUBIT_A,
+    QUBIT_B,
+    RAIL_DET,
     Branch,
     OutcomeTable,
     ProtocolConfig,
     RY_PI,
-    _emit_and_detect,
-    _initial_matrix,
+    SWEEPABLE_AXES,
+    _STACK,
+    _initial_ket,
+    _phase_damping_factors,
+    _round_one,
+    _run_stack,
+    _subsystem_diagonal,
+    _tables,
     _unitaries,
     apply_phase_damping,
     click_probabilities,
@@ -33,6 +44,7 @@ from heraldsim.protocol import (
 from heraldsim.qmath import (
     DensityMatrix,
     ValidationError,
+    apply_kraus_matrix,
     basis_ket,
     bell_odd_minus,
     bell_odd_plus,
@@ -75,9 +87,72 @@ def conjugate(u, mat):
     return u @ mat @ u.conj().T
 
 
+def initial_matrix(config):
+    """Both preparations with empty rails, as a full-space density matrix."""
+    ket = _initial_ket(config)
+    return np.outer(ket, ket.conj())
+
+
 def ideal_entangled_matrix():
     """Joint state after both equatorial qubits emit, before the splitter."""
-    return conjugate(_unitaries()[0], _initial_matrix(ideal_config()))
+    return conjugate(_unitaries()[0], initial_matrix(ideal_config()))
+
+
+def dense_round(mat, config, first_round):
+    """One round of the dense per-config engine: emit, offset phase (round 1
+    only), interfere, lose, detect.  Loss and detection are the embedded
+    Kraus sums, which equal the engine's block kernels bit for bit
+    (test_photonics, test_detector)."""
+    u_emit, u_bs, _ = _unitaries()
+    mat = apply_kraus_matrix(mat, [u_emit])
+    if first_round:
+        phase = np.exp(1j * config.phi_off * np.arange(N_MAX + 1))
+        mat = apply_kraus_matrix(mat, [np.diag(_subsystem_diagonal(phase, DIMS, RAIL_DET))])
+    mat = apply_kraus_matrix(mat, [u_bs])
+    if config.eta_loss < 1.0:
+        ops = loss_kraus(N_MAX + 1, config.eta_loss)
+        mat = apply_kraus_matrix(mat, [embed_operator(k, DIMS, (RAIL_DET,)) for k in ops])
+    return kraus_sum_branches(mat, DIMS, RAIL_DET, config.round1 if first_round else config.round2)
+
+
+def dense_two_rounds(config, final=None):
+    """Oracle: the dense per-config `run_two_rounds` that the stacked engine
+    replaced, one 36 x 36 matrix at a time.  The four final branch matrices
+    (before dephasing) are appended to `final` when it is given."""
+    u_pi = _unitaries()[2]
+    # the dephasing Kraus operators as dense full-space matrices, (qubits, rails) order
+    dephasing = [
+        [np.diag(np.repeat(k, 9)) for k in pair]
+        for pair in _phase_damping_factors(config.t_seq, config.t2e_a, config.t2e_b)
+    ]
+    click1, noclick1 = dense_round(initial_matrix(config), config, first_round=True)
+    branches = {}
+    for c1, mat1 in ((True, click1), (False, noclick1)):
+        mat1 = apply_kraus_matrix(mat1, [u_pi])
+        click2, noclick2 = dense_round(mat1, config, first_round=False)
+        for c2, mat2 in ((True, click2), (False, noclick2)):
+            if final is not None:
+                final.append(mat2)
+            p = float(np.trace(mat2).real)
+            if p <= EMPTY_BRANCH_TOL:
+                branches[(c1, c2)] = Branch(max(p, 0.0), None)
+                continue
+            for pair in dephasing:
+                mat2 = apply_kraus_matrix(mat2, pair)
+            reduced = partial_trace_matrix(mat2, DIMS, (QUBIT_A, QUBIT_B))
+            branches[(c1, c2)] = Branch(p, DensityMatrix(reduced / p))
+    return OutcomeTable(branches)
+
+
+def assert_same_bits(table, expected):
+    """Same branch order, probability bits, state placement and state bytes."""
+    assert list(table.branches) == list(expected.branches)
+    for key, want in expected.branches.items():
+        got = table.branches[key]
+        assert got.probability.hex() == want.probability.hex(), key
+        assert (got.state is None) == (want.state is None), key
+        if want.state is not None:
+            assert got.state.matrix.tobytes() == want.state.matrix.tobytes(), key
 
 
 def ideal_interfered_matrix():
@@ -217,15 +292,34 @@ class TestPhaseDampingInputs:
 
 
 class TestOperatorCache:
-    """The unitaries of the one protocol space are built once and shared."""
+    """The unitaries and the engine's tables are built once and shared."""
 
     def test_cached_unitaries_are_read_only(self):
-        for op in _unitaries():
+        for op in _unitaries() + _tables():
             with pytest.raises(ValueError):
-                op[0, 0] = 2.0
+                op.flat[0] = 2
+
+    def test_tables_are_the_unitaries(self):
+        # the emission is a permutation, the round-2 pi pulses and emission
+        # a signed one, and the tail reads only rail-diagonal entries
+        u_emit, _, u_pi = _unitaries()
+        emit, round2, round2_sign, tail = _tables()
+        n = len(u_emit)
+        assert np.array_equal(u_emit, np.eye(n)[emit])
+        mat = np.arange(n * n).reshape(n, n).astype(complex)
+        assert np.array_equal(
+            conjugate(u_emit @ u_pi, mat), (mat.ravel()[round2] * round2_sign).reshape(n, n)
+        )
+        row, col = np.divmod(tail, n)
+        assert tail.shape == (4, 4, N_MAX + 1, N_MAX + 1)
+        assert np.array_equal(row % 9, col % 9)
+        # (q, q', l, d) order: the load rail's level, then the detector's
+        q, q_col, l, d = np.indices(tail.shape)
+        assert np.array_equal(row, q * 9 + d * 3 + l) and np.array_equal(col, q_col * 9 + d * 3 + l)
 
     def test_configs_with_same_n_max_share_arrays(self, monkeypatch):
-        u_emit, u_bs, u_pi = _unitaries()
+        u_bs = _unitaries()[1]
+        tables = _tables()
         applied = []
 
         def spy_kraus(mat, ops):
@@ -233,15 +327,15 @@ class TestOperatorCache:
             return qmath.apply_kraus_matrix(mat, ops)
 
         monkeypatch.setattr(protocol, "apply_kraus_matrix", spy_kraus)
-        # round 1, then the pi pulse and round 2 after each round-1 branch
-        expected = [u_emit, u_bs] + [u_pi, u_emit, u_bs] * 2
         for cfg in (ProtocolConfig(theta_a=0.3, eta_loss=0.5), measured_config(phi_off=1.1)):
             applied.clear()
             run_two_rounds(cfg)
-            offset = applied.pop(1)  # the config's own round-1 offset phase
+            offset = applied.pop(0)  # the config's own round-1 offset phase
             assert not any(offset is u for u in _unitaries())
-            assert len(applied) == 8
-            assert all(op is u for op, u in zip(applied, expected))
+            assert offset.shape == (1,) + u_bs.shape
+            # the splitter of round 1, then of round 2; nothing else is a product
+            assert len(applied) == 2 and all(op is u_bs for op in applied)
+            assert _tables() is tables
 
 
 # rows/columns of the joint space whose rails hold more than N_MAX photons
@@ -259,28 +353,44 @@ class TestTwoPhotonBound:
     @pytest.mark.parametrize("eta_loss", [1.0, 0.6, 0.0])
     def test_rails_never_hold_more_than_two_photons(self, monkeypatch, eta_loss):
         u_bs = _unitaries()[1]
-        partial_trace = qmath.partial_trace_matrix
-        at_splitter, final = [], []
+        at_splitter = []
 
         def spy_kraus(mat, ops):
             if ops[0] is u_bs:
-                at_splitter.append(mat)
+                at_splitter.extend(mat)
             return qmath.apply_kraus_matrix(mat, ops)
 
-        def spy_trace(mat, dims, keep):
-            final.append(mat)
-            return partial_trace(mat, dims, keep)
-
         monkeypatch.setattr(protocol, "apply_kraus_matrix", spy_kraus)
-        monkeypatch.setattr(qmath, "partial_trace_matrix", spy_trace)
         cfg = ProtocolConfig(theta_a=1.1, theta_b=2.0, phi_a=0.4, eta_loss=eta_loss)
-        table = run_two_rounds(cfg)
+        run_two_rounds(cfg)
         # round 1, then round 2 after each round-1 branch
         assert len(at_splitter) == 3
-        assert len(final) == sum(b.state is not None for b in table.branches.values())
+        # the engine keeps no final matrix; the oracle's are the same branches
+        final = []
+        dense_two_rounds(cfg, final)
+        assert len(final) == 4
         for mat in at_splitter + final:
             assert np.all(mat[_OVER_BOUND, :] == 0.0)
             assert np.all(mat[:, _OVER_BOUND] == 0.0)
+
+    @pytest.mark.parametrize("eta_loss", [1.0, 0.6])
+    def test_dropped_entries_are_never_read(self, monkeypatch, eta_loss):
+        # after the round-2 splitter only rail-diagonal entries are kept:
+        # poisoning every other entry with NaN changes no bit of the table
+        u_bs = _unitaries()[1]
+        rail_row, rail_col = np.divmod(np.arange(36 * 36), 36)
+        dropped = (rail_row % 9 != rail_col % 9).reshape(36, 36)
+
+        def poison(mat, ops):
+            out = qmath.apply_kraus_matrix(mat, ops)
+            if ops[0] is u_bs and len(mat) == 2:  # round 2 of a stack of one
+                out[:, dropped] = np.nan
+            return out
+
+        cfg = ProtocolConfig(theta_a=1.1, theta_b=2.0, phi_a=0.4, eta_loss=eta_loss)
+        expected = run_two_rounds(cfg)
+        monkeypatch.setattr(protocol, "apply_kraus_matrix", poison)
+        assert_same_bits(run_two_rounds(cfg), expected)
 
     def test_splitter_block_is_truncation_independent(self):
         def low_block(u, d):
@@ -379,14 +489,19 @@ class TestRunTwoRounds:
             assert np.isclose(total, 1.0, atol=1e-9)
 
     def test_branch_sum_guard_fires(self, monkeypatch, capsys):
-        # a detector that loses half of every no-click branch's weight
-        def leaky(mat, dims, rail, params):
-            click, noclick = branch_matrices(mat, dims, rail, params)
+        # a detector that loses half of every no-click branch's weight; both
+        # rounds detect through detector.branch_levels
+        rounds = []
+
+        def leaky(levels, params):
+            rounds.append(len(params))
+            click, noclick = branch_levels(levels, params)
             return click, 0.5 * noclick
 
-        monkeypatch.setattr("heraldsim.protocol.branch_matrices", leaky)
+        monkeypatch.setattr(detector, "branch_levels", leaky)
         with pytest.raises(ValidationError, match=r"^branch probabilities sum to 0\.\d+, not 1$"):
             run_two_rounds(ProtocolConfig())
+        assert rounds == [1, 2]  # round 1, then round 2 after each round-1 branch
         assert cli.main(["protocol", "--analytic"]) == cli.EXIT_NUMERICAL == 3
         assert "numerical error: branch probabilities sum to" in capsys.readouterr().err
 
@@ -420,9 +535,18 @@ class TestRunTwoRounds:
 
     def test_outcome_table_admits_rounding_within_budget(self):
         # what a propagated table may carry
-        branches = {(True, True): Branch(1.0 + 5e-10, None), (True, False): Branch(0.0, None),
-                    (False, True): Branch(0.0, None), (False, False): Branch(0.0, None)}
+        state = DensityMatrix.from_ket(bell_odd_plus())
+        branches = {(True, True): Branch(1.0 + 5e-10, state), (True, False): Branch(0.0, None),
+                    (False, True): Branch(0.0, None), (False, False): Branch(EMPTY_BRANCH_TOL, None)}
         assert OutcomeTable(branches).probability(True, True) == 1.0 + 5e-10
+
+    def test_outcome_table_wants_a_state_above_the_empty_budget(self):
+        # without the rule, sample_shots recorded outcome GG for every shot
+        # of these two stateless branches
+        branches = {(True, True): Branch(0.5, None), (True, False): Branch(0.5, None),
+                    (False, True): Branch(0.0, None), (False, False): Branch(0.0, None)}
+        with pytest.raises(ValidationError, match=r"^branch \(True, True\) probability 0\.5 has no state$"):
+            OutcomeTable(branches)
 
     def test_alice_in_ground_gives_separable_eg(self):
         table = run_two_rounds(ideal_config(theta_a=0.0))
@@ -447,12 +571,96 @@ class TestRunTwoRounds:
     def test_round_one_no_click_branch_has_no_bell_weight(self):
         # a missed detection never fakes the heralded state: with no dark
         # counts the round-1 no-click branch is orthogonal to |O+>
-        cfg = ideal_config()
-        _, noclick = _emit_and_detect(_initial_matrix(cfg), cfg, first_round=True)
+        _, noclick = _round_one([ideal_config()])
+        noclick = noclick[0]
         p = np.trace(noclick).real
         reduced = partial_trace_matrix(noclick / p, DIMS, (0, 1))
         overlap = np.real(bell_odd_plus().conj() @ reduced @ bell_odd_plus())
         assert abs(overlap) < 1e-12
+
+
+# the benchmark's seven 25-point sweep ranges (angles in rad, t_seq in us)
+SWEEP_RANGES = {
+    "theta_a": (0.0, 3.1416),
+    "phi_a": (0.0, 6.2832),
+    "theta_b": (0.0, 3.1416),
+    "phi_b": (0.0, 6.2832),
+    "phi_off": (0.0, 6.2832),
+    "eta_loss": (0.05, 1.0),
+    "t_seq": (0.5, 5.0),
+}
+
+
+def random_configs(n, seed):
+    """Seeded configs over every field the engine reads; about a third of
+    the click weights and of the transmissivities are exactly 0 or 1."""
+    rng = np.random.default_rng(seed)
+
+    def unit():
+        return float(rng.choice([0.0, 1.0])) if rng.random() < 0.3 else float(rng.random())
+
+    return [
+        ProtocolConfig(
+            theta_a=rng.uniform(0.0, np.pi), phi_a=rng.uniform(-7.0, 7.0),
+            theta_b=rng.uniform(0.0, np.pi), phi_b=rng.uniform(-7.0, 7.0),
+            phi_off=rng.uniform(-7.0, 7.0), eta_loss=unit(), t_seq=rng.uniform(0.1, 20.0),
+            t2e_a=rng.uniform(1.0, 50.0), t2e_b=rng.uniform(1.0, 50.0),
+            round1=DetectorRoundParams(unit(), unit()), round2=DetectorRoundParams(unit(), unit()),
+        )
+        for _ in range(n)
+    ]
+
+
+def assert_point_is_oracle(point, config):
+    """A sweep point has the bits of the dense oracle's click-click branch."""
+    branch = dense_two_rounds(config).branches[(True, True)]
+    assert point.probability.hex() == branch.probability.hex()
+    if branch.state is None:
+        assert point.pauli is None
+    else:
+        assert point.pauli.components.tobytes() == pauli_decompose(branch.state).components.tobytes()
+
+
+@pytest.fixture(scope="module")
+def random_oracle():
+    configs = random_configs(200, seed=30)
+    return configs, [dense_two_rounds(cfg) for cfg in configs]
+
+
+class TestDenseOracle:
+    """The stacked engine gives the bits of the dense per-config engine."""
+
+    @pytest.mark.parametrize("eta_loss", [1.0, 0.7, 0.0])
+    def test_operating_point(self, eta_loss):
+        cfg = ProtocolConfig(eta_loss=eta_loss)
+        assert_same_bits(run_two_rounds(cfg), dense_two_rounds(cfg))
+
+    @pytest.mark.parametrize("axis", SWEEPABLE_AXES)
+    def test_benchmark_sweeps(self, axis):
+        values = np.linspace(*SWEEP_RANGES[axis], 25)
+        points = sweep_preparation(ProtocolConfig(), axis, values)
+        assert len(points) == 25
+        for v, point in zip(values, points):
+            assert point.value == float(v)
+            assert_point_is_oracle(point, replace(ProtocolConfig(), **{axis: float(v)}))
+
+    def test_random_configs_one_at_a_time(self, random_oracle):
+        for cfg, expected in zip(*random_oracle):
+            assert_same_bits(run_two_rounds(cfg), expected)
+
+    def test_random_configs_as_one_stack(self, random_oracle):
+        configs, expected = random_oracle
+        tables = _run_stack(configs)
+        assert len(tables) == len(configs)
+        for table, want in zip(tables, expected):
+            assert_same_bits(table, want)
+
+    def test_random_configs_cover_the_edges(self, random_oracle):
+        configs, expected = random_oracle
+        weights = [w for c in configs for r in (c.round1, c.round2) for w in (r.p_dark, r.p_real)]
+        assert {0.0, 1.0} <= set(weights)
+        assert {0.0, 1.0} <= {c.eta_loss for c in configs}
+        assert any(b.state is None for t in expected for b in t.branches.values())
 
 
 class TestDarkCountEquivalence:
@@ -670,6 +878,25 @@ class TestSweep:
             concs.append(concurrence(DensityMatrix(mat)))
         assert np.argmax(concs) == 2
         assert concs[0] < 1e-9 and concs[-1] < 1e-9
+
+    def test_sweep_runs_in_bounded_stacks(self, monkeypatch):
+        run_stack = protocol._run_stack
+        stacks = []
+
+        def spy(configs):
+            stacks.append(len(configs))
+            return run_stack(configs)
+
+        monkeypatch.setattr(protocol, "_run_stack", spy)
+        cfg = ProtocolConfig()
+        values = np.linspace(0.0, np.pi, 100)
+        points = sweep_preparation(cfg, "theta_a", values)
+        assert sum(stacks) == 100 and max(stacks) == _STACK
+        for v, point in zip(values, points):
+            assert_point_is_oracle(point, replace(cfg, theta_a=float(v)))
+        stacks.clear()
+        assert sweep_preparation(cfg, "theta_a", []) == []
+        assert stacks == []
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValidationError):
