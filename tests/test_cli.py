@@ -113,6 +113,18 @@ class TestProtocolCommand:
             "0495351fa696377c7f4da69ef4d51e7248b3dea29708ade0f82c52df97dc10d9"
         )
 
+    def test_million_shot_csv_digest(self, tmp_path):
+        # SHA-256 of the CSV as the per-row string writer wrote it (numpy
+        # 2.4.6): the index widens from 6 to 7 digits inside a write chunk
+        shots = tmp_path / "shots.csv"
+        args = ["protocol", "--shots", "1000001", "--seed", "2"]
+        assert main(args + ["--out", str(tmp_path / "mc.json"), "--shots-out", str(shots)]) == 0
+        data = shots.read_bytes()
+        assert len(data) == 17599785
+        assert hashlib.sha256(data).hexdigest() == (
+            "38c2be2bddb4847f4497071ebde5c3505334eb7e8aab96addfc2f366d5036056"
+        )
+
     def test_negative_seed_exits_2(self, capsys):
         assert main(["protocol", "--seed", "-1", "--shots", "10"]) == 2
         assert "--seed must be a non-negative integer" in capsys.readouterr().err

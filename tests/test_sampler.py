@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import io
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -57,6 +59,20 @@ def columns(shots):
 
 def same_shots(a, b):
     return all(np.array_equal(x, y) for x, y in zip(columns(a), columns(b)))
+
+
+def csv_writer_bytes(shots):
+    """The shots CSV as csv.writer writes it row by row: the reference the
+    whole-array writer replaced."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["index", "init_ok", "click1", "click2", "tomo_setting", "outcome"])
+    rows = zip(*(col.tolist() for col in columns(shots)))
+    writer.writerows(
+        [i, int(ok), int(c1), int(c2), "" if k < 0 else k, "" if j < 0 else BASIS_ORDER[j]]
+        for i, (ok, c1, c2, k, j) in enumerate(rows)
+    )
+    return buf.getvalue().encode()
 
 
 def single_draw_shots(config, n, seed, assignment, table):
@@ -429,6 +445,44 @@ class TestShotsCsv:
         assert data.count(b"\r\n") == 70_001
         assert b",0,0,0,,\r\n" in data
 
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 65535, 65536, 65537, 1_000_001])
+    def test_bytes_match_csv_writer_at_index_widths(self, n, tmp_path):
+        # the index widens at 10 and, inside the sixteenth write chunk, at
+        # 10^6; 65536 rows fill one chunk exactly
+        shots = sample_shots(run_two_rounds(ProtocolConfig()), 0.57, n, 9, IDENTITY)
+        path = tmp_path / "shots.csv"
+        write_shots_csv(shots, path)
+        assert path.read_bytes() == csv_writer_bytes(shots)
+
+    def test_every_admitted_row_matches_csv_writer(self, tmp_path):
+        # the one uninitialized row, then every click pair, setting and outcome
+        rows = [(False, False, False, -1, -1)] + [
+            (True, c1, c2, k, j)
+            for (c1, c2), k, j in itertools.product(BRANCH_ORDER, range(9), range(4))
+        ]
+        shots = Shots(*(np.array(col) for col in zip(*rows)))
+        path = tmp_path / "shots.csv"
+        write_shots_csv(shots, path)
+        assert len(shots) == 145
+        assert path.read_bytes() == csv_writer_bytes(shots)
+
+    def test_memory_bounded_by_one_chunk(self, tmp_path):
+        # one chunk's padded rows, their mask and their bytes, whatever the
+        # shot count; the per-row string writer peaked at 6.6e6 bytes
+        table = run_two_rounds(ProtocolConfig())
+        peaks = []
+        for n in (200_000, 1_000_000):
+            shots = sample_shots(table, 0.57, n, 3, IDENTITY)
+            tracemalloc.start()
+            try:
+                write_shots_csv(shots, tmp_path / "shots.csv")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) <= 0.5e6
+        assert max(peaks) < 6.3e6
+
 
 class TestShotsColumns:
     def test_unequal_lengths_rejected(self):
@@ -447,6 +501,33 @@ class TestShotsColumns:
             Shots([True], [False], [False], bad, [0])
         with pytest.raises(ValidationError):
             Shots([True], [False], [False], [0], bad)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            pytest.param(3, 1.5, id="fractional-setting"),
+            pytest.param(4, 2.7, id="fractional-outcome"),
+            pytest.param(3, np.nan, id="nan-setting"),
+            pytest.param(4, np.inf, id="infinite-outcome"),
+            pytest.param(0, 2, id="init_ok-2"),
+            pytest.param(0, 0.5, id="init_ok-0.5"),
+            pytest.param(1, np.nan, id="nan-click"),
+            pytest.param(3, "1", id="text-setting"),
+        ],
+    )
+    def test_values_narrowing_would_change_rejected(self, column, value):
+        # int8 would truncate 1.5 to 1 and 2.7 to 2 (NaN with a numpy
+        # RuntimeWarning), and bool would read 2 or 0.5 as True
+        given = [[True], [False], [False], [1], [0]]
+        given[column] = [value]
+        with pytest.raises(ValidationError, match="must hold whole numbers in"):
+            Shots(*given)
+
+    def test_whole_values_of_any_numeric_dtype_accepted(self):
+        shots = Shots([1.0, 0.0], [1, 0], np.array([0, 0], dtype=np.uint8), [3.0, -1.0], [2, -1])
+        assert [col.tolist() for col in columns(shots)] == [
+            [True, False], [True, False], [False, False], [3, -1], [2, -1]
+        ]
 
     def test_columns_of_their_dtype_are_not_copied(self):
         given = [np.array([True]), np.array([False]), np.array([True]),
