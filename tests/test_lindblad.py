@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -242,6 +243,195 @@ class TestExactSpace:
     def test_operators_are_read_only(self):
         for op in lindblad._operators():
             assert not op.flags.writeable
+
+
+def _reference_propagate(rho0, h0, hp, c_op, coeffs, dt, obs, index):
+    """The RK4 kernel as one expression per stage and step, before it built
+    its Hamiltonians and observables a block at a time: the oracle whose
+    bits `lindblad._propagate` must give."""
+    hm = np.ascontiguousarray(hp.conj().T)
+    c_dag = np.ascontiguousarray(np.conj(c_op).transpose(0, 2, 1))
+    cdc = c_dag @ c_op
+    n_steps = (coeffs.shape[1] - 1) // 2
+    c = coeffs.T[:, :, None, None]
+    c_conj = np.conj(c)
+
+    def hamiltonian(j):
+        return h0 + c[j] * hp + c_conj[j] * hm
+
+    def rhs(rho, h):
+        # drho = -i[H, rho] + C rho C^dag - (1/2){C^dag C, rho}
+        comm = h @ rho - rho @ h
+        return (
+            -1j * comm
+            + c_op @ rho @ c_dag
+            - 0.5 * (cdc @ rho + rho @ cdc)
+        )
+
+    # the diagonal is scattered to the observables' full width, so that each
+    # sum adds the same floats in the same order as on the full space
+    diag = np.zeros((rho0.shape[0], obs.shape[1]), dtype=complex)
+
+    def expect(rho):
+        diag[:, index] = np.diagonal(rho, axis1=1, axis2=2)
+        return (obs * diag[:, None, :]).sum(-1).real
+
+    out = np.empty((n_steps + 1, rho0.shape[0], obs.shape[0]))
+    rho = rho0.copy()
+    out[0] = expect(rho)
+    h_start = hamiltonian(0)
+    for i in range(n_steps):
+        h_half = hamiltonian(2 * i + 1)
+        h_end = hamiltonian(2 * i + 2)
+        k1 = rhs(rho, h_start)
+        k2 = rhs(rho + (0.5 * dt) * k1, h_half)
+        k3 = rhs(rho + (0.5 * dt) * k2, h_half)
+        k4 = rhs(rho + dt * k3, h_end)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = expect(rho)
+        h_start = h_end
+    return out.transpose(1, 2, 0), rho
+
+
+# _BATCH systems with mixed rates, detunings and pulse starts; the pulses are
+# short, so that each drive acts inside a window of a few dozen steps
+ORACLE_PARAMS = [
+    CascadedSystemParams(
+        kappa_a=kappa_a, kappa_d=kappa_d, detuning=detuning,
+        pulse=GaussianPulse(sigma=4.0, start_time=start),
+    )
+    for kappa_a, kappa_d, detuning, start in [
+        (0.9, 0.9, -3.0, 2.0), (0.0, 1.5, 0.0, -4.0), (2.0, 0.5, 4.5, 0.5),
+        (0.9, 2.5, -1.0, 6.0), (1.3, 0.9, 2.0, 0.0), (0.4, 0.7, -6.0, 11.0),
+        (3.0, 3.0, 0.5, -1.5), (0.9, 0.2, -3.0, 20.0),
+    ]
+][:lindblad._BATCH]
+
+
+def _kernel_inputs(fock, batch, steps):
+    """`_propagate`'s arguments for `batch` oracle systems in the box of
+    Fock state `fock` over `steps` steps, as `_integrate` builds them."""
+    index, sp, obs = lindblad._box(fock)
+    rows, cols = np.ix_(index, index)
+    params = ORACLE_PARAMS[:batch]
+    h0, c_op = map(np.stack, zip(*map(lindblad._system_operators, params)))
+    times = lindblad.DT * np.arange(steps + 1)
+    rho0 = np.stack([lindblad._initial_state(fock)] * batch)
+    coeffs = np.stack([lindblad._drive_coefficients(p, times) for p in params])
+    return (rho0[:, rows, cols], h0[:, rows, cols], sp, c_op[:, rows, cols], coeffs,
+            lindblad.DT, obs, index)
+
+
+def _sideband_inputs(sub, points):
+    """`sideband_rabi`'s kernel call over `points` 1-ns grid points cut into
+    `sub` steps each: 3x3, one system, no drive operator."""
+    h0 = np.zeros((3, 3), dtype=complex)
+    h0[0, 1] = h0[1, 0] = calibrate_sideband_drive(0.9) * MHZ_TO_RAD_NS / 2.0
+    c_op = np.zeros((3, 3), dtype=complex)
+    c_op[2, 1] = np.sqrt(0.9 * MHZ_TO_RAD_NS)
+    rho0 = np.zeros((1, 3, 3), dtype=complex)
+    rho0[0, 0, 0] = 1.0
+    coeffs = np.zeros((1, 2 * (points - 1) * sub + 1), dtype=complex)
+    dt = np.float64(1.0) / sub
+    return rho0, h0[None], np.zeros_like(h0), c_op[None], coeffs, dt, np.eye(3), np.arange(3)
+
+
+def _block_steps(args):
+    """Steps per block of a kernel call with these arguments."""
+    rho0, obs = args[0], args[6]
+    return lindblad._block_steps(*rho0.shape[:2], *obs.shape[::-1])
+
+
+def _with_block(monkeypatch, args, steps):
+    """Cut the block budget to `steps` steps of this call (None: as is)."""
+    if steps is not None:
+        # a step's bytes, read off the steps a 1-TiB budget holds; then the
+        # bytes of `steps` and a half steps, which the division rounds down
+        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 1 << 40)
+        step_bytes = (1 << 40) // _block_steps(args)
+        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", steps * step_bytes + step_bytes // 2)
+        assert _block_steps(args) == steps
+
+
+def assert_kernel_is_oracle(args):
+    out, rho = lindblad._propagate(*args)
+    want_out, want_rho = _reference_propagate(*args)
+    for got, want in ((out, want_out), (rho, want_rho)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+# the default budget, and blocks of one step (3 half steps) and of two (5)
+BLOCKS = pytest.mark.parametrize("block", [None, 1, 2], ids=["budget", "1-step", "2-step"])
+
+
+class TestKernelOracle:
+    """`_propagate` gives the bits of one expression per stage and step.
+
+    The kernel builds each block's drive Hamiltonians in one expression,
+    stacks them with c_op^dag c_op and c_op, and takes the observables a
+    block at a time; every elementwise operation keeps its operands and
+    order and every product is one zgemm per slice, so each output and
+    final state equals the reference kernel's byte for byte, on whichever
+    BLAS kernel both run.  Each case runs again with the block budget cut
+    to one and two steps, so that every block reload runs.
+    """
+
+    @BLOCKS
+    @pytest.mark.parametrize("batch", [1, lindblad._BATCH])
+    @pytest.mark.parametrize("fock", lindblad.FOCK_STATES)
+    def test_each_box(self, fock, batch, block, monkeypatch):
+        args = _kernel_inputs(fock, batch, 41)
+        _with_block(monkeypatch, args, block)
+        assert_kernel_is_oracle(args)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    @BLOCKS
+    @pytest.mark.parametrize("batch", [1, lindblad._BATCH])
+    @pytest.mark.parametrize("fock", lindblad.FOCK_STATES)
+    def test_windows_around_a_block(self, fock, batch, block, offset, monkeypatch):
+        # a window one step short of a block, a whole block, and one step
+        # into the next block; a block of S steps holds 2 S + 1 half steps
+        args = _kernel_inputs(fock, batch, 1)
+        _with_block(monkeypatch, args, block)
+        steps = _block_steps(args) + offset
+        args = _kernel_inputs(fock, batch, steps)
+        assert _block_steps(args) == steps - offset
+        assert_kernel_is_oracle(args)
+
+    @BLOCKS
+    @pytest.mark.parametrize("sub", [1, 2, 3])
+    def test_sideband_call(self, sub, block, monkeypatch):
+        args = _sideband_inputs(sub, 41)
+        _with_block(monkeypatch, args, block)
+        assert_kernel_is_oracle(args)
+
+    def test_a_window_of_no_steps(self):
+        assert_kernel_is_oracle(_kernel_inputs(1, 2, 0))
+
+
+class TestKernelMemory:
+    def test_peak_does_not_grow_with_the_window(self, monkeypatch):
+        # DT = 4 ns keeps the 6000-ns window at 1500 steps
+        monkeypatch.setattr(lindblad, "DT", 4.0)
+        peaks = []
+        # a first traced call, which also traces a few one-time allocations
+        for t_total in (12.0, 1500.0, 6000.0):
+            args = _kernel_inputs(2, lindblad._BATCH, lindblad.window_steps(t_total))
+            tracemalloc.start()
+            try:
+                out, rho = lindblad._propagate(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - out.nbytes - rho.nbytes)
+        assert peaks[1] == peaks[2]
+        # beyond the block budget: a one-step block when a step outgrows the
+        # budget (three half steps of stacks and drive terms, 12 (B, n, n)
+        # stacks), the call's fixed buffers (fewer than 16 stacks) and numpy's
+        # iterator buffers for the broadcast drive products (under 512 KiB)
+        stack_bytes = args[0].nbytes
+        assert peaks[2] <= lindblad._BLOCK_BYTES + 28 * stack_bytes + (512 << 10)
 
 
 class TestPulseCalibration:
