@@ -24,11 +24,7 @@ Integration is fixed-step classical RK4, deterministic by construction:
 every cascade run steps by DT = 1 ns, and the sideband model sub-steps
 its grid at 0.5 ns or less.  One numpy kernel, `_propagate`, steps a
 stack of independent systems at once, and every member's trajectory is
-bit-identical to integrating it alone.  It builds the Hamiltonians of a
-block of half steps in one expression, stacked with the jump operators,
-so a right-hand side is three matmuls of one zgemm per system, and it
-takes the observables a block at a time; on any one BLAS kernel it gives
-the bits of one expression per stage.  A cascade system is integrated
+bit-identical to integrating it alone.  A cascade system is integrated
 only in the box its emitter Fock state n reaches (n_A <= n, n_D <= n + 1:
 4, 12 or 24 of the 24 states of DIMS); its observable sums and its final
 state are taken at the full width of DIMS, so the published floats are
@@ -84,13 +80,13 @@ DIMS = (len(FOCK_STATES), 2, len(FOCK_STATES) + 1)
 # Systems per kernel call; bounds the stacked states and traces of long
 # sweeps.  Timed in the boxes at 8, 16 and 32 systems per call (32 systems,
 # 1500 ns, one CPU; median CPU time per system of 5 runs, busy 2-core host):
-# Fock 0 (4 states) 33, 26 and 24 ms, Fock 1 (12) 75, 81 and 75 ms, Fock 2
-# (24) 224, 214 and 263 ms.  Only the cheap 4-state runs gain clearly from
+# Fock 0 (4 states) 22, 18 and 15 ms, Fock 1 (12) 45, 50 and 44 ms, Fock 2
+# (24) 197, 195 and 221 ms.  Only the cheap 4-state runs gain clearly from
 # larger calls, and the 24-state ones are slowest at 32, so 8 stays.
 _BATCH = 8
 # Bytes of a kernel call's buffers that grow with its steps (`_block_steps`);
-# 256 KiB blocks ran as fast as 1 MiB ones here and keep the in-process
-# sideband run's peak RSS where one expression per step had it.
+# 64 to 256 KiB left the in-process runs' peak RSS within noise of the
+# kernel that built one expression per stage.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -274,8 +270,8 @@ def _initial_state(emitter_fock: int, detector=None) -> np.ndarray:
 
 def _block_steps(batch: int, n: int, width: int, n_obs: int) -> int:
     """Steps per kernel block, at least one: as many as `_BLOCK_BYTES` holds
-    of two half steps' stacks and drive terms and one row of observables."""
-    return max(1, _BLOCK_BYTES // (16 * batch * (8 * n * n + n + (n_obs + 2) * width)))
+    of two half steps' H and drive terms and one row of observables."""
+    return max(1, _BLOCK_BYTES // (16 * batch * (4 * n * n + n + (n_obs + 2) * width)))
 
 
 def _propagate(rho0, h0, hp, c_op, coeffs, dt, obs, index):
@@ -289,38 +285,34 @@ def _propagate(rho0, h0, hp, c_op, coeffs, dt, obs, index):
     n states are `index`.  Returns the (B, n_obs, n_steps + 1) real
     expectation traces and the (B, n, n) final states.
 
-    Steps run in blocks of `_block_steps`.  A block first writes the H of
-    each of its half steps into slot 0 of a (3, B, n, n) stack
-    [H, c_op^dag c_op, c_op], so a right-hand side is three matmuls:
-    stack @ rho, rho @ stack[:2], (c_op rho) @ c_op^dag.  The next block
-    builds the last one again as its first, so no reload overwrites an H
-    that a stage of the same step still reads.
-    Stages go into buffers allocated once; each step keeps its diagonal,
-    and a block ends by scattering them to the observables' full width, so
-    each sum adds the floats of the full space in its order.  matmul makes
-    one zgemm per (n, n) slice and each elementwise operation keeps its
-    operands and their order, so each slice gets the same arithmetic as a
-    stack of one stepped one expression per stage.
+    Steps run in blocks of `_block_steps`, each building the H of its half
+    steps, its start included, in one expression.  A stage copies its H
+    into slot 0 of the stack [H, c_op^dag c_op, c_op], so a right-hand side
+    is three matmuls, one zgemm per (n, n) slice; every elementwise
+    operation keeps its operands and their order, and a block's diagonals
+    are summed at the observables' full width, so each slice gets the bits
+    of a stack of one stepped one expression per stage.
     """
     batch, n = rho0.shape[:2]
     n_obs, width = obs.shape
     hm = np.ascontiguousarray(hp.conj().T)
     c_dag = np.ascontiguousarray(np.conj(c_op).transpose(0, 2, 1))
-    cdc = c_dag @ c_op
     n_steps = (coeffs.shape[1] - 1) // 2
     c = coeffs.T[:, :, None, None]
     block = max(1, min(n_steps, _block_steps(batch, n, width, n_obs)))
 
-    stacks = np.empty((2 * block + 1, 3, batch, n, n), dtype=complex)
-    stacks[:, 1] = cdc
-    stacks[:, 2] = c_op
+    hs = np.empty((2 * block + 1, batch, n, n), dtype=complex)
+    stack = np.empty((3, batch, n, n), dtype=complex)
+    h, cdc = stack[:2]
+    np.matmul(c_dag, c_op, out=cdc)
+    stack[2] = c_op
     k1, k2, k3, k4, stage, acc, jump = np.empty((7, batch, n, n), dtype=complex)
     left = np.empty((3, batch, n, n), dtype=complex)
     right = np.empty((2, batch, n, n), dtype=complex)
     h_rho, cdc_rho, c_rho = left
     rho_h, rho_cdc = right
 
-    def rhs(rho, stack, k):
+    def rhs(rho, k):
         # drho = -i[H, rho] + C rho C^dag - (1/2){C^dag C, rho}
         np.matmul(stack, rho, out=left)
         np.matmul(rho, stack[:2], out=right)
@@ -347,19 +339,21 @@ def _propagate(rho0, h0, hp, c_op, coeffs, dt, obs, index):
     for first in range(0, n_steps, block):
         rows = min(block, n_steps - first)
         half_steps = slice(2 * first, 2 * (first + rows) + 1)
-        h = stacks[:2 * rows + 1, 0]
+        block_h = hs[:2 * rows + 1]
         # h0 + c hp + c* hp^dag
-        np.add(h0, np.multiply(c[half_steps], hp, out=h), out=h)
-        np.add(h, np.conj(c[half_steps]) * hm, out=h)
+        np.add(h0, np.multiply(c[half_steps], hp, out=block_h), out=block_h)
+        np.add(block_h, np.conj(c[half_steps]) * hm, out=block_h)
+        np.copyto(h, block_h[0])
         for i in range(rows):
-            h_start, h_half, h_end = stacks[2 * i:2 * i + 3]
-            rhs(rho, h_start, k1)
+            rhs(rho, k1)
+            np.copyto(h, block_h[2 * i + 1])
             np.multiply(0.5 * dt, k1, out=stage)
-            rhs(np.add(rho, stage, out=stage), h_half, k2)
+            rhs(np.add(rho, stage, out=stage), k2)
             np.multiply(0.5 * dt, k2, out=stage)
-            rhs(np.add(rho, stage, out=stage), h_half, k3)
+            rhs(np.add(rho, stage, out=stage), k3)
+            np.copyto(h, block_h[2 * i + 2])
             np.multiply(dt, k3, out=stage)
-            rhs(np.add(rho, stage, out=stage), h_end, k4)
+            rhs(np.add(rho, stage, out=stage), k4)
             # rho + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
             np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
             np.add(acc, np.multiply(2.0, k3, out=stage), out=acc)

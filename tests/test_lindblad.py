@@ -342,17 +342,6 @@ def _block_steps(args):
     return lindblad._block_steps(*rho0.shape[:2], *obs.shape[::-1])
 
 
-def _with_block(monkeypatch, args, steps):
-    """Cut the block budget to `steps` steps of this call (None: as is)."""
-    if steps is not None:
-        # a step's bytes, read off the steps a 1-TiB budget holds; then the
-        # bytes of `steps` and a half steps, which the division rounds down
-        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 1 << 40)
-        step_bytes = (1 << 40) // _block_steps(args)
-        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", steps * step_bytes + step_bytes // 2)
-        assert _block_steps(args) == steps
-
-
 def assert_kernel_is_oracle(args):
     out, rho = lindblad._propagate(*args)
     want_out, want_rho = _reference_propagate(*args)
@@ -361,50 +350,44 @@ def assert_kernel_is_oracle(args):
         assert got.tobytes() == want.tobytes()
 
 
-# the default budget, and blocks of one step (3 half steps) and of two (5)
-BLOCKS = pytest.mark.parametrize("block", [None, 1, 2], ids=["budget", "1-step", "2-step"])
+@pytest.fixture(params=[None, 1, 2], ids=["budget", "1-step", "2-step"])
+def block(request, monkeypatch):
+    """The default budget, or blocks of one step (3 half steps) or two (5)."""
+    if request.param is not None:
+        monkeypatch.setattr(lindblad, "_block_steps", lambda *shape: request.param)
 
 
 class TestKernelOracle:
     """`_propagate` gives the bits of one expression per stage and step.
 
     The kernel builds each block's drive Hamiltonians in one expression,
-    stacks them with c_op^dag c_op and c_op, and takes the observables a
-    block at a time; every elementwise operation keeps its operands and
-    order and every product is one zgemm per slice, so each output and
-    final state equals the reference kernel's byte for byte, on whichever
-    BLAS kernel both run.  Each case runs again with the block budget cut
-    to one and two steps, so that every block reload runs.
+    copies each into a stack with c_op^dag c_op and c_op, and takes the
+    observables a block at a time; every elementwise operation keeps its
+    operands and order and every product is one zgemm per slice, so each
+    output and final state equals the reference kernel's byte for byte,
+    on whichever BLAS kernel both run.  Each case runs again with blocks
+    of one and two steps, so that every block reload runs.
     """
 
-    @BLOCKS
     @pytest.mark.parametrize("batch", [1, lindblad._BATCH])
     @pytest.mark.parametrize("fock", lindblad.FOCK_STATES)
-    def test_each_box(self, fock, batch, block, monkeypatch):
-        args = _kernel_inputs(fock, batch, 41)
-        _with_block(monkeypatch, args, block)
-        assert_kernel_is_oracle(args)
+    def test_each_box(self, fock, batch, block):
+        assert_kernel_is_oracle(_kernel_inputs(fock, batch, 41))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
-    @BLOCKS
     @pytest.mark.parametrize("batch", [1, lindblad._BATCH])
     @pytest.mark.parametrize("fock", lindblad.FOCK_STATES)
-    def test_windows_around_a_block(self, fock, batch, block, offset, monkeypatch):
+    def test_windows_around_a_block(self, fock, batch, block, offset):
         # a window one step short of a block, a whole block, and one step
         # into the next block; a block of S steps holds 2 S + 1 half steps
-        args = _kernel_inputs(fock, batch, 1)
-        _with_block(monkeypatch, args, block)
-        steps = _block_steps(args) + offset
+        steps = _block_steps(_kernel_inputs(fock, batch, 1)) + offset
         args = _kernel_inputs(fock, batch, steps)
         assert _block_steps(args) == steps - offset
         assert_kernel_is_oracle(args)
 
-    @BLOCKS
     @pytest.mark.parametrize("sub", [1, 2, 3])
-    def test_sideband_call(self, sub, block, monkeypatch):
-        args = _sideband_inputs(sub, 41)
-        _with_block(monkeypatch, args, block)
-        assert_kernel_is_oracle(args)
+    def test_sideband_call(self, sub, block):
+        assert_kernel_is_oracle(_sideband_inputs(sub, 41))
 
     def test_a_window_of_no_steps(self):
         assert_kernel_is_oracle(_kernel_inputs(1, 2, 0))
@@ -427,11 +410,11 @@ class TestKernelMemory:
             peaks.append(peak - out.nbytes - rho.nbytes)
         assert peaks[1] == peaks[2]
         # beyond the block budget: a one-step block when a step outgrows the
-        # budget (three half steps of stacks and drive terms, 12 (B, n, n)
-        # stacks), the call's fixed buffers (fewer than 16 stacks) and numpy's
-        # iterator buffers for the broadcast drive products (under 512 KiB)
+        # budget (three half steps of H and drive terms, 6 (B, n, n) stacks),
+        # the call's fixed buffers (17 stacks) and numpy's iterator buffers
+        # for the broadcast drive products (under 512 KiB)
         stack_bytes = args[0].nbytes
-        assert peaks[2] <= lindblad._BLOCK_BYTES + 28 * stack_bytes + (512 << 10)
+        assert peaks[2] <= lindblad._BLOCK_BYTES + 23 * stack_bytes + (512 << 10)
 
 
 class TestPulseCalibration:
