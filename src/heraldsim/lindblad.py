@@ -25,14 +25,15 @@ every cascade run steps by DT = 1 ns, and the sideband model sub-steps
 its grid at 0.5 ns or less.  One numpy kernel, `_propagate`, steps a
 stack of independent systems at once, and every member's trajectory is
 bit-identical to integrating it alone.  A cascade system is integrated
-only in the box its emitter Fock state n reaches (n_A <= n, n_D <= n + 1:
-4, 12 or 24 of the 24 states of DIMS); its observable sums and its final
-state are taken at the full width of DIMS, so the published floats are
-those of the full space.  `simulate` is the cascade's one entry, and
-`pulse_sweep` and `parameter_robustness` hand all their systems to one
-`simulate` call: on Linux it integrates them in forked workers, one
-contiguous shard per CPU in the affinity mask, and joins the results in
-input order; with one shard it runs the same loop in-process.
+only in the space of its emitter Fock state n (`_space`: the sector
+n_A + n_D <= n and guard states, 4, 8 or 16 of the 24 states of DIMS);
+its observable sums and its final state are taken at the full width of
+DIMS, so the published floats are those of the full space.  `simulate`
+is the cascade's one entry, and `pulse_sweep` and `parameter_robustness`
+hand all their systems to one `simulate` call: on Linux it integrates
+them in forked workers, one contiguous shard per CPU in the affinity
+mask, and joins the results in input order; with one shard it runs the
+same loop in-process.
 
 The trace and hermiticity budget on each final state is the integrators'
 only floating-point check: they run with numpy's floating-point errors
@@ -69,21 +70,19 @@ DT = 1.0  # ns, the RK4 step of every cascade run
 # cavity's top level, the guard level, stays exactly empty (GUARD_TOL).
 FOCK_STATES = (0, 1, 2)
 DIMS = (len(FOCK_STATES), 2, len(FOCK_STATES) + 1)
-# Each system is integrated in the box of its Fock state n, the states with
-# n_A <= n and n_D <= n + 1 in DIMS's kron order: (n + 1, 2, n + 2), 4, 12 or
-# 24 states.  It holds the sector n_A + n_D <= n that H and the collapse
-# operator never leave, and the guard level n_D = n + 1.  A zgemm on the box
-# reproduces the DIMS product bit for bit (OpenBLAS SkylakeX kernel; the
-# Haswell kernel moves the last bit of the 4-state box), and a sector-only
-# space (2 or 6 states) does not.
+# Each system is integrated in the space of its Fock state n, in DIMS's kron
+# order: the sector n_A + n_D <= n that H and the collapse operator never
+# leave, the guard states n_A = 0, n_D = n + 1 that a d^dag leak from it
+# reaches, and the next guard-level states up to a multiple of 4 (4, 8 or 16
+# states).  A zgemm on kept states has the DIMS product's bits exactly when
+# their count is a multiple of 4 (OpenBLAS SkylakeX kernel: 100 of 100 random
+# trials at each multiple from 4 to 24, 0 at other sizes; Haswell: 12, 24 only).
 
 # Systems per kernel call; bounds the stacked states and traces of long
-# sweeps.  Timed in the boxes at 8, 16 and 32 systems per call (32 systems,
-# 1500 ns, one CPU; median CPU time per system of 5 runs, busy 2-core host):
-# Fock 0 (4 states) 22, 18 and 15 ms, Fock 1 (12) 45, 50 and 44 ms, Fock 2
-# (24) 197, 195 and 221 ms.  Only the cheap 4-state runs gain clearly from
-# larger calls, and the 24-state ones are slowest at 32, so 8 stays.
-_BATCH = 8
+# sweeps.  Median CPU time per system at 8, 16 and 32 per call (32 systems,
+# 1500 ns, one CPU, 5 runs, busy 2-core host): Fock 0 20, 16 and 14 ms,
+# Fock 1 28, 23 and 21 ms, Fock 2 83, 81 and 78 ms; every space gains, so 32.
+_BATCH = 32
 # Bytes of a kernel call's buffers that grow with its steps (`_block_steps`);
 # 64 to 256 KiB left the in-process runs' peak RSS within noise of the
 # kernel that built one expression per stage.
@@ -235,15 +234,16 @@ def _operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.nda
 
 
 @cache
-def _box(fock: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The box of emitter Fock state `fock`: its states' indices into DIMS,
-    sigma+ on it, and the full-width diagonals of n_A, n_D, p_e and its
-    guard level n_D = fock + 1.  Built once per process, on first use;
-    read-only."""
+def _space(fock: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Emitter Fock state `fock`'s space: its indices into DIMS, sigma+ on it,
+    and the full-width diagonals of n_A, n_D, p_e and its guard level
+    n_D = fock + 1.  Built once per process, on first use; read-only."""
     _, _, sp, _, obs = _operators()
     n_a, _, n_d = np.unravel_index(np.arange(len(sp)), DIMS)
-    index = np.flatnonzero((n_a <= fock) & (n_d <= fock + 1))
-    guard = (n_d == fock + 1).astype(float)
+    guard = n_d == fock + 1
+    kept = (n_a + n_d <= fock) | (guard & (n_a == 0))
+    kept[np.flatnonzero(guard & ~kept)[:(-kept.sum()) % 4]] = True
+    index = np.flatnonzero(kept)
     return _read_only(index, sp[np.ix_(index, index)], np.vstack([obs, guard]))
 
 
@@ -376,8 +376,8 @@ def _drive_coefficients(params: CascadedSystemParams, times) -> np.ndarray:
 
 def _integrate(fock, members, times):
     """One kernel call over a shared window for (params, rho0) members, in
-    the box of Fock state `fock`; rho0 and the final states are DIMS matrices."""
-    index, sp, obs = _box(fock)
+    the space of Fock state `fock`; rho0 and the final states are DIMS matrices."""
+    index, sp, obs = _space(fock)
     rows, cols = np.ix_(index, index)
     params, rho0 = zip(*members)
     h0, c_op = map(np.stack, zip(*map(_system_operators, params)))
@@ -412,7 +412,7 @@ def _check_budget(rho: np.ndarray) -> float:
 def _integrate_shard(systems, times_main) -> list[TimeTraces]:
     """The _BATCH loop over contiguous systems, one kernel call per Fock state
     in a batch; raises the first error."""
-    no_preroll = (np.empty(0), np.empty((len(_box(0)[-1]), 0)))
+    no_preroll = (np.empty(0), np.empty((len(_space(0)[-1]), 0)))
     results = []
     # an overflow or invalid operation leaves a non-finite entry in the final
     # state, which _check_budget rejects in input order, so a numpy warning
@@ -442,8 +442,8 @@ def _integrate_shard(systems, times_main) -> list[TimeTraces]:
                 members.append((params, _initial_state(fock, detector)))
                 focks.append(fock)
 
-            # each Fock state's members in one call, so that a box never depends
-            # on batch-mates
+            # each Fock state's members in one call, so that a space never
+            # depends on batch-mates
             mains = [None] * len(members)
             for fock in dict.fromkeys(focks):
                 group = [b for b, f in enumerate(focks) if f == fock]
@@ -589,7 +589,7 @@ def simulate(systems, t_total: float = T_TOTAL) -> list[TimeTraces]:
     times_main = DT * np.arange(steps + 1)
     # built here, so that forked workers inherit them
     for fock in FOCK_STATES:
-        _box(fock)
+        _space(fock)
     n_shards = min(len(systems), _usable_cpus())
     if n_shards > 1:
         return _integrate_forked(systems, times_main, n_shards)

@@ -114,6 +114,8 @@ class ProtocolConfig:
         for name in ("t2e_a", "t2e_b", "t_seq", "t_rep"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be positive")
+        if not np.isfinite(self.t_seq):
+            raise ValidationError(f"t_seq must be finite, got {self.t_seq!r}")
         period = float(self.t_rep) * 1e-6  # s; success_rate divides p_success <= 1 by it
         if not (period > 0.0 and np.isfinite(1.0 / period)):
             raise ValidationError(f"t_rep={self.t_rep!r} us gives no finite success rate")
@@ -369,12 +371,12 @@ def _apply_diagonal_kraus(mat: np.ndarray, factors) -> np.ndarray:
 def _phase_damping_factors(duration: float, t2e_a: float, t2e_b: float) -> list:
     """Diagonals of the Kraus pairs [sqrt(alpha) I, sqrt(1-alpha) Z] for qubits A, B.
 
-    alpha = (1 + exp(-duration/T2E))/2; an infinite T2E means no dephasing.
+    alpha = (1 + exp(-duration/T2E))/2, duration finite; an infinite T2E means no dephasing.
     Each operator is a real two-qubit diagonal (a factor vector); apply
     the two pairs one after the other with `_apply_diagonal_kraus`.
     """
-    if not (duration >= 0.0 and t2e_a > 0.0 and t2e_b > 0.0):
-        raise ValidationError(f"phase damping needs t >= 0, T2E > 0: {(duration, t2e_a, t2e_b)}")
+    if not (0.0 <= duration < np.inf and t2e_a > 0.0 and t2e_b > 0.0):
+        raise ValidationError(f"phase damping needs finite t >= 0, T2E > 0: {(duration, t2e_a, t2e_b)}")
     pairs = []
     for qubit, t2e in ((QUBIT_A, t2e_a), (QUBIT_B, t2e_b)):
         alpha = 0.5 * (1.0 + np.exp(-duration / t2e))

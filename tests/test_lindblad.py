@@ -153,10 +153,33 @@ def _spy_propagate(monkeypatch):
 
 
 def _in_full_space(monkeypatch):
-    """Integrate every system in all of DIMS, as before the per-Fock boxes."""
-    full = lindblad._box(max(lindblad.FOCK_STATES))
-    assert len(full[0]) == np.prod(lindblad.DIMS)
-    monkeypatch.setattr(lindblad, "_box", lambda fock: full)
+    """Integrate every system in all of DIMS, as before the per-Fock spaces."""
+    _, _, sp, _, obs = lindblad._operators()
+    n_d = np.unravel_index(np.arange(len(sp)), lindblad.DIMS)[2]
+
+    def full(fock):
+        return np.arange(len(sp)), sp, np.vstack([obs, n_d == fock + 1])
+
+    monkeypatch.setattr(lindblad, "_space", full)
+
+
+def _random_systems(seed, count):
+    """`count` (params, fock) systems drawn over wide parameter ranges, with
+    pulses from before the photon release (pre-rolls) to late starts."""
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            CascadedSystemParams(
+                kappa_a=rng.uniform(0.0, 3.0), kappa_d=rng.uniform(0.2, 3.0),
+                chi_d=rng.uniform(-6.0, 6.0), detuning=rng.uniform(-8.0, 8.0),
+                pulse=GaussianPulse(
+                    sigma=rng.uniform(5.0, 200.0), start_time=rng.uniform(-60.0, 400.0)
+                ),
+            ),
+            int(rng.integers(len(lindblad.FOCK_STATES))),
+        )
+        for _ in range(count)
+    ]
 
 
 # the default pulse start, and one before the photon release (a pre-roll)
@@ -169,14 +192,16 @@ class TestExactSpace:
     H conserves N = n_A + n_D and the collapse operator lowers it, so no
     state ever holds more photons than the emitter released, and the
     detector cavity's top level stays exactly empty.  Each system is
-    integrated in the box of its Fock state n (n_A <= n, n_D <= n + 1),
-    which holds every state it reaches and its guard level.
+    integrated in the space of its Fock state n: the sector n_A + n_D <= n
+    that holds every state it reaches, and guard states n_D = n + 1 up to a
+    multiple of 4 states, the sizes whose products have the full space's
+    bits on the OpenBLAS SkylakeX kernel.
     """
 
     @STARTS
     @pytest.mark.parametrize("fock", lindblad.FOCK_STATES)
     def test_no_state_gains_photons(self, fock, start, monkeypatch):
-        # on the full space, so that a photon past the box would show
+        # on the full space, so that a photon past the sector would show
         _set_cpus(monkeypatch, 1)
         _in_full_space(monkeypatch)
         calls = _spy_propagate(monkeypatch)
@@ -196,36 +221,59 @@ class TestExactSpace:
 
     @STARTS
     @pytest.mark.parametrize("fock", lindblad.FOCK_STATES)
-    def test_kernel_runs_in_the_box(self, fock, start, monkeypatch):
+    def test_kernel_runs_in_the_space(self, fock, start, monkeypatch):
         _set_cpus(monkeypatch, 1)
         calls = _spy_propagate(monkeypatch)
         params = CascadedSystemParams()
         if start is not None:
             params = _with_start(params, start)
         lindblad.simulate([(params, fock)], 300.0)
-        # (n + 1, 2, n + 2) states; a pre-roll runs on the vacuum's box
+        # a pre-roll runs in the vacuum's space
         sizes = [len(rho0) for rho0, _ in calls]
-        assert sizes == ([4] if start is not None else []) + [[4, 12, 24][fock]]
+        assert sizes == ([4] if start is not None else []) + [[4, 8, 16][fock]]
         n_a, _, n_d = np.unravel_index(np.arange(np.prod(lindblad.DIMS)), lindblad.DIMS)
-        index, sp, obs = lindblad._box(fock)
-        assert index.tolist() == np.flatnonzero((n_a <= fock) & (n_d <= fock + 1)).tolist()
+        index, sp, obs = lindblad._space(fock)
+        sector = np.flatnonzero(n_a + n_d <= fock)
+        leaked = np.flatnonzero((n_a == 0) & (n_d == fock + 1))
+        assert np.isin(np.union1d(sector, leaked), index).all()
+        # in kron order, and padded with guard-level states only
+        assert np.all(np.diff(index) > 0)
+        assert np.all(n_d[np.setdiff1d(index, sector)] == fock + 1)
         assert np.array_equal(obs[3], n_d == fock + 1)
         for array in (index, sp, obs):
             assert not array.flags.writeable
 
-    def test_box_equals_full_space(self, monkeypatch):
+    def test_space_equals_full_space(self, monkeypatch):
         _set_cpus(monkeypatch, 1)
         systems = [
             (_with_start(CascadedSystemParams(), start), fock)
             for start in (115.0, -10.5) for fock in lindblad.FOCK_STATES
         ]
-        boxed = lindblad.simulate(systems, 800.0)
+        reduced = lindblad.simulate(systems, 800.0)
         _in_full_space(monkeypatch)
         full = lindblad.simulate(systems, 800.0)
-        for a, b in zip(boxed, full):
+        for a, b in zip(reduced, full):
             for field in ("n_a", "n_d", "p_e"):
                 assert np.max(np.abs(getattr(a, field) - getattr(b, field))) <= 1e-15
             assert a.guard_max == b.guard_max == 0.0
+
+    def test_random_systems_digest(self, monkeypatch):
+        # the bytes of every trace, pinned before the space shrank (OpenBLAS
+        # SkylakeX kernel): a smaller space must give the same floats
+        _set_cpus(monkeypatch, 1)
+        systems = _random_systems(20261026, 12)
+        focks = [fock for _, fock in systems]
+        assert set(focks) == set(lindblad.FOCK_STATES)
+        assert len(set(focks[:lindblad._BATCH])) == len(lindblad.FOCK_STATES)
+        assert any(params.pulse.start_time < 0.0 for params, _ in systems)
+        digest = hashlib.sha256()
+        for tr in lindblad.simulate(systems, 700.0):
+            for array in (tr.times, tr.n_a, tr.n_d, tr.p_e, tr.pulse):
+                digest.update(array.tobytes())
+            digest.update(np.array([tr.guard_max, tr.trace_error]).tobytes())
+        assert digest.hexdigest() == (
+            "31f1dbc1e9863918ca1efc47169409f0df320d96913e6f5f8267a28e18732d15"
+        )
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_second_call_embeds_no_operator(self, n_cpus, monkeypatch):
@@ -293,13 +341,15 @@ def _reference_propagate(rho0, h0, hp, c_op, coeffs, dt, obs, index):
     return out.transpose(1, 2, 0), rho
 
 
-# _BATCH systems with mixed rates, detunings and pulse starts; the pulses are
-# short, so that each drive acts inside a window of a few dozen steps
+# _BATCH systems with mixed rates, detunings and pulse starts, eight sets of
+# rates each at four starts; the pulses are short, so that each drive acts
+# inside a window of a few dozen steps
 ORACLE_PARAMS = [
     CascadedSystemParams(
         kappa_a=kappa_a, kappa_d=kappa_d, detuning=detuning,
-        pulse=GaussianPulse(sigma=4.0, start_time=start),
+        pulse=GaussianPulse(sigma=4.0, start_time=start + shift),
     )
+    for shift in (0.0, 5.0, 10.0, 15.0)
     for kappa_a, kappa_d, detuning, start in [
         (0.9, 0.9, -3.0, 2.0), (0.0, 1.5, 0.0, -4.0), (2.0, 0.5, 4.5, 0.5),
         (0.9, 2.5, -1.0, 6.0), (1.3, 0.9, 2.0, 0.0), (0.4, 0.7, -6.0, 11.0),
@@ -309,9 +359,9 @@ ORACLE_PARAMS = [
 
 
 def _kernel_inputs(fock, batch, steps):
-    """`_propagate`'s arguments for `batch` oracle systems in the box of
+    """`_propagate`'s arguments for `batch` oracle systems in the space of
     Fock state `fock` over `steps` steps, as `_integrate` builds them."""
-    index, sp, obs = lindblad._box(fock)
+    index, sp, obs = lindblad._space(fock)
     rows, cols = np.ix_(index, index)
     params = ORACLE_PARAMS[:batch]
     h0, c_op = map(np.stack, zip(*map(lindblad._system_operators, params)))

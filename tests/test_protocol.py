@@ -271,6 +271,8 @@ class TestPhaseDampingInputs:
             (2.5, 10.0, -16.0),
             (-1.0, 10.0, 16.0),
             (-INF, 10.0, 16.0),
+            (INF, 10.0, 16.0),
+            (INF, INF, INF),  # exp(-inf / inf) is NaN
             (np.nan, 10.0, 16.0),
             (2.5, np.nan, 16.0),
             (2.5, 10.0, np.nan),
@@ -907,6 +909,12 @@ class TestConfigValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):
             ProtocolConfig(t_seq=-1.0)
+
+    @pytest.mark.parametrize("t2e_b", [16.0, INF])
+    def test_infinite_sequence_time_rejected(self, t2e_b):
+        # with an infinite T2E too, the dephasing factor exp(-inf / inf) is NaN
+        with pytest.raises(ValidationError, match=r"^t_seq must be finite, got inf$"):
+            ProtocolConfig(t_seq=INF, t2e_b=t2e_b)
 
     def test_probability_range(self):
         with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from heraldsim import tomography
 from heraldsim.protocol import ProtocolConfig, run_two_rounds
 from heraldsim.qmath import (
     DensityMatrix,
@@ -524,6 +525,19 @@ class TestTargetKet:
             bootstrap_errors(
                 counts, AssignmentMatrix.identity(), bell_odd_plus(), n_resamples=n_resamples
             )
+
+    def test_non_finite_resample_rejected(self, counts, monkeypatch):
+        # the stacked rebuild keeps PauliVector's finiteness check
+        components = tomography._components
+
+        def one_nan(corrected):
+            comps = components(corrected)
+            comps[1, 5] = np.nan
+            return comps
+
+        monkeypatch.setattr(tomography, "_components", one_nan)
+        with pytest.raises(ValidationError, match="components must be finite"):
+            bootstrap_errors(counts, reference_assignment(), bell_odd_plus(), n_resamples=3)
 
     def test_unallocatable_resamples_rejected(self, counts):
         # 2**62 resamples of 36 counts: numpy would refuse the array with a ValueError
