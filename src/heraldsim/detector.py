@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import ValidationError, subsystem_blocks
+from .qmath import ValidationError
 
 
 @dataclass(frozen=True)
@@ -58,26 +58,6 @@ def branch_levels(levels: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
         for k in range(d):
             out += weights[:, k].reshape(shape) * levels[..., k]
         branches.append(out)
-    return branches[0], branches[1]
-
-
-def branch_matrices(
-    mats: np.ndarray, dims, rail: int, params
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized (click, no_click) branches of a stack of bare joint matrices.
-
-    `mats` has shape (S, n, n) and `params` holds one `DetectorRoundParams`
-    per slice.  Each branch is sum_k w_k M_k rho M_k^dag on `rail`, taken
-    by `branch_levels` on the (k, k) blocks of `qmath.subsystem_blocks`
-    rather than by embedded matrix products.
-    """
-    blocks = subsystem_blocks(mats, dims, rail)
-    levels = np.diagonal(blocks, axis1=-5, axis2=-2)
-    branches = []
-    for level0 in branch_levels(levels, params):
-        out = np.zeros_like(blocks)
-        out[..., 0, :, :, 0, :] = level0
-        branches.append(out.reshape(mats.shape))
     return branches[0], branches[1]
 
 

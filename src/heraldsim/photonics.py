@@ -37,7 +37,7 @@ from math import comb
 
 import numpy as np
 
-from .qmath import ValidationError, subsystem_blocks
+from .qmath import ValidationError
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -128,35 +128,17 @@ def loss_kraus(d: int, eta: float) -> list[np.ndarray]:
     return ops
 
 
-def apply_loss(mats: np.ndarray, dims, rail: int, ops) -> np.ndarray:
-    """sum_k K_k mat K_k^dag on `rail` for each matrix of a stack.
-
-    `mats` has shape (S, n, n) and `ops[s]` is slice s's `loss_kraus`
-    list.  K_k moves level n to n - k with the weight c_n on its k-th
-    superdiagonal, so each term is one slice update of the
-    `qmath.subsystem_blocks` view, taken in ascending k as
-    (c_n x) conj(c_m).  That is the order and rounding of
-    `qmath.apply_kraus_matrix` over the embedded operators, whose result
-    this equals bit for bit.
-    """
-    blocks = subsystem_blocks(mats, dims, rail)
-    out = np.zeros_like(blocks)
-    d = dims[rail]
-    for k, c in enumerate(_superdiagonals(ops)):
-        out[..., :d - k, :, :, :d - k, :] += (
-            c[:, None, :, None, None, None, None] * blocks[..., k:, :, :, k:, :]
-        ) * np.conj(c)[:, None, None, None, None, :, None]
-    return out.reshape(mats.shape)
-
-
 def apply_loss_diagonal(levels: np.ndarray, ops) -> np.ndarray:
-    """The rail-diagonal entries of `apply_loss`'s output, from those of its input.
+    """Pure loss on a rail's diagonal blocks, for each slice of a stack.
 
     `levels[s, ..., n]` is an entry of slice s in the rail's (n, n) block
-    (the level axis last).  Loss maps the (n, n) block onto (n - k, n - k)
-    and nothing else onto it, so these entries need no others; each gets
-    `apply_loss`'s arithmetic in its order, (c_n x) conj(c_n) added in
-    ascending k, and equals the matching entry of `apply_loss` bit for bit.
+    (the level axis last), and `ops[s]` is slice s's `loss_kraus` list.
+    K_k moves level n to n - k with the weight c_n on its k-th
+    superdiagonal, so the output's (n, n) block is filled from the input's
+    (n + k, n + k) blocks alone.  Each entry is (c_n x) conj(c_n) added onto
+    zeros in ascending k: the order and rounding of
+    `qmath.apply_kraus_matrix` over the `embed_operator`-embedded K_k, whose
+    (n, n) blocks this equals bit for bit.
     """
     out = np.zeros_like(levels)
     d = levels.shape[-1]

@@ -31,8 +31,11 @@ One engine, `_run_stack`, runs that sequence for a stack of configs:
 `_STACK` points at a time.  Each config gets the bits of the dense
 one-config-at-a-time sequence, which the tests keep as an oracle:
 emission and the pi pulses are signed permutations applied by indexing,
-and round 2 goes on after its splitter with only the rail-diagonal
-entries that the final trace reads (`_run_stack` says why that is exact).
+and both rounds lose photons and detect on the detector rail's (k, k)
+blocks alone, through `photonics.apply_loss_diagonal` and
+`detector.branch_levels`; round 2 also drops the load rail's coherences,
+which the final trace never reads (`_round_one` and `_run_stack` say why
+that is exact).
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ import numpy as np
 from . import detector, qmath
 from .detector import DetectorRoundParams
 from .photonics import (
-    apply_loss,
     apply_loss_diagonal,
     beam_splitter_unitary,
     emission_unitary,
@@ -253,7 +255,16 @@ def _losses(configs):
 
 def _round_one(configs) -> tuple[np.ndarray, np.ndarray]:
     """Round 1 of a stack of configs: the unnormalized (click, no_click)
-    branches, each an (S, 36, 36) stack of bare joint matrices."""
+    branches, each an (S, 36, 36) stack of bare joint matrices.
+
+    After the splitter only the detector rail's (d, d) blocks are read, and
+    the result is exact: loss fills each (n, n) block only from the
+    (n + j, n + j) blocks, and detection reads only the (k, k) blocks and
+    writes only the (0, 0) block.  So loss and detection run on those
+    levels, as in round 2, with the embedded Kraus sums' arithmetic per
+    entry in the same order, and each branch's level-0 block is put into
+    zeros, which is what the Kraus sums hold (+0.0) everywhere else.
+    """
     kets = np.stack([_initial_ket(c) for c in configs])[:, _tables()[0]]
     n = kets.shape[-1]
     mats = np.zeros((len(configs), n, n), dtype=complex)
@@ -266,10 +277,19 @@ def _round_one(configs) -> tuple[np.ndarray, np.ndarray]:
     ]
     mats = apply_kraus_matrix(mats, [phases])
     mats = apply_kraus_matrix(mats, [_unitaries()[1]])
+    # (slice, q, d, l, q', d', l'), q the qubit pair; the d = d' entries, d last
+    block = (DIMS[QUBIT_A] * DIMS[QUBIT_B], DIMS[RAIL_DET], DIMS[RAIL_LOAD])
+    blocks = (len(configs),) + block * 2
+    levels = np.diagonal(mats.reshape(blocks), axis1=2, axis2=5)
     losses = _losses(configs)
     if losses is not None:
-        mats = apply_loss(mats, DIMS, RAIL_DET, losses)
-    return detector.branch_matrices(mats, DIMS, RAIL_DET, [c.round1 for c in configs])
+        levels = apply_loss_diagonal(levels, losses)
+    branches = []
+    for level0 in detector.branch_levels(levels, [c.round1 for c in configs]):
+        out = np.zeros(blocks, dtype=complex)
+        out[:, :, 0, :, :, 0, :] = level0
+        branches.append(out.reshape(mats.shape))
+    return branches[0], branches[1]
 
 
 def _run_stack(configs) -> list[OutcomeTable]:
@@ -289,11 +309,13 @@ def _run_stack(configs) -> list[OutcomeTable]:
       summed onto zeros, as `apply_kraus_matrix` does, so no signed zero
       survives.  The offset phase and the splitter stay dense products,
       one zgemm per slice.
-    - The rails are traced out at the end, and after the round-2 splitter
-      loss, detection and dephasing map each rail-diagonal entry
-      (d = d', l = l') only from rail-diagonal entries.  So round 2
-      continues on those 144 of the 1296 entries (`_tables()`), with
-      the same arithmetic per entry in the same order: each branch
+    - Loss and detection of both rounds run on the detector rail's (k, k)
+      blocks alone (`_round_one` says why that is exact).  The rails are
+      traced out at the end, and after the round-2 splitter loss,
+      detection and dephasing map each rail-diagonal entry (d = d',
+      l = l') only from rail-diagonal entries.  So round 2 continues on
+      those 144 of the 1296 entries (`_tables()`), with the same
+      arithmetic per entry in the same order: each branch
       probability sums the full 36-entry diagonal, zeros included, in
       `np.trace`'s pairwise order, and the reduced state is the load-rail
       sum, then the detector-rail sum with its +0 terms, in

@@ -210,18 +210,6 @@ def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
     return reshaped.reshape(kept_dim, kept_dim)
 
 
-def subsystem_blocks(mat: np.ndarray, dims, target: int) -> np.ndarray:
-    """View of a bare joint matrix as (outer, d, inner, outer, d, inner) blocks.
-
-    Axes -5 and -2 are the row and column levels of subsystem `target`, of
-    dimension d; the others group the subsystems before and after it.  A
-    stack of matrices, shape (..., n, n), keeps its leading axes.
-    """
-    outer = int(np.prod(dims[:target]))
-    shape = (outer, dims[target], mat.shape[-1] // (outer * dims[target]))
-    return mat.reshape(mat.shape[:-2] + shape + shape)
-
-
 def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
     """Embed an operator acting on `targets` into the full product space.
 
@@ -263,8 +251,9 @@ def apply_kraus_matrix(mat: np.ndarray, ops) -> np.ndarray:
     unitary is a one-element list); nothing is built here.  `mat` and each
     K may be stacks, shape (..., n, n), which broadcast as in `@`: each
     slice's product is its own zgemm call, the same as for one matrix.
-    Detector clicks and photon loss are applied by indexing instead, in
-    `detector.branch_matrices` and `photonics.apply_loss`.
+    Photon loss and detector clicks are applied on the detector rail's
+    (k, k) blocks instead, by `photonics.apply_loss_diagonal` and
+    `detector.branch_levels`.
     """
     out = np.zeros_like(mat)
     for k in ops:

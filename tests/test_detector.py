@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from heraldsim.detector import (
-    DetectorRoundParams,
-    branch_levels,
-    branch_matrices,
-    dark_count_fidelity,
-)
+from heraldsim.detector import DetectorRoundParams, branch_levels, dark_count_fidelity
 from heraldsim import qmath
 from heraldsim.qmath import (
     ValidationError,
@@ -18,15 +13,24 @@ from heraldsim.qmath import (
 )
 
 
-def branches_of(mat, dims, rail, params):
-    """(click, no_click) of one matrix, as a stack of one through the kernel."""
-    return [b[0] for b in branch_matrices(mat[None], dims, rail, [params])]
+def rail_levels(mat, dims, rail):
+    """The (k, k) blocks of `rail` in a bare joint matrix, each a square
+    matrix of the other subsystems, stacked on the last axis."""
+    level = np.indices(dims)[rail].ravel()
+    return np.stack([mat[np.ix_(level == k, level == k)] for k in range(dims[rail])], axis=-1)
+
+
+def level0_block(mat, dims, rail):
+    """The (0, 0) block of `rail` in a bare joint matrix."""
+    return rail_levels(mat, dims, rail)[..., 0]
 
 
 def measure(mat, params, dims=None, rail=0):
-    """(click, no_click) branch matrices and their probabilities (traces)."""
+    """(click, no_click) of one matrix through `branch_levels`, as a stack of
+    one: each branch's level-0 block (the other subsystems, the rail left
+    in vacuum) and its probability, the block's trace."""
     dims = dims or (mat.shape[0],)
-    branches = branches_of(mat, dims, rail, params)
+    branches = [b[0] for b in branch_levels(rail_levels(mat, dims, rail)[None], [params])]
     return branches, [float(np.trace(b).real) for b in branches]
 
 
@@ -35,7 +39,7 @@ def rail_state(pops):
 
 
 class TestDetectorMeasure:
-    """The click model through `branch_matrices`, the kernel the engine's round 1 runs."""
+    """The click model through `branch_levels`, the kernel both engine rounds run."""
 
     def test_vacuum_without_darks_never_clicks(self):
         (click, _), (p_click, p_no) = measure(
@@ -51,8 +55,8 @@ class TestDetectorMeasure:
         )
         assert np.isclose(p_click, 1.0, atol=1e-12)
         assert not np.any(no_click)
-        # measured rail emptied
-        assert np.allclose(click, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
+        # all of the click branch is on the emptied rail's level 0
+        assert np.allclose(click, [[1.0]], atol=1e-12)
 
     def test_measured_click_probability(self):
         _, (p_click, _) = measure(
@@ -83,9 +87,8 @@ class TestDetectorMeasure:
             assert qmath.hermiticity_error(state) <= qmath.HERMITICITY_TOL
             assert qmath.trace_error(state) <= qmath.TRACE_TOL
             assert qmath.min_eigenvalue(state) >= -qmath.EIGENVALUE_TOL
-        # together the branches empty the rail: tr_rail(rho) x |0><0|
-        vacuum = np.diag([1.0, 0.0, 0.0])
-        expected = np.kron(partial_trace_matrix(rho, (2, 3), (0,)), vacuum)
+        # together the branches empty the rail: tr_rail(rho) on its level 0
+        expected = partial_trace_matrix(rho, (2, 3), (0,))
         assert np.allclose(mats[0] + mats[1], expected, atol=1e-12)
 
     def test_not_number_resolving(self):
@@ -95,12 +98,16 @@ class TestDetectorMeasure:
         assert np.isclose(c1, c2, atol=1e-12)
 
     def test_rail_left_in_vacuum_in_both_branches(self):
+        # each embedded Kraus-sum branch is zero off the rail's level 0, so
+        # the kernel's level-0 block is the whole branch
         v = (basis_ket(3, 0) + basis_ket(3, 2)) / np.sqrt(2)
+        rho = np.outer(v, v.conj())
         params = DetectorRoundParams(0.3, 0.6)
-        mats, probs = measure(np.outer(v, v.conj()), params)
-        for mat, p in zip(mats, probs):
+        mats, probs = measure(rho, params)
+        for mat, p, ref in zip(mats, probs, kraus_sum_branches(rho, (3,), 0, params)):
             assert p > 0.0
-            assert not np.any(mat[1:]) and not np.any(mat[:, 1:])
+            assert not np.any(ref[1:]) and not np.any(ref[:, 1:])
+            assert mat.tobytes() == ref[:1, :1].tobytes()
 
     def test_param_range_validated(self):
         with pytest.raises(ValidationError):
@@ -137,6 +144,10 @@ def states_with_zeros(dims, seed):
 
 
 class TestBranchKernel:
+    """`branch_levels` against the embedded Kraus sums: each branch's
+    level-0 block bit for bit, and +0.0 everywhere else, which is what the
+    engine's round 1 writes there."""
+
     @pytest.mark.parametrize("dims", [(2, 2, 3, 3), (2, 2, 4, 4), (3, 2, 4)])
     @pytest.mark.parametrize("params", [(0.006, 0.21), (0.0, 1.0), (1.0, 0.0)])
     def test_matches_kraus_sum_bit_for_bit(self, dims, params):
@@ -144,30 +155,36 @@ class TestBranchKernel:
         for mat in states_with_zeros(dims, seed=sum(dims)):
             assert np.any(mat == 0.0)
             for rail in range(len(dims)):
-                got = branches_of(mat, dims, rail, params)
+                got = branch_levels(rail_levels(mat, dims, rail)[None], [params])
+                level = np.indices(dims)[rail].ravel()
+                off_level0 = (level[:, None] != 0) | (level[None, :] != 0)
                 for g, ref in zip(got, kraus_sum_branches(mat, dims, rail, params)):
-                    assert np.array_equal(g, ref)
+                    want = level0_block(ref, dims, rail)
+                    assert np.array_equal(g[0], want)
                     for part in (np.real, np.imag):
-                        assert np.array_equal(np.signbit(part(g)), np.signbit(part(ref)))
+                        assert np.array_equal(np.signbit(part(g[0])), np.signbit(part(want)))
+                    # +0.0, sign bits included
+                    assert ref[off_level0].tobytes() == bytes(ref[off_level0].nbytes)
 
     def test_stack_matches_its_slices(self):
         # each slice of a stack is detected with its own click model
         dims = (2, 2, 3, 3)
         mats = np.stack(states_with_zeros(dims, seed=4) + states_with_zeros(dims, seed=5))
         params = [DetectorRoundParams(*p) for p in ((0.006, 0.21), (0.0, 1.0), (1.0, 0.0), (0.3, 0.6))]
-        got = branch_matrices(mats, dims, 2, params)
+        got = branch_levels(np.stack([rail_levels(m, dims, 2) for m in mats]), params)
         for s, (mat, p) in enumerate(zip(mats, params)):
             for g, ref in zip(got, kraus_sum_branches(mat, dims, 2, p)):
-                assert g[s].tobytes() == ref.tobytes()
+                assert g[s].tobytes() == level0_block(ref, dims, 2).tobytes()
 
     def test_levels_kernel_reads_only_the_diagonal_blocks(self):
-        # branch_levels on the (k, k) blocks is the level-0 block of each branch
+        # on the engine's round-1 layout, (q, l, q', l', k) with q the qubit
+        # pair, the (k, k) blocks give each branch's level-0 block
         dims = (2, 2, 3, 3)
         mat = states_with_zeros(dims, seed=6)[1]
         params = DetectorRoundParams(0.02, 0.4)
         blocks = mat.reshape(4, 3, 3, 4, 3, 3)
         levels = np.stack([blocks[:, k, :, :, k, :] for k in range(3)], axis=-1)
-        for level0, ref in zip(branch_levels(levels[None], [params]), branches_of(mat, dims, 2, params)):
+        for level0, ref in zip(branch_levels(levels[None], [params]), kraus_sum_branches(mat, dims, 2, params)):
             assert level0[0].tobytes() == ref.reshape(4, 3, 3, 4, 3, 3)[:, 0, :, :, 0, :].tobytes()
 
 

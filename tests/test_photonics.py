@@ -2,9 +2,9 @@
 
 The splitter is a recorded table; `expm_reference` rebuilds it from its
 generator with `scipy.linalg.expm` for any rail dimension, as the oracle.
-Loss is checked on the kernel the protocol engine runs: `loss_kraus`
-operators applied on a rail's blocks by `apply_loss`, which equals the
-embedded Kraus sum bit for bit.
+Loss is checked on the kernel both rounds of the protocol engine run:
+`loss_kraus` operators applied by `apply_loss_diagonal` on a rail's
+(n, n) blocks, which equal those of the embedded Kraus sum bit for bit.
 """
 
 import hashlib
@@ -12,11 +12,10 @@ import hashlib
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from test_detector import states_with_zeros
+from test_detector import rail_levels, states_with_zeros
 
 from heraldsim.photonics import (
     annihilation,
-    apply_loss,
     apply_loss_diagonal,
     beam_splitter_unitary,
     emission_unitary,
@@ -57,8 +56,14 @@ def u_emit():
 
 
 def lose(mat, dims, rail, eta):
-    """Pure loss on `rail` of a bare matrix, through the engine's kernel."""
-    return apply_loss(mat[None], dims, rail, [loss_kraus(dims[rail], eta)])[0]
+    """The (n, n) blocks of `rail` after pure loss on a bare matrix, through
+    the engine's kernel, stacked on the last axis as `rail_levels` gives them."""
+    return apply_loss_diagonal(rail_levels(mat, dims, rail)[None], [loss_kraus(dims[rail], eta)])[0]
+
+
+def lost_kraus_sum(mat, dims, rail, ops):
+    """Reference: sum_k K_k mat K_k^dag with the K_k embedded on `rail`."""
+    return apply_kraus_matrix(mat, [embed_operator(k, dims, (rail,)) for k in ops])
 
 
 def emitted(u_emit, qubit_b):
@@ -151,18 +156,20 @@ class TestEmission:
 
 
 class TestLossChannel:
+    """Populations of a rail's levels, the (n, n) blocks the kernel keeps."""
+
     def test_eta_one_is_identity(self):
         rho = np.diag([0.2, 0.5, 0.3]).astype(complex)
-        assert np.allclose(lose(rho, (3,), 0, 1.0), rho, atol=1e-14)
+        assert np.allclose(lose(rho, (3,), 0, 1.0)[0, 0], [0.2, 0.5, 0.3], atol=1e-14)
 
     def test_eta_zero_forces_vacuum(self):
         rho = np.diag([0.2, 0.5, 0.3]).astype(complex)
-        assert np.allclose(lose(rho, (3,), 0, 0.0), np.diag([1.0, 0.0, 0.0]), atol=1e-12)
+        assert np.allclose(lose(rho, (3,), 0, 0.0)[0, 0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_single_photon_split(self):
         # oracle: explicit Kraus sum evaluated by hand for a one-photon state
         rho = np.diag([0.0, 1.0, 0.0]).astype(complex)
-        assert np.allclose(lose(rho, (3,), 0, 0.4), np.diag([0.6, 0.4, 0.0]), atol=1e-12)
+        assert np.allclose(lose(rho, (3,), 0, 0.4)[0, 0], [0.6, 0.4, 0.0], atol=1e-12)
 
     def test_kraus_completeness(self):
         for eta in (0.0, 0.3, 0.7, 1.0):
@@ -174,9 +181,9 @@ class TestLossChannel:
         rho = np.diag([0.1, 0.3, 0.6]).astype(complex)
         n_op = number_op(3)
         for eta in (0.25, 0.5, 0.9):
-            out = lose(rho, (3,), 0, eta)
+            out = lose(rho, (3,), 0, eta)[0, 0]
             assert np.isclose(
-                np.trace(n_op @ out).real, eta * np.trace(n_op @ rho).real, atol=1e-12
+                np.diag(n_op) @ out.real, eta * np.trace(n_op @ rho).real, atol=1e-12
             )
 
     def test_embedded_on_second_rail(self):
@@ -184,10 +191,8 @@ class TestLossChannel:
         b = np.diag([0.0, 0.0, 1.0]).astype(complex)
         out = lose(np.kron(a, b), (3, 3), 1, 0.5)
         # rail 0 untouched, rail 1 binomially degraded: |2> -> (1/4, 1/2, 1/4)
-        reduced0 = np.einsum("abcb->ac", out.reshape(3, 3, 3, 3))
-        reduced1 = np.einsum("abad->bd", out.reshape(3, 3, 3, 3))
-        assert np.allclose(reduced0, a, atol=1e-12)
-        assert np.allclose(reduced1, np.diag([0.25, 0.5, 0.25]), atol=1e-12)
+        assert np.allclose(out.sum(axis=-1), a, atol=1e-12)
+        assert np.allclose(np.einsum("aad->d", out), [0.25, 0.5, 0.25], atol=1e-12)
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -199,6 +204,9 @@ class TestLossChannel:
 
 
 class TestLossKernel:
+    """`apply_loss_diagonal` against the embedded Kraus sum: the rail's
+    (n, n) blocks bit for bit, sign bits included."""
+
     @pytest.mark.parametrize("dims", [(2, 2, 3, 3), (2, 2, 4, 4), (3, 2, 4)])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6, 0.999])
     def test_matches_kraus_sum_bit_for_bit(self, dims, eta):
@@ -206,8 +214,8 @@ class TestLossKernel:
             assert np.any(mat == 0.0)
             for rail in range(len(dims)):
                 ops = loss_kraus(dims[rail], eta)
-                got = apply_loss(mat[None], dims, rail, [ops])[0]
-                ref = apply_kraus_matrix(mat, [embed_operator(k, dims, (rail,)) for k in ops])
+                got = apply_loss_diagonal(rail_levels(mat, dims, rail)[None], [ops])[0]
+                ref = rail_levels(lost_kraus_sum(mat, dims, rail, ops), dims, rail)
                 assert np.array_equal(got, ref)
                 for part in (np.real, np.imag):
                     assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
@@ -215,23 +223,24 @@ class TestLossKernel:
     def test_stack_matches_its_slices(self):
         # each slice of a stack loses photons with its own transmissivity
         dims = (2, 2, 3, 3)
-        mats = np.stack(states_with_zeros(dims, seed=4) + states_with_zeros(dims, seed=5))
+        mats = states_with_zeros(dims, seed=4) + states_with_zeros(dims, seed=5)
         ops = [loss_kraus(3, eta) for eta in (0.0, 0.3, 1.0, 0.999)]
-        got = apply_loss(mats, dims, 2, ops)
-        for s in range(len(mats)):
-            assert got[s].tobytes() == apply_loss(mats[s:s + 1], dims, 2, ops[s:s + 1])[0].tobytes()
+        got = apply_loss_diagonal(np.stack([rail_levels(m, dims, 2) for m in mats]), ops)
+        for s, (mat, kraus) in enumerate(zip(mats, ops)):
+            assert got[s].tobytes() == rail_levels(lost_kraus_sum(mat, dims, 2, kraus), dims, 2).tobytes()
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
-    def test_diagonal_kernel_matches_full_kernel(self, eta):
-        # the rail-diagonal entries (d = d', l = l') of apply_loss's output,
-        # from those of its input alone, bit for bit
+    def test_round_two_layout_matches_kraus_sum(self, eta):
+        # the rail-diagonal entries (d = d', l = l') that round 2 keeps, in
+        # its (slice, q, q', l, d) layout, from those of the input alone
         dims = (2, 2, 3, 3)
         mats = np.stack(states_with_zeros(dims, seed=8))
         ops = [loss_kraus(3, eta)] * len(mats)
+
         def rail_diagonal(x):
             """(slice, q, q', l, d) entries with d = d' and l = l', q the qubit pair."""
             blocks = x.reshape(len(x), 4, 3, 3, 4, 3, 3)
             return np.ascontiguousarray(blocks.diagonal(0, 2, 5).diagonal(0, 2, 4).swapaxes(-1, -2))
 
         got = apply_loss_diagonal(rail_diagonal(mats), ops)
-        assert got.tobytes() == rail_diagonal(apply_loss(mats, dims, 2, ops)).tobytes()
+        assert got.tobytes() == rail_diagonal(lost_kraus_sum(mats, dims, 2, ops[0])).tobytes()

@@ -101,8 +101,10 @@ def ideal_entangled_matrix():
 def dense_round(mat, config, first_round):
     """One round of the dense per-config engine: emit, offset phase (round 1
     only), interfere, lose, detect.  Loss and detection are the embedded
-    Kraus sums, which equal the engine's block kernels bit for bit
-    (test_photonics, test_detector)."""
+    Kraus sums: on the detector rail's (k, k) blocks, the only ones the
+    engine keeps, they equal its kernels `apply_loss_diagonal` and
+    `branch_levels` bit for bit, and each branch is +0.0 off the rail's
+    level 0 (test_photonics, test_detector)."""
     u_emit, u_bs, _ = _unitaries()
     mat = apply_kraus_matrix(mat, [u_emit])
     if first_round:
@@ -394,6 +396,28 @@ class TestTwoPhotonBound:
         monkeypatch.setattr(protocol, "apply_kraus_matrix", poison)
         assert_same_bits(run_two_rounds(cfg), expected)
 
+    @pytest.mark.parametrize("eta_loss", [1.0, 0.6])
+    def test_round_one_dropped_entries_are_never_read(self, monkeypatch, eta_loss):
+        # after the round-1 splitter only the detector rail's (d, d) blocks
+        # are read: poisoning every d != d' entry with NaN changes no bit
+        u_bs = _unitaries()[1]
+        det = np.indices(DIMS)[RAIL_DET].ravel()
+        dropped = det[:, None] != det[None, :]
+        poisoned = []
+
+        def poison(mat, ops):
+            out = qmath.apply_kraus_matrix(mat, ops)
+            if ops[0] is u_bs and len(mat) == 1:  # round 1 of a stack of one
+                out[:, dropped] = np.nan
+                poisoned.append(out)
+            return out
+
+        cfg = ProtocolConfig(theta_a=1.1, theta_b=2.0, phi_a=0.4, eta_loss=eta_loss)
+        expected = run_two_rounds(cfg)
+        monkeypatch.setattr(protocol, "apply_kraus_matrix", poison)
+        assert_same_bits(run_two_rounds(cfg), expected)
+        assert len(poisoned) == 1
+
     def test_splitter_block_is_truncation_independent(self):
         def low_block(u, d):
             n_det, n_load = np.divmod(np.arange(d * d), d)
@@ -645,6 +669,20 @@ class TestDenseOracle:
         for v, point in zip(values, points):
             assert point.value == float(v)
             assert_point_is_oracle(point, replace(ProtocolConfig(), **{axis: float(v)}))
+
+    def test_round_one_is_oracle(self, random_oracle):
+        # round 1 alone, sign bits included: the operating point at three
+        # transmissivities, then the random configs as one stack
+        def assert_round_one_is_oracle(configs):
+            branches = _round_one(configs)
+            for s, cfg in enumerate(configs):
+                want = dense_round(initial_matrix(cfg), cfg, first_round=True)
+                for got, ref in zip(branches, want):
+                    assert got[s].tobytes() == ref.tobytes()
+
+        for eta_loss in (1.0, 0.7, 0.0):
+            assert_round_one_is_oracle([ProtocolConfig(eta_loss=eta_loss)])
+        assert_round_one_is_oracle(random_oracle[0])
 
     def test_random_configs_one_at_a_time(self, random_oracle):
         for cfg, expected in zip(*random_oracle):
