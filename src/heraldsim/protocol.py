@@ -30,12 +30,34 @@ One engine, `_run_stack`, runs that sequence for a stack of configs:
 `run_two_rounds` is a stack of one, and `sweep_preparation` hands over
 `_STACK` points at a time.  Each config gets the bits of the dense
 one-config-at-a-time sequence, which the tests keep as an oracle:
-emission and the pi pulses are signed permutations applied by indexing,
-and both rounds lose photons and detect on the detector rail's (k, k)
-blocks alone, through `photonics.apply_loss_diagonal` and
-`detector.branch_levels`; round 2 also drops the load rail's coherences,
-which the final trace never reads (`_round_one` and `_run_stack` say why
-that is exact).
+
+- Emission and the pi pulses are signed permutation matrices, so
+  U M U^dag is s_i s_j M[pi_i, pi_j]: zgemm forms each entry as that one
+  product plus exact zeros.  Round 1 therefore permutes the initial ket
+  before its outer product, and round 2 applies the pi pulses and
+  emission as one composite permutation, each summed onto zeros as
+  `apply_kraus_matrix` does, so no signed zero survives.  The offset
+  phase and the splitters stay dense products, one zgemm per slice.
+- Each round then takes one step, `_split_lose_detect`: the splitter, a
+  gather of the entries it keeps (`_tables()`), then loss and detection
+  through `photonics.apply_loss_diagonal` and `detector.branch_levels`,
+  with the embedded Kraus sums' arithmetic per entry in the same order.
+  Keeping the detector rail's (d, d) blocks is exact: loss fills each
+  (n, n) block only from the (n + j, n + j) blocks, and detection reads
+  only the (k, k) blocks and writes only the (0, 0) block, each branch
+  holding +0.0 elsewhere.  So round 1 hands on its level-0 entries alone,
+  and round 2 reads every entry whose source lies off level 0 from one
+  zero column.
+- Round 2 keeps only the 144 rail-diagonal entries (d = d', l = l') of
+  the 1296: the rails are traced out at the end, and after its splitter
+  loss, detection and dephasing map those entries only from each other.
+  Each branch probability sums the full 36-entry diagonal, zeros
+  included, in `np.trace`'s pairwise order, and the reduced state is the
+  load-rail sum, then the detector-rail sum with its +0 terms, in
+  `qmath.partial_trace_matrix`'s order.
+
+The kets, offset phases, loss Kraus values and dephasing factors are
+computed per config; only the array algebra is stacked.
 """
 
 from __future__ import annotations
@@ -69,6 +91,8 @@ from .qmath import (
 QUBIT_A, QUBIT_B, RAIL_DET, RAIL_LOAD = 0, 1, 2, 3
 N_MAX = 2  # photons per rail; exact, as the module docstring explains
 DIMS = (2, 2, N_MAX + 1, N_MAX + 1)
+# a full-space index as (q, d, l): the qubit pair, the detector rail, the load rail
+_BLOCK = (DIMS[QUBIT_A] * DIMS[QUBIT_B], DIMS[RAIL_DET], DIMS[RAIL_LOAD])
 
 BRANCH_SUM_TOL = 1e-9  # budget of |sum of the branch probabilities - 1|
 EMPTY_BRANCH_TOL = 1e-14  # a branch of this probability or less has no state
@@ -212,31 +236,38 @@ def _unitaries() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables of the stacked engine, read-only, derived once per
-    process, on first use, from `_unitaries()`.
+def _tables() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Index tables of the stacked engine, one tuple per round, read-only,
+    derived once per process, on first use, from `_unitaries()`.
 
-    (emit, round2, round2_sign, tail): the emission's row permutation (its
-    entries are all +1); the flat source index and sign of each entry of a
-    36 x 36 matrix under the round-2 pi pulses followed by emission; the
-    flat indices of the rail-diagonal entries (q, q', l, d) that round 2
-    keeps after its splitter, q the qubit pair.
+    Round 1, (emit, kept): the emission's row permutation (its entries are
+    all +1), and the flat indices of the entries (q, l, q', l', d) with
+    d = d' that round 1 keeps of a 36 x 36 matrix, q the qubit pair.
+    Round 2, (source, sign, kept): each entry of a 36 x 36 matrix under the
+    pi pulses followed by emission, as the flat index of its source among
+    round 1's 144 level-0 entries (q, l, q', l') or 144, the zero column,
+    where that source has d != 0 or d' != 0, and as its sign; and the flat
+    indices of the rail-diagonal entries (q, q', l, d) that round 2 keeps.
     """
     u_emit, _, u_pi = _unitaries()
     composite = u_emit @ u_pi
     n = len(composite)
     perm = np.nonzero(composite)[1]
     sign = composite[np.arange(n), perm].real
-    n_rails = DIMS[RAIL_DET] * DIMS[RAIL_LOAD]
-    q, q_col, l, d = np.indices((n // n_rails, n // n_rails, DIMS[RAIL_LOAD], DIMS[RAIL_DET]))
-    rails = d * DIMS[RAIL_LOAD] + l
+    n_q, n_d, n_l = _BLOCK
+    q, l, q_col, l_col, d = np.indices((n_q, n_l, n_q, n_l, n_d))
+    kept1 = np.ravel_multi_index((q, d, l, q_col, d, l_col), _BLOCK * 2)
+    q, q_col, l, d = np.indices((n_q, n_q, n_l, n_d))
+    kept2 = np.ravel_multi_index((q, d, l, q_col, d, l), _BLOCK * 2)
+    # each full-space entry's place among round 1's level-0 entries, or the zero column
+    level0 = kept1[..., 0].ravel()
+    compact = np.full(n * n, len(level0))
+    compact[level0] = np.arange(len(level0))
     tables = (
-        np.nonzero(u_emit)[1],
-        (perm[:, None] * n + perm[None, :]).ravel(),
-        np.outer(sign, sign).ravel(),
-        (q * n_rails + rails) * n + q_col * n_rails + rails,
+        (np.nonzero(u_emit)[1], kept1),
+        (compact[perm[:, None] * n + perm[None, :]].ravel(), np.outer(sign, sign).ravel(), kept2),
     )
-    for table in tables:
+    for table in tables[0] + tables[1]:
         table.setflags(write=False)
     return tables
 
@@ -253,19 +284,24 @@ def _losses(configs):
     return [loss_kraus(N_MAX + 1, c.eta_loss) for c in configs]
 
 
-def _round_one(configs) -> tuple[np.ndarray, np.ndarray]:
-    """Round 1 of a stack of configs: the unnormalized (click, no_click)
-    branches, each an (S, 36, 36) stack of bare joint matrices.
+def _split_lose_detect(mats, kept, losses, params) -> tuple[np.ndarray, np.ndarray]:
+    """One round of S emitted 36 x 36 matrices: the splitter, the round's
+    `kept` entries (detector level last), loss by `losses[s]` unless None,
+    detection by `params[s]`; the (click, no_click) level-0 entries."""
+    u_bs = _unitaries()[1]
+    mats = apply_kraus_matrix(mats.reshape((len(mats),) + u_bs.shape), [u_bs])
+    levels = mats.reshape(len(mats), -1)[:, kept]
+    if losses is not None:
+        levels = apply_loss_diagonal(levels, losses)
+    return detector.branch_levels(levels, params)
 
-    After the splitter only the detector rail's (d, d) blocks are read, and
-    the result is exact: loss fills each (n, n) block only from the
-    (n + j, n + j) blocks, and detection reads only the (k, k) blocks and
-    writes only the (0, 0) block.  So loss and detection run on those
-    levels, as in round 2, with the embedded Kraus sums' arithmetic per
-    entry in the same order, and each branch's level-0 block is put into
-    zeros, which is what the Kraus sums hold (+0.0) everywhere else.
-    """
-    kets = np.stack([_initial_ket(c) for c in configs])[:, _tables()[0]]
+
+def _round_one(configs, losses) -> tuple[np.ndarray, np.ndarray]:
+    """Round 1 of a stack of configs with their `_losses`: the (click,
+    no_click) branches' level-0 entries, each (S, 4, 3, 4, 3) in
+    (q, l, q', l') order; each branch is +0.0 everywhere else."""
+    emit, kept = _tables()[0]
+    kets = np.stack([_initial_ket(c) for c in configs])[:, emit]
     n = kets.shape[-1]
     mats = np.zeros((len(configs), n, n), dtype=complex)
     mats += kets[:, :, None] * kets.conj()[:, None, :]
@@ -276,71 +312,26 @@ def _round_one(configs) -> tuple[np.ndarray, np.ndarray]:
         for c in configs
     ]
     mats = apply_kraus_matrix(mats, [phases])
-    mats = apply_kraus_matrix(mats, [_unitaries()[1]])
-    # (slice, q, d, l, q', d', l'), q the qubit pair; the d = d' entries, d last
-    block = (DIMS[QUBIT_A] * DIMS[QUBIT_B], DIMS[RAIL_DET], DIMS[RAIL_LOAD])
-    blocks = (len(configs),) + block * 2
-    levels = np.diagonal(mats.reshape(blocks), axis1=2, axis2=5)
-    losses = _losses(configs)
-    if losses is not None:
-        levels = apply_loss_diagonal(levels, losses)
-    branches = []
-    for level0 in detector.branch_levels(levels, [c.round1 for c in configs]):
-        out = np.zeros(blocks, dtype=complex)
-        out[:, :, 0, :, :, 0, :] = level0
-        branches.append(out.reshape(mats.shape))
-    return branches[0], branches[1]
+    return _split_lose_detect(mats, kept, losses, [c.round1 for c in configs])
 
 
 def _run_stack(configs) -> list[OutcomeTable]:
-    """Both rounds, dephasing and the rail trace for a stack of configs;
-    one `OutcomeTable` per config, in order.
-
-    Every step gives the bits of the dense per-config sequence (prepare,
-    emit, offset phase, splitter, loss, detect, pi pulses, emit,
-    splitter, loss, detect, dephase, trace the rails), which the tests
-    keep as an oracle:
-
-    - Emission and the pi pulses are signed permutation matrices, so
-      U M U^dag is s_i s_j M[pi_i, pi_j]: zgemm forms each entry as that
-      one product plus exact zeros.  Round 1 therefore emits by permuting
-      the initial ket before its outer product, and round 2 applies the
-      pi pulses and emission as one composite permutation; each result is
-      summed onto zeros, as `apply_kraus_matrix` does, so no signed zero
-      survives.  The offset phase and the splitter stay dense products,
-      one zgemm per slice.
-    - Loss and detection of both rounds run on the detector rail's (k, k)
-      blocks alone (`_round_one` says why that is exact).  The rails are
-      traced out at the end, and after the round-2 splitter loss,
-      detection and dephasing map each rail-diagonal entry (d = d',
-      l = l') only from rail-diagonal entries.  So round 2 continues on
-      those 144 of the 1296 entries (`_tables()`), with the same
-      arithmetic per entry in the same order: each branch
-      probability sums the full 36-entry diagonal, zeros included, in
-      `np.trace`'s pairwise order, and the reduced state is the load-rail
-      sum, then the detector-rail sum with its +0 terms, in
-      `qmath.partial_trace_matrix`'s order.
-
-    The kets, offset phases, loss Kraus values and dephasing factors are
-    computed per config; only the array algebra is stacked.
-    """
-    _, round2, round2_sign, tail = _tables()
-    u_bs = _unitaries()[1]
-    # flat slices in (c1, config) order: the round-1 click branches, then the no-click ones
-    flat = np.concatenate(_round_one(configs)).reshape(2 * len(configs), -1)
-    permuted = np.zeros_like(flat)
-    permuted += flat[:, round2] * round2_sign
-    del flat  # freed before the splitter's temporaries: a lower peak per stack
-    mats = apply_kraus_matrix(permuted.reshape((-1,) + u_bs.shape), [u_bs])
-    levels = mats.reshape(len(mats), -1)[:, tail]
+    """Both rounds, dephasing and the rail trace for a stack of configs: one
+    `OutcomeTable` per config, in order, each with the dense oracle's bits."""
     losses = _losses(configs)
-    if losses is not None:
-        levels = apply_loss_diagonal(levels, losses * 2)
+    source, sign, kept = _tables()[1]
+    # flat slices in (c1, config) order, the click branches first, then the zero column
+    level0 = np.concatenate(_round_one(configs, losses)).reshape(2 * len(configs), -1)
+    level0 = np.concatenate([level0, np.zeros_like(level0[:, :1])], axis=1)
+    mats = np.zeros((len(level0), len(source)), dtype=complex)
+    mats += level0[:, source] * sign
+    losses = None if losses is None else losses * 2
+    branches = _split_lose_detect(mats, kept, losses, [c.round2 for c in configs] * 2)
     # (c2, slice, q, q', l, d): each branch is zero off the detector's level 0
-    final = np.zeros((2,) + levels.shape, dtype=complex)
-    final[..., 0] = detector.branch_levels(levels, [c.round2 for c in configs] * 2)
+    final = np.zeros((2,) + branches[0].shape + (DIMS[RAIL_DET],), dtype=complex)
+    final[..., 0] = branches
     # axes (c1, c2, config, l, d, q, q'): the qubit pair last, as in a 4 x 4 matrix
-    final = final.reshape((2, 2, len(configs)) + levels.shape[1:]).transpose(1, 0, 2, 5, 6, 3, 4)
+    final = final.reshape((2, 2, len(configs)) + final.shape[2:]).transpose(1, 0, 2, 5, 6, 3, 4)
 
     # the 36-entry diagonals in (q, d, l) order
     diagonals = np.diagonal(final, axis1=-2, axis2=-1).transpose(0, 1, 2, 5, 4, 3)
@@ -440,7 +431,10 @@ def round_one_click_weights(config: ProtocolConfig) -> dict[str, float]:
     Returned in the basis {|O+>, |ee>, |gg>, |O->} as keys
     ('odd_plus', 'ee', 'gg', 'odd_minus').
     """
-    click = _round_one([config])[0][0]
+    # the full 36 x 36 click matrix, for the trace's and partial trace's order
+    click = np.zeros(_BLOCK * 2, dtype=complex)
+    click[:, 0, :, :, 0, :] = _round_one([config], _losses([config]))[0][0]
+    click = click.reshape(np.prod(_BLOCK), -1)
     p = float(np.trace(click).real)
     if not p > EMPTY_BRANCH_TOL:
         raise ValidationError("round-1 click probability vanishes")

@@ -107,8 +107,9 @@ class PauliVector:
         object.__setattr__(self, "components", comps)
         if self.sigma is not None:
             sig = np.asarray(self.sigma, dtype=float).ravel()
-            if sig.shape != (16,) or np.any(sig < 0):
-                raise ValidationError("sigma must be 16 non-negative reals")
+            # written so that NaN fails
+            if sig.shape != (16,) or not np.all((sig >= 0.0) & (sig < np.inf)):
+                raise ValidationError("sigma must be 16 finite, non-negative reals")
             sig = sig.copy()
             sig.setflags(write=False)
             object.__setattr__(self, "sigma", sig)

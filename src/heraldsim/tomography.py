@@ -37,7 +37,6 @@ from .qmath import (
     concurrence_matrix,
     is_int,
     min_eigenvalue,
-    pauli_reconstruct,
     unit_ket,
 )
 
@@ -305,6 +304,17 @@ class FidelityResult:
     physical: bool
 
 
+def _matrices(comps: np.ndarray, what: str) -> np.ndarray:
+    """`qmath.pauli_reconstruct` of each row of a (k, 16) component stack,
+    one zgemv per row: the same bits.  A non-finite component is a
+    ValidationError, as `PauliVector` makes it.
+    """
+    if not np.all(np.isfinite(comps)):
+        raise ValidationError(f"{what} Pauli components must be finite")
+    mats = np.matmul(comps[:, None, :], TWO_QUBIT_PAULIS.reshape(16, 16))[:, 0] / 4.0
+    return mats.reshape(-1, 4, 4)
+
+
 def _fidelity_concurrence(mats: np.ndarray, v: np.ndarray) -> tuple[list, list]:
     """Fidelities with the unit ket `v` and concurrences of a stack of
     reconstructed 4x4 matrices, as lists of floats.
@@ -325,19 +335,19 @@ def fidelity_with_errors(pauli: PauliVector, target_ket) -> FidelityResult:
     and the per-component contributions combine in quadrature.
     """
     v = unit_ket(target_ket)
-    vectors = [pauli]
-    if pauli.sigma is not None:
-        for i in np.flatnonzero(pauli.sigma):
-            for sign in (1.0, -1.0):
-                comps = pauli.components.copy()
-                comps[i] += sign * pauli.sigma[i]
-                vectors.append(PauliVector(comps))
-    mats = np.stack([pauli_reconstruct(p) for p in vectors])
+    sigma = np.zeros(16) if pauli.sigma is None else pauli.sigma
+    picked = np.flatnonzero(sigma)
+    # the central vector, then each picked component at +sigma and at -sigma
+    comps = np.tile(pauli.components, (1 + 2 * len(picked), 1))
+    rows = 1 + 2 * np.arange(len(picked))
+    comps[rows, picked] += sigma[picked]
+    comps[rows + 1, picked] -= sigma[picked]
+    mats = _matrices(comps, "perturbed")
     fids, concs = _fidelity_concurrence(mats, v)
     physical = min_eigenvalue(mats[0]) >= -EIGENVALUE_TOL
 
     var_f = var_c = 0.0
-    for j in range(1, len(vectors), 2):
+    for j in range(1, len(comps), 2):
         var_f += (0.5 * (fids[j] - fids[j + 1])) ** 2
         var_c += (0.5 * (concs[j] - concs[j + 1])) ** 2
     return FidelityResult(fids[0], float(np.sqrt(var_f)), concs[0], float(np.sqrt(var_c)), physical)
@@ -377,12 +387,7 @@ def bootstrap_errors(
     for i in range(n_resamples):
         rng = np.random.default_rng([seed, 7919, i])
         resampled[i] = rng.multinomial(n_k, freqs)
-    comps = _components((resampled / totals[:, None]) @ a.inverse().T)
-    if not np.all(np.isfinite(comps)):
-        raise ValidationError("resampled Pauli components must be finite")
-    # `pauli_reconstruct`'s product, one zgemv per resample: the same bits
-    paulis = TWO_QUBIT_PAULIS.reshape(16, 16)
-    mats = (np.matmul(comps[:, None, :], paulis)[:, 0] / 4.0).reshape(-1, 4, 4)
+    mats = _matrices(_components((resampled / totals[:, None]) @ a.inverse().T), "resampled")
     fids, concs = _fidelity_concurrence(mats, v)
     return float(np.std(fids)), float(np.std(concs))
 

@@ -26,6 +26,7 @@ from heraldsim.protocol import (
     SWEEPABLE_AXES,
     _STACK,
     _initial_ket,
+    _losses,
     _phase_damping_factors,
     _round_one,
     _run_stack,
@@ -299,27 +300,72 @@ class TestOperatorCache:
     """The unitaries and the engine's tables are built once and shared."""
 
     def test_cached_unitaries_are_read_only(self):
-        for op in _unitaries() + _tables():
+        round_one, round_two = _tables()
+        for op in _unitaries() + round_one + round_two:
             with pytest.raises(ValueError):
                 op.flat[0] = 2
 
-    def test_tables_are_the_unitaries(self):
-        # the emission is a permutation, the round-2 pi pulses and emission
-        # a signed one, and the tail reads only rail-diagonal entries
-        u_emit, _, u_pi = _unitaries()
-        emit, round2, round2_sign, tail = _tables()
+    def test_round_one_tables_are_the_unitaries(self):
+        # the emission is a permutation of the kets, all its signs +1, and
+        # round 1 keeps the detector rail's (d, d) blocks, d last
+        u_emit = _unitaries()[0]
+        emit, kept = _tables()[0]
         n = len(u_emit)
         assert np.array_equal(u_emit, np.eye(n)[emit])
         mat = np.arange(n * n).reshape(n, n).astype(complex)
+        assert np.array_equal(conjugate(u_emit, mat), mat[emit][:, emit])
+        row, col = np.divmod(kept, n)
+        assert kept.shape == (4, N_MAX + 1, 4, N_MAX + 1, N_MAX + 1)
+        # (q, l, q', l', d) order: the qubit pair, then the load rail's level, per side
+        q, l, q_col, l_col, d = np.indices(kept.shape)
+        assert np.array_equal(row, q * 9 + d * 3 + l) and np.array_equal(col, q_col * 9 + d * 3 + l_col)
+
+    def test_round_two_tables_are_the_unitaries(self):
+        # the pi pulses and emission are a signed permutation of round 1's
+        # level-0 entries and the zero column, and round 2 keeps only
+        # rail-diagonal entries
+        u_emit, _, u_pi = _unitaries()
+        level0 = _tables()[0][1][..., 0].ravel()
+        source, sign, kept = _tables()[1]
+        n = len(u_emit)
+        mat = np.arange(1, n * n + 1).reshape(n, n).astype(complex)
+        on_level0 = np.zeros(n * n, dtype=complex)
+        on_level0[level0] = mat.ravel()[level0]
         assert np.array_equal(
-            conjugate(u_emit @ u_pi, mat), (mat.ravel()[round2] * round2_sign).reshape(n, n)
+            conjugate(u_emit @ u_pi, on_level0.reshape(n, n)),
+            (np.append(mat.ravel()[level0], 0.0)[source] * sign).reshape(n, n),
         )
-        row, col = np.divmod(tail, n)
-        assert tail.shape == (4, 4, N_MAX + 1, N_MAX + 1)
+        row, col = np.divmod(kept, n)
+        assert kept.shape == (4, 4, N_MAX + 1, N_MAX + 1)
         assert np.array_equal(row % 9, col % 9)
         # (q, q', l, d) order: the load rail's level, then the detector's
-        q, q_col, l, d = np.indices(tail.shape)
+        q, q_col, l, d = np.indices(kept.shape)
         assert np.array_equal(row, q * 9 + d * 3 + l) and np.array_equal(col, q_col * 9 + d * 3 + l)
+
+    def test_round_two_reads_the_zero_column_exactly_off_level_zero(self):
+        # an entry's round-1 source has d != 0 or d' != 0 exactly where the
+        # permuted indicator of those entries is nonzero
+        u_emit, _, u_pi = _unitaries()
+        source = _tables()[1][0]
+        det = np.indices(DIMS)[RAIL_DET].ravel()
+        off_level0 = ((det[:, None] != 0) | (det[None, :] != 0)).astype(complex)
+        permuted = conjugate(u_emit @ u_pi, off_level0)
+        n_level0 = 4 * (N_MAX + 1) * 4 * (N_MAX + 1)
+        assert np.array_equal((source == n_level0).reshape(permuted.shape), permuted != 0.0)
+        # and reads each level-0 entry once
+        assert np.array_equal(np.sort(source[source < n_level0]), np.arange(n_level0))
+
+    def test_losses_are_built_once_per_stack(self, monkeypatch):
+        calls = []
+
+        def spy(d, eta):
+            calls.append(eta)
+            return loss_kraus(d, eta)
+
+        monkeypatch.setattr(protocol, "loss_kraus", spy)
+        configs = [ProtocolConfig(eta_loss=eta) for eta in (0.3, 1.0, 0.8)]
+        _run_stack(configs)
+        assert calls == [0.3, 1.0, 0.8]
 
     def test_configs_with_same_n_max_share_arrays(self, monkeypatch):
         u_bs = _unitaries()[1]
@@ -597,10 +643,10 @@ class TestRunTwoRounds:
     def test_round_one_no_click_branch_has_no_bell_weight(self):
         # a missed detection never fakes the heralded state: with no dark
         # counts the round-1 no-click branch is orthogonal to |O+>
-        _, noclick = _round_one([ideal_config()])
-        noclick = noclick[0]
-        p = np.trace(noclick).real
-        reduced = partial_trace_matrix(noclick / p, DIMS, (0, 1))
+        _, noclick = _round_one([ideal_config()], None)
+        # the level-0 entries (q, l, q', l'): the load rail's trace, then the qubits'
+        reduced = np.trace(noclick[0], axis1=1, axis2=3)
+        reduced = reduced / np.trace(reduced).real
         overlap = np.real(bell_odd_plus().conj() @ reduced @ bell_odd_plus())
         assert abs(overlap) < 1e-12
 
@@ -672,13 +718,18 @@ class TestDenseOracle:
 
     def test_round_one_is_oracle(self, random_oracle):
         # round 1 alone, sign bits included: the operating point at three
-        # transmissivities, then the random configs as one stack
+        # transmissivities, then the random configs as one stack; the level-0
+        # entries are the oracle's (0, 0) detector block, and the oracle is
+        # +0.0 everywhere else
         def assert_round_one_is_oracle(configs):
-            branches = _round_one(configs)
+            branches = _round_one(configs, _losses(configs))
             for s, cfg in enumerate(configs):
                 want = dense_round(initial_matrix(cfg), cfg, first_round=True)
                 for got, ref in zip(branches, want):
-                    assert got[s].tobytes() == ref.tobytes()
+                    ref = ref.reshape((4, N_MAX + 1, N_MAX + 1) * 2)
+                    assert got[s].tobytes() == ref[:, 0, :, :, 0, :].tobytes()
+                    ref[:, 0, :, :, 0, :] = 0.0
+                    assert ref.tobytes() == np.zeros_like(ref).tobytes()
 
         for eta_loss in (1.0, 0.7, 0.0):
             assert_round_one_is_oracle([ProtocolConfig(eta_loss=eta_loss)])

@@ -289,3 +289,10 @@ class TestPauliVector:
         pv = PauliVector(comps)
         assert pv.component("ZZ") == -0.5
         assert pv.sigma is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_sigma_must_be_finite_and_non_negative(self, bad):
+        sigma = np.full(16, 0.01)
+        sigma[3] = bad
+        with pytest.raises(ValidationError, match="sigma must be 16 finite, non-negative reals"):
+            PauliVector(np.zeros(16), sigma)

@@ -14,6 +14,7 @@ from heraldsim.qmath import (
     ValidationError,
     bell_odd_plus,
     pauli_decompose,
+    pauli_reconstruct,
     state_fidelity,
     two_qubit_ket,
 )
@@ -476,6 +477,43 @@ class TestFidelityWithErrors:
         result = fidelity_with_errors(pauli, bell_odd_plus())
         boot_f, _ = bootstrap_errors(counts, a, bell_odd_plus(), n_resamples=150, seed=1)
         assert 0.5 < boot_f / result.sigma_fidelity < 2.0
+
+    def test_overflowing_perturbation_rejected(self):
+        # sigma is finite, but a component plus its sigma is not: the one
+        # finiteness check over the perturbed stack fires
+        comps = np.zeros(16)
+        comps[0] = 1.0
+        comps[5] = 1e308
+        sigma = np.zeros(16)
+        sigma[5] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(
+            ValidationError, match="^perturbed Pauli components must be finite$"
+        ):
+            fidelity_with_errors(PauliVector(comps, sigma), bell_odd_plus())
+
+    def test_perturbed_matrices_are_pauli_reconstruct(self, monkeypatch):
+        # the stacked rebuild has the bits of one `pauli_reconstruct` per vector
+        rng = np.random.default_rng(35)
+        comps = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, 15)])
+        sigma = np.where(rng.random(16) < 0.3, 0.0, rng.uniform(0.0, 0.05, 16))
+        sigma[0] = 0.0
+        seen = []
+        stats = tomography._fidelity_concurrence
+
+        def spy(mats, v):
+            seen.append(mats)
+            return stats(mats, v)
+
+        monkeypatch.setattr(tomography, "_fidelity_concurrence", spy)
+        fidelity_with_errors(PauliVector(comps, sigma), bell_odd_plus())
+        vectors = [comps]
+        for i in np.flatnonzero(sigma):
+            for sign in (1.0, -1.0):
+                shifted = comps.copy()
+                shifted[i] += sign * sigma[i]
+                vectors.append(shifted)
+        want = np.stack([pauli_reconstruct(PauliVector(c)) for c in vectors])
+        assert seen[0].tobytes() == want.tobytes()
 
     def test_non_physical_reconstruction_flagged(self):
         comps = np.zeros(16)
